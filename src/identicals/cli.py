@@ -17,7 +17,7 @@ import numpy as np
 from . import counting, emergence, exchange, fock, interferometer
 from .errors import CapExceeded
 from .exchange import ExchangeSector
-from .states import LabeledState, OneParticleBasis
+from .states import LabeledState, OneParticleBasis, check_dense_dim
 
 
 class ConfigError(Exception):
@@ -158,13 +158,8 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
     d = _get_int(cfg, "d", "basis", 1)
     n = _get_int(cfg, "n", "basis", 1)
     sector = _get_sector(cfg, "basis")
-    kind = (
-        counting.StatisticsKind.BOSE_EINSTEIN
-        if sector is ExchangeSector.SYMMETRIC
-        else counting.StatisticsKind.FERMI_DIRAC
-    )
-    occs = counting.enumerate_distributions(kind, n, d)
     states = exchange.sector_basis(d, n, sector)
+    occs = counting.enumerate_distributions(sector.statistics, n, d)
     rows = [
         {"occupation": list(occ), "amplitudes": _interleave(s.amplitudes)}
         for occ, s in zip(occs, states)
@@ -190,12 +185,9 @@ def _state_from_config(cfg: dict) -> tuple[LabeledState, ExchangeSector]:
         text = cfg["symbol"]
         if not isinstance(text, str):
             raise ConfigError("analyze: symbol must be a string")
-        if "d" in cfg:
-            d = _get_int(cfg, "d", "analyze", 1)
-        else:
-            probe = fock.parse_symbol(text, 64)
-            nz = [i for i, n_i in enumerate(probe.occupations) if n_i]
-            d = max(nz) + 1 if nz else 1
+        modes = fock.symbol_modes(text)
+        d = _get_int(cfg, "d", "analyze", 1) if "d" in cfg else max([1, *modes])
+        check_dense_dim(d, len(modes))  # before parse_symbol allocates d counters
         occ = fock.parse_symbol(text, d, sector)
         state = fock.occupation_to_labeled(occ, OneParticleBasis.default(d))
         return state, sector

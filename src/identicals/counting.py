@@ -121,6 +121,14 @@ def _compositions(n: int, d: int):
             yield (first,) + rest
 
 
+def _indicator(modes: tuple[int, ...], d: int) -> tuple[int, ...]:
+    # occupation vector with one particle in each listed mode
+    occ = [0] * d
+    for m in modes:
+        occ[m] = 1
+    return tuple(occ)
+
+
 def enumerate_distributions(
     kind: StatisticsKind, n: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[int, ...]]:
@@ -132,7 +140,7 @@ def enumerate_distributions(
         return list(itertools.product(range(d), repeat=n))
     if kind is StatisticsKind.BOSE_EINSTEIN:
         return list(_compositions(n, d))
-    return [occ for occ in _compositions(n, d) if max(occ, default=0) <= 1]
+    return [_indicator(modes, d) for modes in itertools.combinations(range(d), n)]
 
 
 def entropy(count: int, k: float = 1.0) -> float:

@@ -2,8 +2,10 @@
 
 Projectors onto the symmetric/antisymmetric sectors, normalized
 (anti)symmetrized products, and explicit orthonormal sector bases indexed
-by occupation vectors.  Permutation sums are evaluated directly; the slot
-counts here never exceed single digits.
+by occupation vectors.  No permutation sum is evaluated term by term: the
+projector is applied as a product of transposition sums, N(N-1)/2 axis
+swaps, and basis vectors are written in closed form from the orbits of the
+slot index tuples under S_N.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import math
 import numpy as np
 
 from . import counting
+from .errors import CapExceeded
 from .states import (
+    MAX_DIM,
     TAU_NORM,
-    TAU_ORTH,
     LabeledState,
     OneParticleBasis,
+    check_dense_dim,
     tensor_product,
 )
 
@@ -34,25 +38,30 @@ class ExchangeSector(enum.Enum):
     SYMMETRIC = "symmetric"
     ANTISYMMETRIC = "antisymmetric"
 
-
-def _parity(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+    @property
+    def statistics(self) -> counting.StatisticsKind:
+        """The occupation statistics of the sector: Bose-Einstein or Fermi-Dirac."""
+        if self is ExchangeSector.SYMMETRIC:
+            return counting.StatisticsKind.BOSE_EINSTEIN
+        return counting.StatisticsKind.FERMI_DIRAC
 
 
 def _project_raw(arr: np.ndarray, sector: ExchangeSector) -> np.ndarray:
-    """(1/N!) sum_p (+-1)^p P_p applied to a slot-indexed tensor."""
-    n = arr.ndim
-    out = np.zeros_like(arr)
-    for perm in itertools.permutations(range(n)):
-        term = arr.transpose(perm)
-        if sector is ExchangeSector.ANTISYMMETRIC and _parity(perm) < 0:
-            out -= term
-        else:
-            out += term
-    return out / math.factorial(n)
+    """(1/N!) sum_p (+-1)^p P_p applied to a slot-indexed tensor.
+
+    Uses the coset factorisation S_k = (1/k)(1 +- sum_{j<k} (j k)) S_{k-1},
+    with (j k) a swap of two slot axes, and two work buffers.
+    """
+    op = np.subtract if sector is ExchangeSector.ANTISYMMETRIC else np.add
+    out = arr.astype(np.result_type(arr, float))
+    acc = np.empty_like(out)
+    for k in range(1, arr.ndim):
+        np.copyto(acc, out)
+        for j in range(k):
+            op(acc, out.swapaxes(j, k), out=acc)
+        acc /= k + 1
+        out, acc = acc, out
+    return out
 
 
 def sector_project(state: LabeledState, sector: ExchangeSector) -> LabeledState | None:
@@ -92,25 +101,62 @@ def _fix_phase(amps: np.ndarray) -> np.ndarray:
     return amps * (abs(lead) / lead)
 
 
+def orbit_table(d: int, n: int, sector: ExchangeSector) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation class and basis amplitude of every flat index of d^n amplitudes.
+
+    Index tuples that sort to the same tuple share one occupation.  cls[i]
+    is the position of that occupation in counting.enumerate_distributions
+    (ascending sorted tuples), or -1 if the sector holds no such state.
+    amp[i] is amplitude i of that occupation's normalized sector basis
+    vector: sqrt(prod n_m! / N!) (symmetric), or the parity of the sort over
+    sqrt(N!) (antisymmetric); 0 where cls is -1.  The amplitude on the
+    sorted tuple itself, the first of its class, is positive.
+    """
+    check_dense_dim(d, n)
+    shape = (d,) * n
+    idx = np.indices(shape).reshape(n, -1)
+    ordered = np.sort(idx, axis=0)
+    key = np.ravel_multi_index(ordered, shape)
+    repeats = ordered[1:] == ordered[:-1]
+    if sector is ExchangeSector.SYMMETRIC:
+        # prod n_m! is the product over slots of the sorted tuple's run length so far
+        run = np.ones(key.size)
+        weight = np.ones(key.size)
+        for same in repeats:
+            run = np.where(same, run + 1, 1)
+            weight *= run
+        amp = np.sqrt(weight / math.factorial(n))
+    else:
+        inversions = sum(idx[i] > idx[j] for i, j in itertools.combinations(range(n), 2))
+        sign = np.where(inversions % 2, -1.0, 1.0)
+        amp = sign * ~repeats.any(axis=0) / math.sqrt(math.factorial(n))
+    first = np.flatnonzero((key == np.arange(key.size)) & (amp != 0))
+    position = np.full(key.size, -1)
+    position[first] = np.arange(first.size)
+    return position[key], amp
+
+
 def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     """Orthonormal sector basis, one vector per occupation vector.
 
     Ordered by the occupation enumeration of the counting module; empty when
-    the sector holds no states (e.g. more fermions than modes).
+    the sector holds no states (e.g. more fermions than modes).  The whole
+    basis is one dense array, so its size is capped before anything is built.
     """
-    kind = (
-        counting.StatisticsKind.BOSE_EINSTEIN
-        if sector is ExchangeSector.SYMMETRIC
-        else counting.StatisticsKind.FERMI_DIRAC
-    )
+    count = counting.count_microstates(sector.statistics, n, d)
+    if count * d ** n > MAX_DIM:
+        raise CapExceeded(
+            f"{count} basis vectors of d^N = {d}^{n} amplitudes exceed the "
+            f"dense-storage cap {MAX_DIM}"
+        )
+    if count == 0:
+        return []
+    cls, amp = orbit_table(d, n, sector)
+    (member,) = np.nonzero(cls >= 0)
+    vectors = np.zeros((count, d ** n), dtype=complex)
+    vectors[cls[member], member] = amp[member]
     basis = OneParticleBasis.default(d)
-    eye = np.eye(d, dtype=complex)
-    out = []
-    for occ in counting.enumerate_distributions(kind, n, d):
-        factors = [eye[i] for i, n_i in enumerate(occ) for _ in range(n_i)]
-        vec = symmetrized_product(factors, sector, basis)
-        out.append(LabeledState(n, basis, _fix_phase(vec.amplitudes)))
-    return out
+    return [LabeledState(n, basis, v) for v in vectors]
 
 
 def is_in_sector(state: LabeledState, sector: ExchangeSector) -> bool:

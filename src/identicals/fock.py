@@ -15,7 +15,7 @@ import numpy as np
 
 from . import counting, exchange
 from .exchange import ExchangeSector
-from .states import LabeledState, OneParticleBasis, inner_product
+from .states import LabeledState, OneParticleBasis
 
 _SYMBOL_RE = re.compile(r"^f_\{((?:e[0-9]+)*)\}$")
 _TOKEN_RE = re.compile(r"e([0-9]+)")
@@ -64,17 +64,21 @@ class FockVector:
             raise ValueError(f"Fock vector norm {norm} deviates from 1")
 
 
-def parse_symbol(
-    text: str, d: int, sector: ExchangeSector = ExchangeSector.SYMMETRIC
-) -> OccupationState:
-    """Parse a quasi-function symbol like f_{e1e1e2} into an occupation state."""
+def symbol_modes(text: str) -> list[int]:
+    """The 1-based mode index of every token of a symbol, in order."""
     normalized = text.replace("ε", "e").translate(_SUBSCRIPT_DIGITS)
     m = _SYMBOL_RE.match(normalized)
     if m is None:
         raise ValueError(f"malformed symbol: {text!r}")
+    return [int(tok) for tok in _TOKEN_RE.findall(m.group(1))]
+
+
+def parse_symbol(
+    text: str, d: int, sector: ExchangeSector = ExchangeSector.SYMMETRIC
+) -> OccupationState:
+    """Parse a quasi-function symbol like f_{e1e1e2} into an occupation state."""
     occ = [0] * d
-    for tok in _TOKEN_RE.findall(m.group(1)):
-        i = int(tok)
+    for i in symbol_modes(text):
         if not 1 <= i <= d:
             raise ValueError(f"mode index {i} out of range 1..{d}")
         occ[i - 1] += 1
@@ -87,47 +91,55 @@ def format_symbol(occ: OccupationState) -> str:
     return f"f_{{{body}}}"
 
 
+def _first_index(occupations: tuple[int, ...], basis: OneParticleBasis) -> int:
+    """Flat index of the mode-ascending index tuple with these occupations."""
+    if len(occupations) != basis.dim:
+        raise ValueError(f"occupation has {len(occupations)} modes, basis has {basis.dim}")
+    n = sum(occupations)
+    if n == 0:
+        raise ValueError("cannot build a labeled state for the vacuum")
+    modes = [i for i, n_i in enumerate(occupations) for _ in range(n_i)]
+    return int(np.ravel_multi_index(modes, (basis.dim,) * n))
+
+
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
     """The sector basis vector with the given occupations."""
-    if occ.n_modes != basis.dim:
-        raise ValueError(f"occupation has {occ.n_modes} modes, basis has {basis.dim}")
-    if occ.total == 0:
-        raise ValueError("cannot build a labeled state for the vacuum")
-    eye = np.eye(basis.dim, dtype=complex)
-    factors = [eye[i] for i, n_i in enumerate(occ.occupations) for _ in range(n_i)]
-    vec = exchange.symmetrized_product(factors, occ.sector, basis)
-    return LabeledState(occ.total, basis, exchange._fix_phase(vec.amplitudes))
+    first = _first_index(occ.occupations, basis)
+    cls, amp = exchange.orbit_table(basis.dim, occ.total, occ.sector)
+    return LabeledState(occ.total, basis, np.where(cls == cls[first], amp, 0.0))
 
 
 def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
-    """Expand a sector state over the occupation-number basis."""
+    """Expand a sector state over the occupation-number basis.
+
+    Each coefficient is the overlap <b_occ|psi>, summed over the orbit of
+    the occupation's index tuples.
+    """
     if not exchange.is_in_sector(state, sector):
         raise ValueError(f"state is not in the {sector.value} sector")
-    d = state.basis.dim
     n = state.n_slots
-    kind = (
-        counting.StatisticsKind.BOSE_EINSTEIN
-        if sector is ExchangeSector.SYMMETRIC
-        else counting.StatisticsKind.FERMI_DIRAC
+    occs = counting.enumerate_distributions(sector.statistics, n, state.basis.dim)
+    cls, amp = exchange.orbit_table(state.basis.dim, n, sector)
+    weights = amp * state.amplitudes
+    # class -1 (outside the sector, zero weight) goes to bin 0 and is dropped
+    bins = cls + 1
+    size = len(occs) + 1
+    coeffs = (
+        np.bincount(bins, weights.real, size)[1:]
+        + 1j * np.bincount(bins, weights.imag, size)[1:]
     )
-    occs = counting.enumerate_distributions(kind, n, d)
-    basis_vectors = exchange.sector_basis(d, n, sector)
-    terms: dict[tuple[int, ...], complex] = {}
-    for occ, bv in zip(occs, basis_vectors):
-        # reuse the flat amplitudes even though bv carries default mode names
-        c = complex(np.vdot(bv.amplitudes, state.amplitudes))
-        if abs(c) > 1e-12:
-            terms[occ] = c
+    terms = {occ: complex(c) for occ, c in zip(occs, coeffs) if abs(c) > 1e-12}
     return FockVector(terms, sector, n)
 
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock."""
-    amps = np.zeros(basis.dim ** fv.total_number, dtype=complex)
-    for occ, c in fv.terms.items():
-        bv = occupation_to_labeled(OccupationState(occ, fv.sector), basis)
-        amps += c * bv.amplitudes
-    return LabeledState(fv.total_number, basis, amps)
+    firsts = [_first_index(occ, basis) for occ in fv.terms]
+    cls, amp = exchange.orbit_table(basis.dim, fv.total_number, fv.sector)
+    # one coefficient per class, plus a last 0 that class -1 reads
+    coeffs = np.zeros(cls.max() + 2, dtype=complex)
+    coeffs[cls[firsts]] = list(fv.terms.values())
+    return LabeledState(fv.total_number, basis, coeffs[cls] * amp)
 
 
 def replace_indistinguishable(occ: OccupationState, mode: int) -> OccupationState:

@@ -23,6 +23,14 @@ TAU_ORTH = 1e-10
 MAX_DIM = 2 ** 24
 
 
+def check_dense_dim(d: int, n: int) -> int:
+    """d^N, or CapExceeded when N slots of d modes do not fit dense storage."""
+    dim = d ** n
+    if dim > MAX_DIM:
+        raise CapExceeded(f"d^N = {d}^{n} exceeds the dense-storage cap {MAX_DIM}")
+    return dim
+
+
 @dataclass(frozen=True)
 class OneParticleBasis:
     """Ordered mode names, optionally with per-mode energies (units of epsilon)."""
@@ -98,12 +106,7 @@ class LabeledState:
     def __post_init__(self):
         if self.n_slots < 1:
             raise ValueError("n_slots must be positive")
-        d = self.basis.dim
-        dim = d ** self.n_slots
-        if dim > MAX_DIM:
-            raise CapExceeded(
-                f"d^N = {d}^{self.n_slots} exceeds the dense-storage cap {MAX_DIM}"
-            )
+        dim = check_dense_dim(self.basis.dim, self.n_slots)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
