@@ -38,6 +38,9 @@ class Mark(enum.IntEnum):
     QUANTUM = 1
 
 
+_MARK_TEXT = bytes.maketrans(bytes([Mark.SEPARATOR, Mark.QUANTUM]), b"oe")
+
+
 @dataclass(frozen=True)
 class SymbolString:
     """A distribution symbol: P quantum marks split into N bins by N-1 separators."""
@@ -46,17 +49,11 @@ class SymbolString:
 
     def energies(self) -> tuple[int, ...]:
         """Per-resonator quantum counts, left to right."""
-        counts = [0]
-        for m in self.marks:
-            if m is Mark.SEPARATOR:
-                counts.append(0)
-            else:
-                counts[-1] += 1
-        return tuple(counts)
+        return tuple(map(len, self.as_text().split("o")))
 
     def as_text(self) -> str:
         """Compact form: 'e' per quantum, 'o' per separator."""
-        return "".join("o" if m is Mark.SEPARATOR else "e" for m in self.marks)
+        return bytes(self.marks).translate(_MARK_TEXT).decode("ascii")
 
     @classmethod
     def from_energies(cls, energies: tuple[int, ...]) -> "SymbolString":

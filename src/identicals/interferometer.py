@@ -22,6 +22,7 @@ from .states import (
     OneParticleBasis,
     _check_unitary,
     apply_one_particle_unitary,
+    check_dense_dim,
 )
 
 TAU_GRID = 1e-6
@@ -157,19 +158,24 @@ class GaussianPacket:
 
 
 def packet_overlap(p1: GaussianPacket, p2: GaussianPacket) -> complex:
-    """<p1|p2> in closed form."""
-    a = 1.0 / (4.0 * p1.width ** 2) + 1.0 / (4.0 * p2.width ** 2)
-    b = complex(
-        p1.center / (2.0 * p1.width ** 2) + p2.center / (2.0 * p2.width ** 2),
-        p2.phase_velocity - p1.phase_velocity,
-    )
-    c = -(p1.center ** 2) / (4.0 * p1.width ** 2) - (p2.center ** 2) / (
-        4.0 * p2.width ** 2
-    )
-    norm = (2.0 * math.pi * p1.width ** 2) ** -0.25 * (
-        2.0 * math.pi * p2.width ** 2
-    ) ** -0.25
-    return norm * math.sqrt(math.pi / a) * cmath.exp(b ** 2 / (4.0 * a) + c)
+    """<p1|p2> in closed form; ValueError when it leaves the float range."""
+    try:
+        a = 1.0 / (4.0 * p1.width ** 2) + 1.0 / (4.0 * p2.width ** 2)
+        b = complex(
+            p1.center / (2.0 * p1.width ** 2) + p2.center / (2.0 * p2.width ** 2),
+            p2.phase_velocity - p1.phase_velocity,
+        )
+        c = -(p1.center ** 2) / (4.0 * p1.width ** 2) - (p2.center ** 2) / (
+            4.0 * p2.width ** 2
+        )
+        norm = (2.0 * math.pi * p1.width ** 2) ** -0.25 * (
+            2.0 * math.pi * p2.width ** 2
+        ) ** -0.25
+        return norm * math.sqrt(math.pi / a) * cmath.exp(b ** 2 / (4.0 * a) + c)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"packet parameters out of floating-point range: {p1}, {p2}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -197,11 +203,17 @@ class DensityGrid:
         return float(np.trapezoid(inner, self.x))
 
     def to_csv(self) -> str:
-        lines = ["x1,x2,rho"]
-        for i, x1 in enumerate(self.x):
-            for j, x2 in enumerate(self.x):
-                lines.append(f"{x1:.12g},{x2:.12g},{self.values[i, j]:.12g}")
-        return "\n".join(lines) + "\n"
+        """'x1,x2,rho' rows, x1-major, every number in %.12g."""
+        # a %.12g coordinate is digits, sign, '.', 'e', 'inf' or 'nan', never '%'
+        coords = [f"{v:.12g}" for v in self.x.tolist()]
+        tails = [f",{x2},%.12g\n" for x2 in coords]
+        # x1 + x1.join(tails) is the row template 'x1,x2_j,%.12g\n' over all j
+        rows = ["x1,x2,rho\n"]
+        rows += [
+            (x1 + x1.join(tails)) % tuple(row.tolist())
+            for x1, row in zip(coords, self.values)
+        ]
+        return "".join(rows)
 
 
 def joint_spatial_density(
@@ -217,6 +229,7 @@ def joint_spatial_density(
             - 2 Re(psi_S(x1) psi_N(x2) psi_S(x2)* psi_N(x1)*) ] * norm,
     normalized so the density integrates to 1 even for overlapping packets.
     """
+    check_dense_dim(n_points, 2)
     if n_points < 2:
         raise ValueError("need at least two grid points per axis")
     ovl = packet_overlap(packet_s, packet_n)
@@ -238,7 +251,7 @@ def joint_spatial_density(
         values=values,
         cross_term_max=float(np.max(np.abs(cross)) * norm / np.max(values)),
     )
-    if abs(grid.integral() - 1.0) > TAU_GRID:
+    if not abs(grid.integral() - 1.0) <= TAU_GRID:  # NaN fails too
         raise ValueError(
             f"grid too coarse or too narrow: density integrates to {grid.integral()!r}"
         )

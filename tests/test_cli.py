@@ -2,8 +2,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+
+from identicals import cli
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -219,3 +222,47 @@ class TestExitCodes:
             },
         )
         assert run_cli("density", "--config", config).returncode == 5
+
+    @pytest.mark.parametrize(
+        "packet_s",
+        [
+            {"center": 0.0, "width": 1.0, "phase_velocity": 1e308},
+            {"center": 1e308, "width": 1.0},
+            {"center": 0.0, "width": 1e-300},
+        ],
+        ids=["nan_density", "center_overflow", "width_underflow"],
+    )
+    def test_out_of_range_packet_is_domain_error(self, tmp_path, packet_s):
+        out = tmp_path / "out.csv"
+        config = write_config(
+            tmp_path,
+            {
+                "packet_s": packet_s,
+                "packet_n": {"center": 10.0, "width": 1.0},
+                "grid": {"x_min": -6.0, "x_max": 16.0, "n_points": 64},
+                "output": str(out),
+            },
+        )
+        result = run_cli("density", "--config", config)
+        assert result.returncode == 4
+        assert "domain error" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_density_grid_over_the_cap_exits_3_quickly(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        config = write_config(
+            tmp_path,
+            {
+                "packet_s": {"center": 0.0, "width": 1.0},
+                "packet_n": {"center": 10.0, "width": 1.0},
+                "grid": {"x_min": -6.0, "x_max": 16.0, "n_points": 4097},
+                "output": str(out),
+            },
+        )
+        start = time.perf_counter()
+        code = cli.main(["density", "--config", config])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert "cap exceeded" in capsys.readouterr().err
+        assert not out.exists()

@@ -14,6 +14,7 @@ from identicals import (
     enumerate_symbols,
     planck_count,
 )
+from identicals.counting import Mark
 
 BE = StatisticsKind.BOSE_EINSTEIN
 FD = StatisticsKind.FERMI_DIRAC
@@ -58,6 +59,25 @@ def test_symbol_round_trip_from_energies():
     s = SymbolString.from_energies((4, 2, 0, 1))
     assert s.as_text() == "eeeeoeeooe"
     assert s.energies() == (4, 2, 0, 1)
+
+
+def per_mark_text(symbol):
+    """Symbol text and energies read one mark at a time, kept as the reference."""
+    text = "".join("o" if m is Mark.SEPARATOR else "e" for m in symbol.marks)
+    counts = [0]
+    for m in symbol.marks:
+        if m is Mark.SEPARATOR:
+            counts.append(0)
+        else:
+            counts[-1] += 1
+    return text, tuple(counts)
+
+
+@pytest.mark.parametrize("n_res", range(1, 7))
+def test_symbol_text_and_energies_match_the_per_mark_reading(n_res):
+    for n_quanta in range(0, 7):
+        for symbol in enumerate_symbols(CountingProblem(n_res, n_quanta)):
+            assert (symbol.as_text(), symbol.energies()) == per_mark_text(symbol)
 
 
 @pytest.mark.parametrize("n_res", range(1, 7))

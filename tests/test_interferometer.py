@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from identicals import (
     BeamSplitterScenario,
+    DensityGrid,
     ExchangeSector,
     GaussianPacket,
     LabeledState,
@@ -245,3 +247,65 @@ class TestSpatialDensity:
         lines = grid.to_csv().strip().split("\n")
         assert lines[0] == "x1,x2,rho"
         assert len(lines) == 1 + 64 * 64
+
+
+def per_value_csv(grid):
+    """The writer as first written: one f-string per value, kept as the reference."""
+    lines = ["x1,x2,rho"]
+    for i, x1 in enumerate(grid.x):
+        for j, x2 in enumerate(grid.x):
+            lines.append(f"{x1:.12g},{x2:.12g},{grid.values[i, j]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_writes_like_per_value_csv(grid):
+    # lines with ends kept: equal exactly when the texts are, and a mismatch
+    # reports its first differing line instead of a diff of the whole text
+    got = grid.to_csv().splitlines(keepends=True)
+    assert got == per_value_csv(grid).splitlines(keepends=True)
+
+
+# signed zeros, subnormals, the float range ends, and values whose 12-digit
+# rounding or %g notation (fixed vs exponent) sits on a boundary
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+    0.1234567890125, 1.0000000000005, 9.9999999999995, -9.9999999999995,
+    999999999999.5, 999999999999.0, 1e12, 0.0001, 0.00009999999999995,
+    1.00000000000049, math.inf, -math.inf, math.nan,
+]
+
+
+class TestCsvWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+                      min_size=1, max_size=24),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_the_per_value_writer_byte_for_byte(self, n, pool, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array(pool)
+        grid = DensityGrid(
+            x=rng.choice(pool, n), values=rng.choice(pool, (n, n)), cross_term_max=0.0
+        )
+        assert_writes_like_per_value_csv(grid)
+
+    def test_physical_grid_matches_the_per_value_writer(self):
+        grid = joint_spatial_density(
+            GaussianPacket(-1.0, 0.7, 0.4), GaussianPacket(1.3, 1.1), -7.0, 8.0, 57
+        )
+        assert_writes_like_per_value_csv(grid)
+
+
+class TestDensityGuards:
+    @pytest.mark.parametrize(
+        "packet",
+        [GaussianPacket(1e308, 1.0), GaussianPacket(0.0, 1e-300)],
+        ids=["center_overflow", "width_underflow"],
+    )
+    def test_out_of_range_packet_is_a_value_error_naming_it(self, packet):
+        with pytest.raises(ValueError, match="packet parameters") as info:
+            joint_spatial_density(packet, GaussianPacket(10.0, 1.0), -6.0, 16.0, 64)
+        assert repr(packet) in str(info.value)
