@@ -90,7 +90,9 @@ def enumerate_symbols(
         for pos in quantum_positions:
             marks[pos] = Mark.QUANTUM
         symbols.append(SymbolString(tuple(marks)))
-    symbols.sort(key=lambda s: s.marks)
+    # combinations() puts quanta first in lexicographic order of their
+    # positions, which is exactly the reverse of the mark order
+    symbols.reverse()
     return symbols
 
 

@@ -5,25 +5,26 @@ orthogonal one-particle states (individual particles), puts two or more
 excitations into one mode (a single undifferentiated object), or admits no
 such decomposition at all.  The candidate one-particle states are the
 eigenvectors of the one-particle reduced density matrix.
+
+One detection projects the state onto its sector once.  Every slot of a
+sector state has the same reduced density matrix, so slot 0 gives it.  The
+candidate (anti)symmetrized product of the natural orbitals is never built:
+for orthonormal orbitals phi_i with occupations n_i its fidelity with the
+state is the closed form |<phi_1 x ... x phi_N | P psi>|^2 N! / prod n_i!,
+N contractions of the projection with one orbital each.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exchange
 from .exchange import ExchangeSector
-from .states import (
-    TAU_ORTH,
-    TAU_PSD,
-    LabeledState,
-    _check_unitary,
-    inner_product,
-    reduce_one_particle,
-)
+from .states import TAU_ORTH, TAU_PSD, LabeledState, check_unitary, fix_phase
 
 #: |N*lambda_i - round(N*lambda_i)| must stay below this for a decomposition
 DELTA_OCC = 0.05
@@ -56,23 +57,23 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     if herm_dev > TAU_PSD:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3g})")
     evals, evecs = np.linalg.eigh(rdm)
-    pairs = []
-    for lam, vec in zip(evals[::-1], evecs.T[::-1]):
-        vec = exchange._fix_phase(vec.copy())
-        lead = int(np.flatnonzero(np.abs(vec) > 1e-9)[0])
-        pairs.append((float(lam), vec, lead))
-    pairs.sort(key=lambda p: (-round(p[0] / 1e-9), p[2]))
-    return [(lam, vec) for lam, vec, _ in pairs]
+    evals, vecs = evals[::-1], evecs.T[::-1]
+    fix_phase(vecs)
+    lead = np.argmax(np.abs(vecs) > 1e-9, axis=1)
+    order = np.lexsort((lead, -np.round(evals / 1e-9)))
+    return [(float(evals[i]), vecs[i]) for i in order]
 
 
 def detect_emergent_particles(
     state: LabeledState, sector: ExchangeSector
 ) -> EmergenceReport:
     """Classify a sector state and extract its defining one-particle states."""
-    if not exchange.is_in_sector(state, sector):
+    projected = exchange._sector_projection(state, sector)
+    if projected is None:
         raise ValueError(f"state is not in the {sector.value} sector")
-    n = state.n_slots
-    orbitals = natural_orbitals(reduce_one_particle(state))
+    n, d = state.n_slots, state.basis.dim
+    slot = projected.reshape(d, -1)
+    orbitals = natural_orbitals(slot @ slot.conj().T)
     spectrum = [lam for lam, _ in orbitals]
 
     occupations = []
@@ -86,11 +87,14 @@ def detect_emergent_particles(
     if sum(occupations) != n:
         return EmergenceReport(Verdict.NO_PARTICLE_DECOMPOSITION, [], 0.0, spectrum)
 
-    factors = [
-        vec for (lam, vec), n_i in zip(orbitals, occupations) for _ in range(n_i)
-    ]
-    candidate = exchange.symmetrized_product(factors, sector, state.basis)
-    fidelity = abs(inner_product(state, candidate)) ** 2
+    # |<psi|cand>|^2 without building cand = P(x)phi / |P(x)phi|: for
+    # orthonormal phi_i, <psi|P(x)phi> = <P psi|(x)phi> and |P(x)phi|^2 = prod n_i! / N!
+    overlap = projected
+    for (lam, vec), n_i in zip(orbitals, occupations):
+        for _ in range(n_i):
+            overlap = vec.conj() @ overlap.reshape(d, -1)
+    multinomial = math.factorial(n) // math.prod(map(math.factorial, occupations))
+    fidelity = abs(overlap.item()) ** 2 * multinomial
     defining = [
         (vec, n_i) for (lam, vec), n_i in zip(orbitals, occupations) if n_i > 0
     ]
@@ -138,5 +142,5 @@ def genidentity_track(
         for j in range(i + 1, len(vecs)):
             if abs(np.vdot(vecs[i], vecs[j])) > TAU_ORTH:
                 raise ValueError(f"states {i} and {j} are not orthogonal")
-    u = _check_unitary(u, d)
+    u = check_unitary(u, d)
     return [u @ v for v in vecs]

@@ -92,15 +92,6 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1) / norm)
 
 
-def _fix_phase(amps: np.ndarray) -> np.ndarray:
-    """Make the first significant amplitude (flat-index order) real and positive."""
-    idx = np.flatnonzero(np.abs(amps) > 1e-12)
-    if idx.size == 0:
-        return amps
-    lead = amps[idx[0]]
-    return amps * (abs(lead) / lead)
-
-
 def orbit_table(d: int, n: int, sector: ExchangeSector) -> tuple[np.ndarray, np.ndarray]:
     """Occupation class and basis amplitude of every flat index of d^n amplitudes.
 
@@ -159,9 +150,22 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     return [LabeledState(n, basis, v) for v in vectors]
 
 
+def _sector_projection(state: LabeledState, sector: ExchangeSector) -> np.ndarray | None:
+    """P psi / |P psi| as a slot tensor, if it lies within TAU_SECTOR of psi.
+
+    None when the projection vanishes or the residual |P psi / |P psi| - psi|
+    exceeds TAU_SECTOR.  Normalizes the projector's own buffer in place.
+    """
+    projected = _project_raw(state.tensor(), sector)
+    norm = np.linalg.norm(projected)
+    if norm <= TAU_NORM:
+        return None
+    projected /= norm
+    if np.linalg.norm(projected.reshape(-1) - state.amplitudes) > TAU_SECTOR:
+        return None
+    return projected
+
+
 def is_in_sector(state: LabeledState, sector: ExchangeSector) -> bool:
     """True iff the state is (numerically) a fixed point of the sector projector."""
-    projected = sector_project(state, sector)
-    if projected is None:
-        return False
-    return np.linalg.norm(projected.amplitudes - state.amplitudes) <= TAU_SECTOR
+    return _sector_projection(state, sector) is not None

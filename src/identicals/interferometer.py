@@ -20,9 +20,10 @@ from .exchange import ExchangeSector
 from .states import (
     LabeledState,
     OneParticleBasis,
-    _check_unitary,
     apply_one_particle_unitary,
     check_dense_dim,
+    check_unitary,
+    fix_phase,
 )
 
 TAU_GRID = 1e-6
@@ -43,9 +44,7 @@ class BeamSplitterScenario:
     splitter: np.ndarray = field(default_factory=_default_splitter)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "splitter", _check_unitary(np.asarray(self.splitter, dtype=complex), 2)
-        )
+        object.__setattr__(self, "splitter", check_unitary(self.splitter, 2))
 
     def basis_in(self) -> OneParticleBasis:
         return self._basis(self.spatial_in)
@@ -119,7 +118,7 @@ def measure_ports_and_spins(
     # spin amplitudes with the left-port particle listed first
     chi = np.array([a[s1, 2 + s2] for s1 in range(2) for s2 in range(2)])
     chi = chi / np.linalg.norm(chi)
-    chi = exchange._fix_phase(chi)
+    fix_phase(chi)
 
     def correlator(op1: np.ndarray, op2: np.ndarray) -> float:
         return float(np.real(np.vdot(chi, np.kron(op1, op2) @ chi)))
@@ -150,11 +149,16 @@ class GaussianPacket:
             raise ValueError("width must be positive")
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
+        """psi(x) on the points x; ValueError when any value leaves the float range."""
         norm = (2.0 * math.pi * self.width ** 2) ** -0.25
-        return norm * np.exp(
-            -((x - self.center) ** 2) / (4.0 * self.width ** 2)
-            + 1j * self.phase_velocity * x
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = norm * np.exp(
+                -((x - self.center) ** 2) / (4.0 * self.width ** 2)
+                + 1j * self.phase_velocity * x
+            )
+        if not np.isfinite(psi).all():
+            raise ValueError(f"packet amplitudes are not finite on the grid: {self}")
+        return psi
 
 
 def packet_overlap(p1: GaussianPacket, p2: GaussianPacket) -> complex:
@@ -251,8 +255,9 @@ def joint_spatial_density(
         values=values,
         cross_term_max=float(np.max(np.abs(cross)) * norm / np.max(values)),
     )
-    if not abs(grid.integral() - 1.0) <= TAU_GRID:  # NaN fails too
+    integral = grid.integral()
+    if not abs(integral - 1.0) <= TAU_GRID:  # NaN fails too
         raise ValueError(
-            f"grid too coarse or too narrow: density integrates to {grid.integral()!r}"
+            f"grid too coarse or too narrow: density integrates to {integral!r}"
         )
     return grid

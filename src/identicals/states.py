@@ -167,7 +167,8 @@ def apply_permutation(state: LabeledState, p: Permutation) -> LabeledState:
     return LabeledState(state.n_slots, state.basis, arr.reshape(-1))
 
 
-def _check_unitary(u: np.ndarray, d: int):
+def check_unitary(u: np.ndarray, d: int) -> np.ndarray:
+    """u as a complex d x d array; ValueError unless |u^H u - I| <= TAU_UNITARY."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got {u.shape}")
@@ -177,9 +178,23 @@ def _check_unitary(u: np.ndarray, d: int):
     return u
 
 
+def fix_phase(amps: np.ndarray) -> None:
+    """Make the first significant amplitude of a vector, or of each row, real positive.
+
+    Works in place on a 1-D vector or on the rows of a 2-D array.
+    Significant means |a| > 1e-12, first means lowest index; a vector with
+    no significant amplitude is left as it is.
+    """
+    rows = amps if amps.ndim == 2 else amps[np.newaxis]
+    significant = np.abs(rows) > 1e-12
+    lead = rows[np.arange(len(rows)), significant.argmax(axis=1)]
+    lead = np.where(significant.any(axis=1), lead, 1.0)
+    rows *= (np.abs(lead) / lead)[:, np.newaxis]
+
+
 def apply_one_particle_unitary(state: LabeledState, u: np.ndarray) -> LabeledState:
     """Apply the same one-particle unitary to every slot (u x u x ... x u)."""
-    u = _check_unitary(u, state.basis.dim)
+    u = check_unitary(u, state.basis.dim)
     arr = state.tensor()
     for k in range(state.n_slots):
         arr = np.moveaxis(np.tensordot(u, arr, axes=([1], [k])), 0, k)

@@ -249,6 +249,24 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    def test_nan_packet_is_named_without_numpy_warnings(self, tmp_path):
+        out = tmp_path / "out.csv"
+        config = write_config(
+            tmp_path,
+            {
+                "packet_s": {"center": 0.0, "width": 1.0, "phase_velocity": 1e308},
+                "packet_n": {"center": 10.0, "width": 1.0},
+                "grid": {"x_min": -6.0, "x_max": 16.0, "n_points": 64},
+                "output": str(out),
+            },
+        )
+        result = run_cli("density", "--config", config)
+        assert result.returncode == 4
+        assert "RuntimeWarning" not in result.stderr
+        assert "GaussianPacket(center=0.0, width=1.0, phase_velocity=1e+308)" in result.stderr
+        assert "grid too coarse" not in result.stderr
+        assert not out.exists()
+
     def test_density_grid_over_the_cap_exits_3_quickly(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         config = write_config(

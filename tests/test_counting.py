@@ -55,6 +55,14 @@ def test_enumerate_symbols_contains_figure_distribution():
     assert (4, 2, 0, 1) in {s.energies() for s in symbols}
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_symbols_equals_sorted_reference(n):
+    for p in range(8):
+        symbols = enumerate_symbols(CountingProblem(n, p))
+        assert symbols == sorted(symbols, key=lambda s: s.marks)
+        assert len(set(symbols)) == planck_count(CountingProblem(n, p))
+
+
 def test_symbol_round_trip_from_energies():
     s = SymbolString.from_energies((4, 2, 0, 1))
     assert s.as_text() == "eeeeoeeooe"

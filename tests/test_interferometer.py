@@ -309,3 +309,9 @@ class TestDensityGuards:
         with pytest.raises(ValueError, match="packet parameters") as info:
             joint_spatial_density(packet, GaussianPacket(10.0, 1.0), -6.0, 16.0, 64)
         assert repr(packet) in str(info.value)
+
+    def test_non_finite_amplitudes_are_a_value_error_naming_the_packet(self):
+        packet = GaussianPacket(0.0, 1.0, 1e308)
+        with pytest.raises(ValueError, match="not finite") as info:
+            packet.amplitudes(np.linspace(-6.0, 16.0, 64))
+        assert repr(packet) in str(info.value)
