@@ -110,21 +110,11 @@ def count_microstates(kind: StatisticsKind, n_particles: int, n_modes: int) -> i
     return math.comb(d, n)  # 0 when n > d
 
 
-def _compositions(n: int, d: int):
-    # occupation vectors summing to n, in descending lexicographic order
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
-
-
-def _indicator(modes: tuple[int, ...], d: int) -> tuple[int, ...]:
-    # occupation vector with one particle in each listed mode
+def _occupation(modes: tuple[int, ...], d: int) -> tuple[int, ...]:
+    # occupation vector of an index tuple: how many slots hold each mode
     occ = [0] * d
     for m in modes:
-        occ[m] = 1
+        occ[m] += 1
     return tuple(occ)
 
 
@@ -137,9 +127,13 @@ def enumerate_distributions(
         raise CapExceeded(f"{total} configurations exceed the enumeration cap {cap}")
     if kind is StatisticsKind.BOLTZMANN:
         return list(itertools.product(range(d), repeat=n))
+    # ascending index tuples in lexicographic order give the occupation
+    # vectors in descending lexicographic order
     if kind is StatisticsKind.BOSE_EINSTEIN:
-        return list(_compositions(n, d))
-    return [_indicator(modes, d) for modes in itertools.combinations(range(d), n)]
+        tuples = itertools.combinations_with_replacement(range(d), n)
+    else:
+        tuples = itertools.combinations(range(d), n)
+    return [_occupation(modes, d) for modes in tuples]
 
 
 def entropy(count: int, k: float = 1.0) -> float:

@@ -92,7 +92,9 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1) / norm)
 
 
-def orbit_table(d: int, n: int, sector: ExchangeSector) -> tuple[np.ndarray, np.ndarray]:
+def orbit_table(
+    d: int, n: int, sector: ExchangeSector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupation class and basis amplitude of every flat index of d^n amplitudes.
 
     Index tuples that sort to the same tuple share one occupation.  cls[i]
@@ -101,7 +103,9 @@ def orbit_table(d: int, n: int, sector: ExchangeSector) -> tuple[np.ndarray, np.
     amp[i] is amplitude i of that occupation's normalized sector basis
     vector: sqrt(prod n_m! / N!) (symmetric), or the parity of the sort over
     sqrt(N!) (antisymmetric); 0 where cls is -1.  The amplitude on the
-    sorted tuple itself, the first of its class, is positive.
+    sorted tuple itself, the first of its class, is positive.  first[k] is
+    the flat index of that sorted tuple for class k, so first is ascending
+    and np.unravel_index(first, (d,) * n) lists each class's modes.
     """
     check_dense_dim(d, n)
     shape = (d,) * n
@@ -124,7 +128,7 @@ def orbit_table(d: int, n: int, sector: ExchangeSector) -> tuple[np.ndarray, np.
     first = np.flatnonzero((key == np.arange(key.size)) & (amp != 0))
     position = np.full(key.size, -1)
     position[first] = np.arange(first.size)
-    return position[key], amp
+    return position[key], amp, first
 
 
 def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
@@ -142,7 +146,7 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
         )
     if count == 0:
         return []
-    cls, amp = orbit_table(d, n, sector)
+    cls, amp, _ = orbit_table(d, n, sector)
     (member,) = np.nonzero(cls >= 0)
     vectors = np.zeros((count, d ** n), dtype=complex)
     vectors[cls[member], member] = amp[member]

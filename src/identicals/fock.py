@@ -3,7 +3,10 @@
 Occupation vectors play the role of quasi-cardinals; the symbol grammar is
 `f_{` (token)* `}` with token = `e<positive integer>` (the Unicode epsilon
 form is accepted on input).  The maps to and from labeled sector states are
-isometries onto the symmetric/antisymmetric sector bases.
+isometries onto the symmetric/antisymmetric sector bases.  Both directions
+work on the orbit table of exchange.orbit_table: the occupations of a Fock
+vector are one integer matrix (one row per term), validated, indexed and
+counted as whole arrays, never one occupation at a time.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import counting, exchange
+from . import exchange
 from .exchange import ExchangeSector
 from .states import LabeledState, OneParticleBasis
 
 _SYMBOL_RE = re.compile(r"^f_\{((?:e[0-9]+)*)\}$")
 _TOKEN_RE = re.compile(r"e([0-9]+)")
 _SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
+_NEGATIVE = "occupations must be non-negative"
+_PAULI = "antisymmetric occupations cannot exceed 1"
 
 
 @dataclass(frozen=True)
@@ -31,11 +36,11 @@ class OccupationState:
 
     def __post_init__(self):
         if any(n < 0 for n in self.occupations):
-            raise ValueError("occupations must be non-negative")
+            raise ValueError(_NEGATIVE)
         if self.sector is ExchangeSector.ANTISYMMETRIC and any(
             n > 1 for n in self.occupations
         ):
-            raise ValueError("antisymmetric occupations cannot exceed 1")
+            raise ValueError(_PAULI)
 
     @property
     def total(self) -> int:
@@ -48,18 +53,37 @@ class OccupationState:
 
 @dataclass(frozen=True)
 class FockVector:
-    """Superposition of occupation states with a common sector and total number."""
+    """Superposition of occupation states with a common sector and total number.
+
+    All occupations have the same number of modes.  A term that breaks the
+    total number or the sector's occupation rule raises the error of the
+    first such term, checked in that order.
+    """
 
     terms: dict[tuple[int, ...], complex]
     sector: ExchangeSector
     total_number: int
 
     def __post_init__(self):
-        for occ, _ in self.terms.items():
-            if sum(occ) != self.total_number:
-                raise ValueError(f"occupation {occ} breaks the total number {self.total_number}")
-            OccupationState(occ, self.sector)  # validates sector constraint
-        norm = np.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
+        keys = list(self.terms)
+        widths = set(map(len, keys))
+        if len(widths) > 1:
+            raise ValueError(f"occupations have different mode counts {sorted(widths)}")
+        occ = np.array(keys).reshape(len(keys), max(widths, default=0))
+        failed = np.stack(
+            [
+                occ.sum(axis=1) != self.total_number,
+                (occ < 0).any(axis=1),
+                (occ > 1).any(axis=1) & (self.sector is ExchangeSector.ANTISYMMETRIC),
+            ],
+            axis=1,
+        )
+        if failed.any():
+            # row-major: the first failing term, then its first failed check
+            term, check = divmod(int(np.argmax(failed)), failed.shape[1])
+            total_error = f"occupation {keys[term]} breaks the total number {self.total_number}"
+            raise ValueError((total_error, _NEGATIVE, _PAULI)[check])
+        norm = np.linalg.norm(list(self.terms.values()))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"Fock vector norm {norm} deviates from 1")
 
@@ -91,21 +115,26 @@ def format_symbol(occ: OccupationState) -> str:
     return f"f_{{{body}}}"
 
 
-def _first_index(occupations: tuple[int, ...], basis: OneParticleBasis) -> int:
-    """Flat index of the mode-ascending index tuple with these occupations."""
-    if len(occupations) != basis.dim:
-        raise ValueError(f"occupation has {len(occupations)} modes, basis has {basis.dim}")
-    n = sum(occupations)
+def _sorted_tuple_index(occ: np.ndarray, n: int, basis: OneParticleBasis) -> np.ndarray:
+    """Flat index of the mode-ascending index tuple of each occupation row.
+
+    Every row holds n particles.  Repeating each mode by its occupation lists
+    a row's n slots in order: slot s holds the first mode whose running
+    occupation exceeds s.
+    """
+    if occ.shape[1] != basis.dim:
+        raise ValueError(f"occupation has {occ.shape[1]} modes, basis has {basis.dim}")
     if n == 0:
         raise ValueError("cannot build a labeled state for the vacuum")
-    modes = [i for i, n_i in enumerate(occupations) for _ in range(n_i)]
-    return int(np.ravel_multi_index(modes, (basis.dim,) * n))
+    mode_of_entry = np.tile(np.arange(basis.dim), len(occ))
+    modes = np.repeat(mode_of_entry, occ.ravel()).reshape(len(occ), n)
+    return np.ravel_multi_index(tuple(modes.T), (basis.dim,) * n)
 
 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
     """The sector basis vector with the given occupations."""
-    first = _first_index(occ.occupations, basis)
-    cls, amp = exchange.orbit_table(basis.dim, occ.total, occ.sector)
+    (first,) = _sorted_tuple_index(np.array([occ.occupations]), occ.total, basis)
+    cls, amp, _ = exchange.orbit_table(basis.dim, occ.total, occ.sector)
     return LabeledState(occ.total, basis, np.where(cls == cls[first], amp, 0.0))
 
 
@@ -113,31 +142,38 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     """Expand a sector state over the occupation-number basis.
 
     Each coefficient is the overlap <b_occ|psi>, summed over the orbit of
-    the occupation's index tuples.
+    the occupation's index tuples.  Terms with |coefficient| > 1e-12 are
+    kept, in the order of counting.enumerate_distributions; their
+    occupations are counted off the sorted index tuples of the orbit table.
     """
     if not exchange.is_in_sector(state, sector):
         raise ValueError(f"state is not in the {sector.value} sector")
-    n = state.n_slots
-    occs = counting.enumerate_distributions(sector.statistics, n, state.basis.dim)
-    cls, amp = exchange.orbit_table(state.basis.dim, n, sector)
+    n, d = state.n_slots, state.basis.dim
+    cls, amp, first = exchange.orbit_table(d, n, sector)
     weights = amp * state.amplitudes
     # class -1 (outside the sector, zero weight) goes to bin 0 and is dropped
     bins = cls + 1
-    size = len(occs) + 1
+    size = first.size + 1
     coeffs = (
         np.bincount(bins, weights.real, size)[1:]
         + 1j * np.bincount(bins, weights.imag, size)[1:]
     )
-    terms = {occ: complex(c) for occ, c in zip(occs, coeffs) if abs(c) > 1e-12}
+    (keep,) = np.nonzero(np.abs(coeffs) > 1e-12)
+    modes = np.stack(np.unravel_index(first[keep], (d,) * n), axis=1)
+    # occupation matrix: per kept term, how many of its n slots hold each mode
+    cells = modes + d * np.arange(keep.size)[:, None]
+    occ = np.bincount(cells.ravel(), minlength=keep.size * d).reshape(keep.size, d)
+    terms = dict(zip(map(tuple, occ.tolist()), coeffs[keep].tolist()))
     return FockVector(terms, sector, n)
 
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock."""
-    firsts = [_first_index(occ, basis) for occ in fv.terms]
-    cls, amp = exchange.orbit_table(basis.dim, fv.total_number, fv.sector)
+    occ = np.array(list(fv.terms))
+    firsts = _sorted_tuple_index(occ, fv.total_number, basis)
+    cls, amp, classes = exchange.orbit_table(basis.dim, fv.total_number, fv.sector)
     # one coefficient per class, plus a last 0 that class -1 reads
-    coeffs = np.zeros(cls.max() + 2, dtype=complex)
+    coeffs = np.zeros(classes.size + 1, dtype=complex)
     coeffs[cls[firsts]] = list(fv.terms.values())
     return LabeledState(fv.total_number, basis, coeffs[cls] * amp)
 

@@ -284,3 +284,13 @@ class TestExitCodes:
         assert code == 3
         assert "cap exceeded" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_basis_with_more_modes_than_the_recursion_limit(tmp_path):
+    # passes the count x d^N cap; Bose-Einstein enumeration used to recurse once per mode
+    config = write_config(tmp_path, {"d": 1200, "n": 1, "sector": "symmetric"})
+    out = tmp_path / "basis.csv"
+    assert cli.main(["basis", "--config", config, "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 1200
+    assert lines[1].startswith("1;" + "0;" * 1198 + "0,")

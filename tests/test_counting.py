@@ -158,3 +158,27 @@ def test_invalid_problems():
         CountingProblem(0, 3)
     with pytest.raises(ValueError):
         CountingProblem(2, -1)
+
+
+def reference_compositions(n, d):
+    """Bose-Einstein occupations summing to n, descending lexicographically, by recursion."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in reference_compositions(n - first, d - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_bose_einstein_enumeration_matches_the_recursive_reference(d):
+    for n in range(0, 7):
+        assert enumerate_distributions(BE, n, d) == list(reference_compositions(n, d))
+
+
+def test_bose_einstein_enumeration_has_no_depth_limit():
+    # one recursion frame per mode used to hit the interpreter's recursion limit
+    occs = enumerate_distributions(BE, 1, 1500)
+    assert len(occs) == 1500
+    assert occs[0] == (1,) + (0,) * 1499
+    assert occs[-1] == (0,) * 1499 + (1,)

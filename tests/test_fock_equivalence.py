@@ -1,0 +1,236 @@
+"""The array Fock bridge against the per-occupation code it replaced.
+
+The references below are the bridge as first written on the orbit table:
+`labeled_to_fock` naming its occupations through `enumerate_distributions`,
+`fock_to_labeled` finding each occupation's sorted index tuple in a Python
+loop, and `FockVector` validating one term at a time through
+`OccupationState`.  They live in the tests only, as the yardstick for the
+whole-array bridge of the package.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from identicals import (
+    ExchangeSector,
+    FockVector,
+    LabeledState,
+    OccupationState,
+    OneParticleBasis,
+    enumerate_distributions,
+    fock_to_labeled,
+    labeled_to_fock,
+)
+from identicals import counting, exchange, fock
+from identicals.exchange import _project_raw, orbit_table
+
+from conftest import random_sector_state
+
+SYM = ExchangeSector.SYMMETRIC
+ANTI = ExchangeSector.ANTISYMMETRIC
+
+
+def reference_validate(terms, sector, total_number):
+    """FockVector's checks, one term at a time."""
+    for occ, _ in terms.items():
+        if sum(occ) != total_number:
+            raise ValueError(f"occupation {occ} breaks the total number {total_number}")
+        OccupationState(occ, sector)  # validates sector constraint
+    norm = np.sqrt(sum(abs(c) ** 2 for c in terms.values()))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"Fock vector norm {norm} deviates from 1")
+
+
+def reference_first_index(occupations, basis):
+    """Flat index of the mode-ascending index tuple with these occupations."""
+    if len(occupations) != basis.dim:
+        raise ValueError(f"occupation has {len(occupations)} modes, basis has {basis.dim}")
+    n = sum(occupations)
+    if n == 0:
+        raise ValueError("cannot build a labeled state for the vacuum")
+    modes = [i for i, n_i in enumerate(occupations) for _ in range(n_i)]
+    return int(np.ravel_multi_index(modes, (basis.dim,) * n))
+
+
+def reference_labeled_to_fock(state, sector):
+    """Coefficients by bincount, occupations named by enumerate_distributions."""
+    n = state.n_slots
+    occs = enumerate_distributions(sector.statistics, n, state.basis.dim)
+    cls, amp, _ = orbit_table(state.basis.dim, n, sector)
+    weights = amp * state.amplitudes
+    bins = cls + 1
+    size = len(occs) + 1
+    coeffs = (
+        np.bincount(bins, weights.real, size)[1:]
+        + 1j * np.bincount(bins, weights.imag, size)[1:]
+    )
+    terms = {occ: complex(c) for occ, c in zip(occs, coeffs) if abs(c) > 1e-12}
+    reference_validate(terms, sector, n)
+    return terms
+
+
+def reference_fock_to_labeled(fv, basis):
+    firsts = [reference_first_index(occ, basis) for occ in fv.terms]
+    cls, amp, _ = orbit_table(basis.dim, fv.total_number, fv.sector)
+    coeffs = np.zeros(cls.max() + 2, dtype=complex)
+    coeffs[cls[firsts]] = list(fv.terms.values())
+    return coeffs[cls] * amp
+
+
+def outcome(build):
+    """('ok', value) or (exception type, message) of a call."""
+    try:
+        return "ok", build()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+
+
+def sector_state(d, n, sector, n_terms, seed):
+    """A dense random sector state (n_terms None) or one on n_terms occupations."""
+    rng = np.random.default_rng(seed)
+    basis = OneParticleBasis.default(d)
+    if n_terms is None:
+        raw = _project_raw(rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n), sector)
+        norm = np.linalg.norm(raw)
+        assume(norm > 1e-6)
+        return LabeledState(n, basis, raw.reshape(-1) / norm)
+    occs = enumerate_distributions(sector.statistics, n, d)
+    chosen = sorted(rng.choice(len(occs), size=min(n_terms, len(occs)), replace=False))
+    coeffs = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
+    coeffs /= np.linalg.norm(coeffs)
+    fv = FockVector({occs[k]: complex(c) for k, c in zip(chosen, coeffs)}, sector, n)
+    return LabeledState(n, basis, reference_fock_to_labeled(fv, basis))
+
+
+sizes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+sectors = st.sampled_from([SYM, ANTI])
+term_counts = st.sampled_from([None, 1, 2, 3])
+seeds = st.integers(0, 2 ** 32 - 1)
+equivalence_settings = settings(max_examples=60, deadline=None)
+
+
+@equivalence_settings
+@given(size=sizes, sector=sectors, n_terms=term_counts, seed=seeds)
+def test_round_trip_matches_per_occupation_reference(size, sector, n_terms, seed):
+    d, n = size
+    assume(sector is SYM or n <= d)
+    state = sector_state(d, n, sector, n_terms, seed)
+    fv = labeled_to_fock(state, sector)
+    expected = reference_labeled_to_fock(state, sector)
+    # same keys in the same order, equal values, plain Python types
+    assert list(fv.terms.items()) == list(expected.items())
+    assert all(type(k) is tuple and all(type(m) is int for m in k) for k in fv.terms)
+    assert all(type(c) is complex for c in fv.terms.values())
+    back = fock_to_labeled(fv, state.basis)
+    assert np.array_equal(back.amplitudes, reference_fock_to_labeled(fv, state.basis))
+
+
+def mutate(terms, kind, rng):
+    """A copy of a valid term dict broken in one way (keys keep their width)."""
+    keys, values = list(terms), list(terms.values())
+    k = int(rng.integers(len(keys)))
+    occ = list(keys[k])
+    m = int(rng.integers(len(occ)))
+    other = (m + 1) % len(occ)
+    if kind == "total":
+        occ[m] += int(rng.choice([-1, 1]))
+    elif kind == "negative":
+        occ[other] += occ[m] + 1  # same total, one mode at -1
+        occ[m] = -1
+    elif kind == "pauli":
+        occ[m] += 1
+        occ[other] -= 1
+    else:  # "norm": values that are exact in binary, so both norms are exact
+        values = [complex(v, 0) if i % 2 else complex(0, v) for i, v in
+                  enumerate(rng.integers(-4, 5, size=len(values)) / 4)]
+        return dict(zip(keys, values))
+    keys[k] = tuple(occ)
+    return dict(zip(keys, values))
+
+
+@equivalence_settings
+@given(
+    size=sizes, sector=sectors, n_terms=term_counts, seed=seeds,
+    kind=st.sampled_from(["total", "negative", "pauli", "norm"]),
+)
+def test_validation_raises_the_per_term_error(size, sector, n_terms, seed, kind):
+    d, n = size
+    assume(sector is SYM or n <= d)
+    valid = labeled_to_fock(sector_state(d, n, sector, n_terms, seed), sector).terms
+    terms = mutate(valid, kind, np.random.default_rng(seed))
+    assume(len(terms) == len(valid))  # the broken key did not merge with another
+    got = outcome(lambda: FockVector(terms, sector, n).terms)
+    expected = outcome(lambda: reference_validate(terms, sector, n) or terms)
+    assert got == expected
+
+
+@pytest.mark.parametrize("sector", [SYM, ANTI])
+def test_first_bad_term_decides_the_message(sector):
+    # one valid term, then one breaking each rule, in every order
+    terms = {(1, 1, 0): 0.6, (0, 2, 0): 0.8, (3, -1, 0): 0.0, (1, 0, 0): 0.0}
+    for order in itertools.permutations(terms):
+        shuffled = {k: terms[k] for k in order}
+        expected = outcome(lambda: reference_validate(shuffled, sector, 2))
+        assert outcome(lambda: FockVector(shuffled, sector, 2)) == expected
+        assert expected[0] is ValueError
+
+
+def test_bad_norm_message_for_inexact_coefficients():
+    # the norm is summed in another order; it may move in its last digit only
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        values = rng.normal(size=3) + 1j * rng.normal(size=3)
+        terms = dict(zip([(3, 0), (2, 1), (1, 2)], map(complex, values)))
+        got, expected = outcome(lambda: FockVector(terms, SYM, 3)), outcome(
+            lambda: reference_validate(terms, SYM, 3))
+        assert got[0] is expected[0] is ValueError
+        got_words, expected_words = got[1].split(), expected[1].split()
+        assert got_words[:3] + got_words[4:] == expected_words[:3] + expected_words[4:]
+        assert float(got_words[3]) == pytest.approx(float(expected_words[3]), rel=1e-15)
+
+
+def test_fock_vector_rejects_mixed_mode_counts():
+    with pytest.raises(ValueError, match="different mode counts"):
+        FockVector({(1, 0): 0.6, (0, 0, 1): 0.8}, SYM, 1)
+
+
+@pytest.mark.parametrize("occupations,message", [
+    ((1, 0), "occupation has 2 modes, basis has 3"),
+    ((0, 0, 0), "cannot build a labeled state for the vacuum"),
+])
+def test_fock_to_labeled_keeps_the_index_errors(occupations, message):
+    basis = OneParticleBasis.default(3)
+    fv = FockVector({occupations: 1.0}, SYM, sum(occupations))
+    with pytest.raises(ValueError) as got:
+        fock_to_labeled(fv, basis)
+    with pytest.raises(ValueError) as expected:
+        reference_first_index(occupations, basis)
+    assert str(got.value) == str(expected.value) == message
+
+
+@pytest.mark.parametrize("sector,d,n", [(SYM, 8, 3), (ANTI, 6, 4), (SYM, 16, 3)])
+def test_round_trip_enumerates_nothing_per_occupation(monkeypatch, sector, d, n):
+    state = random_sector_state(np.random.default_rng(1), d, n, sector)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the round-trip path")
+
+    monkeypatch.setattr(counting, "enumerate_distributions", forbidden)
+    monkeypatch.setattr(fock, "OccupationState", forbidden)
+    back = fock_to_labeled(labeled_to_fock(state, sector), state.basis)
+    assert abs(np.vdot(state.amplitudes, back.amplitudes)) >= 1 - 1e-12
+
+
+def test_orbit_table_first_lists_each_class_once():
+    for sector in (SYM, ANTI):
+        cls, amp, first = exchange.orbit_table(4, 3, sector)
+        assert np.array_equal(cls[first], np.arange(first.size))
+        assert np.all(amp[first] > 0)
+        occs = [
+            tuple(np.bincount(modes, minlength=4))
+            for modes in zip(*np.unravel_index(first, (4,) * 3))
+        ]
+        assert occs == enumerate_distributions(sector.statistics, 3, 4)
