@@ -4,6 +4,10 @@ Subcommands: count, basis, analyze, hom, density.  Input is a JSON config
 file; output is a deterministic CSV or JSON report (12 significant digits,
 fixed orderings).  Exit codes: 0 success, 2 config/schema error, 3 resource
 cap exceeded, 4 domain error, 5 I/O error.
+
+Only the numpy-free `counting` and `errors` modules are imported here at
+module level; every other command imports what it uses inside its own
+function, so `identicals count` runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -12,12 +16,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import counting, emergence, exchange, fock, interferometer
+from . import counting
 from .errors import CapExceeded
-from .exchange import ExchangeSector
-from .states import LabeledState, OneParticleBasis, check_dense_dim
 
 
 class ConfigError(Exception):
@@ -70,6 +70,8 @@ def _get_number(cfg, key, where):
 
 
 def _get_sector(cfg, where) -> ExchangeSector:
+    from .exchange import ExchangeSector
+
     v = cfg.get("sector")
     try:
         return ExchangeSector(v)
@@ -80,6 +82,8 @@ def _get_sector(cfg, where) -> ExchangeSector:
 
 
 def _complex_list(raw, where) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 for p in raw
     ):
@@ -87,14 +91,35 @@ def _complex_list(raw, where) -> np.ndarray:
     return np.array([complex(p[0], p[1]) for p in raw])
 
 
-def _interleave(vec: np.ndarray) -> list[float]:
-    out: list[float] = []
-    for z in vec:
-        out.extend([float(z.real), float(z.imag)])
-    return out
+def _interleave(vec: np.ndarray) -> list:
+    """(re, im) pairs as one float list per vector (nested for a matrix of rows)."""
+    import numpy as np
+
+    return np.ascontiguousarray(vec, dtype=complex).view(float).tolist()
 
 
 # ---------------------------------------------------------------- count
+
+def _printable_count(kind: counting.StatisticsKind, n: int, d: int) -> int:
+    """count_microstates(kind, n, d), unless it has more digits than Python prints.
+
+    The log10 estimate refuses a count far past the limit before it is
+    computed; within 2 digits of the limit the exact count decides.
+    """
+    log10_w = counting.count_log10(kind, n, d)
+    # 0, or no such function before Python 3.10.7 / 3.11: no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit or log10_w <= limit - 2:
+        return counting.count_microstates(kind, n, d)
+    if log10_w < limit + 2:
+        w = counting.count_microstates(kind, n, d)
+        if w < 10 ** limit:
+            return w
+    raise CapExceeded(
+        f"W is about 10^{log10_w:.1f}, over the {limit}-digit limit "
+        "for printing integers (sys.get_int_max_str_digits())"
+    )
+
 
 def cmd_count(cfg: dict, fmt: str) -> str:
     if "N" in cfg or "P" in cfg:
@@ -103,21 +128,25 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             _get_int(cfg, "N", "count", 1), _get_int(cfg, "P", "count", 0)
         )
         k = _get_number(cfg, "k", "count") if "k" in cfg else 1.0
-        w = counting.planck_count(problem)
-        report = {"W": w, "S": counting.entropy(w, k)}
-        if cfg.get("enumerate", False):
-            report["symbols"] = [
-                {"symbol": s.as_text(), "energies": list(s.energies())}
-                for s in counting.enumerate_symbols(problem)
-            ]
+        # W(N, P) is the Bose-Einstein count of P quanta on N resonators
+        w = _printable_count(
+            counting.StatisticsKind.BOSE_EINSTEIN, problem.n_quanta, problem.n_resonators
+        )
+        s = counting.entropy(w, k)
+        rows = counting.symbol_rows(problem) if cfg.get("enumerate", False) else None
         if fmt == "json":
-            return json.dumps(_round_floats(report), indent=2) + "\n"
-        lines = ["quantity,value", f"W,{w}", f"S,{_fmt(report['S'])}"]
-        if "symbols" in report:
+            report = {"W": w, "S": _round_floats(s)}
+            if rows is not None:
+                report["symbols"] = [
+                    {"symbol": text, "energies": list(energies)}
+                    for text, energies in rows
+                ]
+            return json.dumps(report, indent=2) + "\n"
+        lines = ["quantity,value", f"W,{w}", f"S,{_fmt(s)}"]
+        if rows is not None:
             lines.append("symbol,energies")
             lines.extend(
-                f"{row['symbol']},{';'.join(map(str, row['energies']))}"
-                for row in report["symbols"]
+                f"{text},{';'.join(map(str, energies))}" for text, energies in rows
             )
         return "\n".join(lines) + "\n"
 
@@ -134,7 +163,7 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             kind = counting.StatisticsKind(name)
         except ValueError:
             raise ConfigError(f"count: unknown statistics kind {name!r}") from None
-        count = counting.count_microstates(kind, n, d)
+        count = _printable_count(kind, n, d)
         rows.append(
             {
                 "kind": kind.value,
@@ -154,31 +183,42 @@ def cmd_count(cfg: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- basis
 
 def cmd_basis(cfg: dict, fmt: str) -> str:
+    import numpy as np
+
+    from . import exchange
+
     _check_keys(cfg, {"d", "n", "sector"}, {"d", "n", "sector"}, "basis")
     d = _get_int(cfg, "d", "basis", 1)
     n = _get_int(cfg, "n", "basis", 1)
     sector = _get_sector(cfg, "basis")
     states = exchange.sector_basis(d, n, sector)
     occs = counting.enumerate_distributions(sector.statistics, n, d)
-    rows = [
-        {"occupation": list(occ), "amplitudes": _interleave(s.amplitudes)}
-        for occ, s in zip(occs, states)
-    ]
+    # one row per state; + 0.0 turns -0.0 into 0, as _fmt does
+    amps = _interleave(np.array([s.amplitudes for s in states]) + 0.0)
     if fmt == "json":
+        rows = [
+            {"occupation": list(occ), "amplitudes": row}
+            for occ, row in zip(occs, amps)
+        ]
         return json.dumps(_round_floats({"states": rows}), indent=2) + "\n"
     lines = ["occupation,amplitudes"]
-    if not rows:
+    if not states:
         lines.append("# empty sector")
-    for row in rows:
-        occ = ";".join(map(str, row["occupation"]))
-        amps = " ".join(_fmt(v) for v in row["amplitudes"])
-        lines.append(f"{occ},{amps}")
+    else:
+        template = " ".join(["%.12g"] * len(amps[0]))
+        lines.extend(
+            f"{';'.join(map(str, occ))},{template % tuple(row)}"
+            for occ, row in zip(occs, amps)
+        )
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- analyze
 
 def _state_from_config(cfg: dict) -> tuple[LabeledState, ExchangeSector]:
+    from . import fock
+    from .states import LabeledState, OneParticleBasis, check_dense_dim
+
     sector = _get_sector(cfg, "analyze")
     if "symbol" in cfg:
         _check_keys(cfg, {"symbol", "d", "sector"}, {"symbol", "sector"}, "analyze")
@@ -206,6 +246,8 @@ def _state_from_config(cfg: dict) -> tuple[LabeledState, ExchangeSector]:
 
 
 def cmd_analyze(cfg: dict, fmt: str) -> str:
+    from . import emergence
+
     state, sector = _state_from_config(cfg)
     report = emergence.detect_emergent_particles(state, sector)
     payload = {
@@ -238,6 +280,10 @@ def _stage_rows(result: interferometer.ExperimentResult) -> dict:
 
 
 def cmd_hom(cfg: dict, fmt: str, baseline_flag: bool = False) -> str:
+    import numpy as np
+
+    from . import interferometer
+
     _check_keys(cfg, {"splitter", "baseline"}, set(), "hom")
     if "splitter" in cfg:
         raw = cfg["splitter"]
@@ -282,6 +328,8 @@ def cmd_hom(cfg: dict, fmt: str, baseline_flag: bool = False) -> str:
 # ---------------------------------------------------------------- density
 
 def _packet(cfg: dict, key: str) -> interferometer.GaussianPacket:
+    from . import interferometer
+
     sub = cfg[key]
     _check_keys(sub, {"center", "width", "phase_velocity"}, {"center", "width"}, key)
     return interferometer.GaussianPacket(
@@ -294,6 +342,8 @@ def _packet(cfg: dict, key: str) -> interferometer.GaussianPacket:
 
 
 def cmd_density(cfg: dict, fmt: str, output_override: str | None) -> str:
+    from . import interferometer
+
     _check_keys(
         cfg, {"packet_s", "packet_n", "grid", "output"},
         {"packet_s", "packet_n", "grid"}, "density",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -39,6 +41,7 @@ class Mark(enum.IntEnum):
 
 
 _MARK_TEXT = bytes.maketrans(bytes([Mark.SEPARATOR, Mark.QUANTUM]), b"oe")
+_TEXT_MARK = {"o": Mark.SEPARATOR, "e": Mark.QUANTUM}
 
 
 @dataclass(frozen=True)
@@ -76,38 +79,91 @@ def planck_count(problem: CountingProblem) -> int:
     return math.comb(problem.n_resonators - 1 + problem.n_quanta, problem.n_quanta)
 
 
+def symbol_rows(
+    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(text, energies) of every symbol, in enumerate_symbols order.
+
+    The rows are built as they are read, with no SymbolString; the cap is
+    checked at the call.
+    """
+    total = planck_count(problem)
+    if total > cap:
+        raise CapExceeded(f"{total} symbols exceed the enumeration cap {cap}")
+    return _symbol_rows(problem.n_resonators - 1, problem.n_quanta)
+
+
+def _symbol_rows(n_sep: int, n_quanta: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    # A symbol is fixed by where its n_sep separators sit among its marks.
+    # combinations() yields those positions as ascending tuples in
+    # lexicographic order, which is the symbol order: where two symbols
+    # first differ, the smaller one holds a separator.  Resonator j holds the
+    # quanta between separators j-1 and j; with sentinels at -1 and `length`
+    # its energy is the gap between them less one.
+    length = n_sep + n_quanta
+    ones = itertools.repeat(1)
+    for seps in itertools.combinations(range(length), n_sep):
+        gaps = map(operator.sub, seps + (length,), (-1,) + seps)
+        energies = tuple(map(operator.sub, gaps, ones))
+        yield "o".join(map("e".__mul__, energies)), energies
+
+
 def enumerate_symbols(
     problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[SymbolString]:
     """All distinct symbols, in lexicographic order with SEPARATOR < QUANTUM."""
-    total = planck_count(problem)
-    if total > cap:
-        raise CapExceeded(f"{total} symbols exceed the enumeration cap {cap}")
-    length = problem.n_resonators - 1 + problem.n_quanta
-    symbols = []
-    for quantum_positions in itertools.combinations(range(length), problem.n_quanta):
-        marks = [Mark.SEPARATOR] * length
-        for pos in quantum_positions:
-            marks[pos] = Mark.QUANTUM
-        symbols.append(SymbolString(tuple(marks)))
-    # combinations() puts quanta first in lexicographic order of their
-    # positions, which is exactly the reverse of the mark order
-    symbols.reverse()
-    return symbols
+    return [
+        SymbolString(tuple(map(_TEXT_MARK.__getitem__, text)))
+        for text, _ in symbol_rows(problem, cap)
+    ]
 
 
-def count_microstates(kind: StatisticsKind, n_particles: int, n_modes: int) -> int:
-    """Number of distinct configurations of n particles on d modes, exactly."""
+def _check_sizes(n_particles: int, n_modes: int):
     if n_particles < 0:
         raise ValueError("particle number must be non-negative")
     if n_modes < 1:
         raise ValueError("need at least one mode")
+
+
+def count_microstates(kind: StatisticsKind, n_particles: int, n_modes: int) -> int:
+    """Number of distinct configurations of n particles on d modes, exactly."""
+    _check_sizes(n_particles, n_modes)
     n, d = n_particles, n_modes
     if kind is StatisticsKind.BOLTZMANN:
         return d ** n
     if kind is StatisticsKind.BOSE_EINSTEIN:
         return math.comb(d + n - 1, n)
     return math.comb(d, n)  # 0 when n > d
+
+
+def count_log10(kind: StatisticsKind, n_particles: int, n_modes: int) -> float:
+    """log10 of count_microstates(kind, n, d), estimated without computing the count.
+
+    Off by well under one digit wherever the count has fewer than ~10^6
+    digits; -inf for a count of 0, inf beyond the float range.  The Planck
+    count W(N, P) is count_log10(BOSE_EINSTEIN, P, N).
+    """
+    _check_sizes(n_particles, n_modes)
+    n, d = n_particles, n_modes
+    try:
+        if kind is StatisticsKind.BOLTZMANN:
+            return n * math.log10(d)
+        if kind is StatisticsKind.BOSE_EINSTEIN:
+            return _log10_comb(d + n - 1, n)
+        return _log10_comb(d, n) if n <= d else -math.inf
+    except OverflowError:
+        return math.inf
+
+
+def _log10_comb(a: int, b: int) -> float:
+    k = min(b, a - b)
+    if k * k < a:
+        # lgamma(a + 1) - lgamma(a - k + 1) cancels badly for a >> k; the sum
+        # of ln(a - i), i < k, is k ln(a - (k - 1) / 2) to within k^3 / 6a^2
+        ln = k * (math.log(2 * a - k + 1) - math.log(2)) - math.lgamma(k + 1)
+    else:
+        ln = math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
+    return ln / math.log(10)
 
 
 def _occupation(modes: tuple[int, ...], d: int) -> tuple[int, ...]:

@@ -1,0 +1,238 @@
+"""The `count` command: Planck rows from separator positions, the W digit
+bound, and a package that imports each public name on first use."""
+
+import importlib
+import itertools
+import json
+import math
+import pathlib
+import subprocess
+import sys
+import time
+
+import pytest
+
+import identicals
+from identicals import cli, counting
+from identicals.counting import CountingProblem, Mark, StatisticsKind, SymbolString
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+# ------------------------------------------------ reference: the SymbolString path
+
+
+def reference_symbols(problem):
+    """Every symbol as a SymbolString: quanta placed by combinations(), reversed."""
+    length = problem.n_resonators - 1 + problem.n_quanta
+    symbols = []
+    for quantum_positions in itertools.combinations(range(length), problem.n_quanta):
+        marks = [Mark.SEPARATOR] * length
+        for pos in quantum_positions:
+            marks[pos] = Mark.QUANTUM
+        symbols.append(SymbolString(tuple(marks)))
+    symbols.reverse()
+    return symbols
+
+
+def reference_planck_output(n_res, n_quanta, fmt, k=1.0):
+    """The Planck `count` report with `enumerate`, built from SymbolStrings."""
+    problem = CountingProblem(n_res, n_quanta)
+    w = counting.planck_count(problem)
+    report = {"W": w, "S": counting.entropy(w, k)}
+    report["symbols"] = [
+        {"symbol": s.as_text(), "energies": list(s.energies())}
+        for s in reference_symbols(problem)
+    ]
+    if fmt == "json":
+        return json.dumps(cli._round_floats(report), indent=2) + "\n"
+    lines = ["quantity,value", f"W,{w}", f"S,{cli._fmt(report['S'])}", "symbol,energies"]
+    lines.extend(
+        f"{row['symbol']},{';'.join(map(str, row['energies']))}"
+        for row in report["symbols"]
+    )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_res", range(1, 9))
+def test_planck_rows_match_the_symbol_string_path(n_res, fmt):
+    for n_quanta in range(0, 9):
+        cfg = {"N": n_res, "P": n_quanta, "enumerate": True, "k": 1.5}
+        assert cli.cmd_count(cfg, fmt) == reference_planck_output(
+            n_res, n_quanta, fmt, k=1.5
+        ), (n_res, n_quanta)
+
+
+@pytest.mark.parametrize("n_res", range(1, 9))
+def test_enumerate_symbols_matches_the_reference(n_res):
+    for n_quanta in range(0, 9):
+        problem = CountingProblem(n_res, n_quanta)
+        got = counting.enumerate_symbols(problem)
+        want = reference_symbols(problem)
+        assert got == want
+        assert all(type(m) is Mark for s in got for m in s.marks)
+
+
+def test_symbol_rows_are_the_symbol_text_and_energies():
+    problem = CountingProblem(4, 7)
+    rows = list(counting.symbol_rows(problem))
+    assert rows == [(s.as_text(), s.energies()) for s in reference_symbols(problem)]
+
+
+def test_symbol_rows_checks_the_cap_before_the_first_row():
+    with pytest.raises(counting.CapExceeded):
+        counting.symbol_rows(CountingProblem(30, 30))
+
+
+def test_a_million_resonators_without_quanta_is_one_row(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 100000, "P": 0, "enumerate": True}))
+    assert cli.main(["count", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["quantity,value", "W,1"]
+    assert lines[3:] == ["symbol,energies", "o" * 99999 + "," + ";".join(["0"] * 100000)]
+
+
+# ------------------------------------------------ the W digit bound
+
+def run_count(tmp_path, capsys, cfg, fmt="csv"):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code = cli.main(["count", "--config", str(config), "--format", fmt])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    return code, out, err, elapsed
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"N": 20000, "P": 20000},
+        {"N": 10 ** 6, "P": 10 ** 6, "enumerate": True},
+        {"n": 20000, "d": 20000, "kinds": ["bose_einstein"]},
+        {"n": 10 ** 6, "d": 10 ** 6, "kinds": ["bose_einstein"]},
+        {"n": 10 ** 6, "d": 10 ** 6, "kinds": ["boltzmann", "fermi_dirac"]},
+        {"n": 10 ** 400, "d": 2, "kinds": ["boltzmann"]},
+    ],
+)
+def test_a_count_past_the_digit_limit_exits_3_before_it_is_computed(
+    tmp_path, capsys, monkeypatch, cfg, fmt
+):
+    def never(*args):
+        raise AssertionError("the count was computed")
+
+    monkeypatch.setattr(counting, "planck_count", never)
+    monkeypatch.setattr(counting, "count_microstates", never)
+    code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
+    assert code == 3
+    assert out == ""
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+    assert "W is about 10^" in err
+    assert elapsed < 1.0
+
+
+def test_the_exact_count_decides_at_the_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    # 10^(limit-1) has exactly `limit` digits; 10^limit has one more
+    code, out, _, _ = run_count(
+        tmp_path, capsys, {"n": limit - 1, "d": 10, "kinds": ["boltzmann"]}
+    )
+    assert code == 0
+    assert out.splitlines()[1] == f"boltzmann,1{'0' * (limit - 1)},{cli._fmt((limit - 1) * math.log(10))}"
+    code, _, err, _ = run_count(tmp_path, capsys, {"n": limit, "d": 10, "kinds": ["boltzmann"]})
+    assert code == 3
+    assert "cap exceeded" in err
+
+
+def test_a_printable_count_with_a_huge_argument_is_printed(tmp_path, capsys):
+    # lgamma of 10^300 overflows; W = C(10^300 + 1, 2) has 600 digits
+    n_res = 10 ** 300
+    code, out, _, elapsed = run_count(tmp_path, capsys, {"N": n_res, "P": 2})
+    assert code == 0
+    assert out.splitlines()[1] == f"W,{math.comb(n_res + 1, 2)}"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("kind", list(StatisticsKind))
+def test_count_log10_is_within_a_tenth_of_a_digit(kind):
+    for n in [0, 1, 2, 3, 7, 40, 300, 2000]:
+        for d in [1, 2, 3, 10, 99, 1000, 10 ** 5, 10 ** 12, 10 ** 40]:
+            count = counting.count_microstates(kind, n, d)
+            estimate = counting.count_log10(kind, n, d)
+            if count == 0:
+                assert estimate == -math.inf
+            else:
+                assert abs(estimate - math.log10(count)) < 0.1, (n, d)
+
+
+# ------------------------------------------------ imports on first use
+
+PARENT_EXPORTS = {
+    "counting": [
+        "CountingProblem", "StatisticsKind", "SymbolString", "count_microstates",
+        "entropy", "enumerate_distributions", "enumerate_symbols", "planck_count",
+    ],
+    "emergence": [
+        "EmergenceReport", "Verdict", "detect_emergent_particles",
+        "genidentity_track", "natural_orbitals", "slater_rank_two_fermions",
+    ],
+    "errors": ["CapExceeded"],
+    "exchange": [
+        "ExchangeSector", "is_in_sector", "sector_basis", "sector_project",
+        "symmetrized_product",
+    ],
+    "fock": [
+        "FockVector", "OccupationState", "fock_to_labeled", "format_symbol",
+        "labeled_to_fock", "occupation_to_labeled", "parse_symbol",
+        "replace_indistinguishable",
+    ],
+    "interferometer": [
+        "BeamSplitterScenario", "DensityGrid", "ExperimentResult", "GaussianPacket",
+        "build_initial_state", "evolve_through_splitter", "joint_spatial_density",
+        "measure_ports_and_spins", "packet_overlap",
+    ],
+    "states": [
+        "LabeledState", "OneParticleBasis", "Permutation",
+        "apply_one_particle_unitary", "apply_permutation", "inner_product",
+        "reduce_one_particle", "tensor_product",
+    ],
+}
+
+
+def test_every_exported_name_resolves_to_its_submodule_object():
+    for module, names in PARENT_EXPORTS.items():
+        sub = importlib.import_module(f"identicals.{module}")
+        assert getattr(identicals, module) is sub
+        for name in names:
+            assert getattr(identicals, name) is getattr(sub, name), name
+    with pytest.raises(AttributeError):
+        identicals.no_such_name
+
+
+def test_star_import_and_dir_show_the_same_public_names():
+    public = {*PARENT_EXPORTS, *itertools.chain(*PARENT_EXPORTS.values())}
+    namespace = {}
+    exec("from identicals import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
+    assert public <= set(dir(identicals))
+
+
+def test_count_runs_without_numpy():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['identicals', 'count', '--config', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('identicals', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    config = str(CONFIGS / "count_planck_figure.json")
+    result = subprocess.run(
+        [sys.executable, "-c", code, config], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+

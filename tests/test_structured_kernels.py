@@ -214,3 +214,38 @@ def test_cli_symbol_infers_d_from_its_largest_mode(tmp_path, capsys):
     assert report["verdict"] == "PARTICLE_DECOMPOSITION"
     (defining,) = report["defining_states"]
     assert len(defining["state"]) == 2 * 70
+
+
+def basis_csv_one_value_at_a_time(d, n, sector):
+    """The basis CSV formatted with one `_fmt` call per amplitude, kept as the reference."""
+    lines = ["occupation,amplitudes"]
+    occs = enumerate_distributions(sector.statistics, n, d)
+    for occ, state in zip(occs, sector_basis(d, n, sector)):
+        values = []
+        for z in state.amplitudes:
+            values.extend([float(z.real), float(z.imag)])
+        amps = " ".join(cli._fmt(v) for v in values)
+        lines.append(f"{';'.join(map(str, occ))},{amps}")
+    if len(lines) == 1:
+        lines.append("# empty sector")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sector", [SYM, ANTI])
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (5, 3), (2, 4)])
+def test_cli_basis_csv_matches_one_value_at_a_time(d, n, sector):
+    cfg = {"d": d, "n": n, "sector": sector.value}
+    assert cli.cmd_basis(cfg, "csv") == basis_csv_one_value_at_a_time(d, n, sector)
+
+
+def test_cli_basis_csv_prints_negative_zero_as_zero(monkeypatch):
+    vector = np.array([complex(-0.0, -0.0), complex(-1.0, -0.0)])
+    monkeypatch.setattr(
+        exchange, "sector_basis",
+        lambda d, n, sector: [LabeledState(1, OneParticleBasis.default(2), vector)],
+    )
+    monkeypatch.setattr(
+        cli.counting, "enumerate_distributions", lambda kind, n, d: [(0, 1)]
+    )
+    out = cli.cmd_basis({"d": 2, "n": 1, "sector": "symmetric"}, "csv")
+    assert out == "occupation,amplitudes\n0;1,0 0 -1 0\n"
