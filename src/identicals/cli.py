@@ -121,6 +121,11 @@ def _printable_count(kind: counting.StatisticsKind, n: int, d: int) -> int:
     )
 
 
+# one symbol as json.dumps(indent=2) writes it in the report's "symbols" list
+_JSON_SYMBOL = '    {\n      "symbol": "%s",\n      "energies": [\n        %s\n      ]\n    }'
+_JSON_SEP = ",\n        "
+
+
 def cmd_count(cfg: dict, fmt: str) -> str:
     if "N" in cfg or "P" in cfg:
         _check_keys(cfg, {"N", "P", "enumerate", "k"}, {"N", "P"}, "count")
@@ -133,21 +138,25 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             counting.StatisticsKind.BOSE_EINSTEIN, problem.n_quanta, problem.n_resonators
         )
         s = counting.entropy(w, k)
-        rows = counting.symbol_rows(problem) if cfg.get("enumerate", False) else None
+        blocks = counting.symbol_blocks(problem) if cfg.get("enumerate", False) else None
+        # each block of symbols is one string: one % of the block's template per symbol
         if fmt == "json":
-            report = {"W": w, "S": _round_floats(s)}
-            if rows is not None:
-                report["symbols"] = [
-                    {"symbol": text, "energies": list(energies)}
-                    for text, energies in rows
-                ]
-            return json.dumps(report, indent=2) + "\n"
+            text = json.dumps({"W": w, "S": _round_floats(s)}, indent=2)
+            if blocks is None:
+                return text + "\n"
+            items = []
+            for head, energies_head, texts, energies in blocks:
+                item = _JSON_SYMBOL % (head + "%s", energies_head.replace(";", _JSON_SEP) + "%s")
+                values = [e.replace(";", _JSON_SEP) for e in energies]
+                items.append(",\n".join(map(item.__mod__, zip(texts, values))))
+            return text[:-2] + ',\n  "symbols": [\n' + ",\n".join(items) + "\n  ]\n}\n"
         lines = ["quantity,value", f"W,{w}", f"S,{_fmt(s)}"]
-        if rows is not None:
+        if blocks is not None:
             lines.append("symbol,energies")
-            lines.extend(
-                f"{text},{';'.join(map(str, energies))}" for text, energies in rows
-            )
+            lines += [
+                "\n".join(map(f"{head}%s,{energies_head}%s".__mod__, zip(texts, energies)))
+                for head, energies_head, texts, energies in blocks
+            ]
         return "\n".join(lines) + "\n"
 
     _check_keys(cfg, {"n", "d", "kinds", "k"}, {"n", "d", "kinds"}, "count")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CapExceeded
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
+#: bound on W * (N + P), the characters a Planck enumeration builds
+ENUMERATION_CHARACTER_CAP = 2 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -79,33 +80,103 @@ def planck_count(problem: CountingProblem) -> int:
     return math.comb(problem.n_resonators - 1 + problem.n_quanta, problem.n_quanta)
 
 
+def symbol_blocks(
+    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[tuple[str, str, list[str], list[str]]]:
+    """Every symbol's text ('ooee') and energies text ('0;0;2'), in enumerate_symbols order.
+
+    The symbols come in blocks that share a left half: block (head,
+    energies_head, texts, energies) holds the symbols head + texts[i] with
+    energies energies_head + energies[i].  The blocks hold no text per
+    symbol, so a caller formats each block with one template; the memo of
+    half-enumerations behind them is dropped when the call returns.  Both caps
+    are checked before anything is built: at most `cap` symbols, and at most
+    ENUMERATION_CHARACTER_CAP for W * (N + P), the estimated characters (each
+    symbol text has N - 1 + P marks).
+    """
+    w = planck_count(problem)
+    if w > cap:
+        raise CapExceeded(f"{w} symbols exceed the enumeration cap {cap}")
+    k, p = problem.n_resonators, problem.n_quanta
+    size = w * (k + p)
+    if size > ENUMERATION_CHARACTER_CAP:
+        raise CapExceeded(
+            f"{w} symbols of {k} resonators and {p} quanta are about {size} "
+            f"characters, over the enumeration cap of {ENUMERATION_CHARACTER_CAP}"
+        )
+    if p == 0 or k <= 2:
+        return [("", "", *_symbol_texts(k, p, {}))]
+    return list(_halves(k, p, {}))
+
+
+def _halves(k: int, p: int, memo: dict) -> Iterator[tuple[str, str, list[str], list[str]]]:
+    """The symbols of k >= 3 resonators holding p quanta, one block per left half.
+
+    The symbols are in ascending lexicographic order of their energies: where
+    two symbols first differ, the one with fewer quanta in that resonator
+    holds a separator, and o < e.  The left half is the first k // 2
+    resonators plus one slack resonator: its symbols, k // 2 + 1 resonators
+    holding p quanta, list every left half in order, once each, and the slack
+    holds the s quanta left for the right half.  Each left row, cut after its
+    last separator, heads the block of every symbol of the other k - k // 2
+    resonators holding s quanta.
+    """
+    half = k // 2
+    for left, left_energies in zip(*_symbol_texts(half + 1, p, memo)):
+        cut = left.rindex("o") + 1
+        yield (
+            left[:cut],
+            left_energies[: left_energies.rindex(";") + 1],
+            *_symbol_texts(k - half, len(left) - cut, memo),
+        )
+
+
+def _symbol_texts(k: int, p: int, memo: dict) -> tuple[list[str], list[str]]:
+    """Texts and energies texts of k resonators holding p quanta, in symbol order.
+
+    Built from _halves with one concatenation per text and one per energies;
+    `memo`, keyed by (resonators, quanta), builds each half once per call,
+    so the depth is O(log k) and the work is O(output).
+    """
+    rows = memo.get((k, p))
+    if rows is not None:
+        return rows
+    if p == 0:
+        rows = ["o" * (k - 1)], ["0;" * (k - 1) + "0"]
+    elif k == 1:
+        rows = ["e" * p], [str(p)]
+    elif k == 2:
+        rows = (
+            ["e" * i + "o" + "e" * (p - i) for i in range(p + 1)],
+            [f"{i};{p - i}" for i in range(p + 1)],
+        )
+    else:
+        texts: list[str] = []
+        energies: list[str] = []
+        for head, energies_head, right, right_energies in _halves(k, p, memo):
+            texts += [head + text for text in right]
+            energies += [energies_head + text for text in right_energies]
+        rows = texts, energies
+    memo[k, p] = rows
+    return rows
+
+
+def _texts(blocks: list[tuple[str, str, list[str], list[str]]]) -> Iterator[str]:
+    for head, _, texts, _ in blocks:
+        for text in texts:
+            yield head + text
+
+
 def symbol_rows(
     problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(text, energies) of every symbol, in enumerate_symbols order.
 
-    The rows are built as they are read, with no SymbolString; the cap is
-    checked at the call.
+    The rows are read from symbol_blocks, with no SymbolString; both caps
+    are checked at the call.
     """
-    total = planck_count(problem)
-    if total > cap:
-        raise CapExceeded(f"{total} symbols exceed the enumeration cap {cap}")
-    return _symbol_rows(problem.n_resonators - 1, problem.n_quanta)
-
-
-def _symbol_rows(n_sep: int, n_quanta: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    # A symbol is fixed by where its n_sep separators sit among its marks.
-    # combinations() yields those positions as ascending tuples in
-    # lexicographic order, which is the symbol order: where two symbols
-    # first differ, the smaller one holds a separator.  Resonator j holds the
-    # quanta between separators j-1 and j; with sentinels at -1 and `length`
-    # its energy is the gap between them less one.
-    length = n_sep + n_quanta
-    ones = itertools.repeat(1)
-    for seps in itertools.combinations(range(length), n_sep):
-        gaps = map(operator.sub, seps + (length,), (-1,) + seps)
-        energies = tuple(map(operator.sub, gaps, ones))
-        yield "o".join(map("e".__mul__, energies)), energies
+    texts = _texts(symbol_blocks(problem, cap))
+    return ((text, tuple(map(len, text.split("o")))) for text in texts)
 
 
 def enumerate_symbols(
@@ -114,7 +185,7 @@ def enumerate_symbols(
     """All distinct symbols, in lexicographic order with SEPARATOR < QUANTUM."""
     return [
         SymbolString(tuple(map(_TEXT_MARK.__getitem__, text)))
-        for text, _ in symbol_rows(problem, cap)
+        for text in _texts(symbol_blocks(problem, cap))
     ]
 
 

@@ -1,10 +1,12 @@
-"""The `count` command: Planck rows from separator positions, the W digit
-bound, and a package that imports each public name on first use."""
+"""The `count` command: Planck rows from memoised half-enumerations, the W
+digit and enumeration size bounds, and a package that imports each public
+name on first use."""
 
 import importlib
 import itertools
 import json
 import math
+import operator
 import pathlib
 import subprocess
 import sys
@@ -93,6 +95,112 @@ def test_a_million_resonators_without_quanta_is_one_row(tmp_path, capsys):
     assert lines[3:] == ["symbol,energies", "o" * 99999 + "," + ";".join(["0"] * 100000)]
 
 
+# ------------------------------------------------ reference: separator positions
+
+
+def separator_rows(n_res, n_quanta):
+    """(text, energies) of every symbol from the positions of its separators.
+
+    combinations() yields the N - 1 separator positions as ascending tuples in
+    lexicographic order, the symbol order; resonator j holds the quanta
+    between separators j - 1 and j, with sentinels at -1 and the length.
+    """
+    n_sep = n_res - 1
+    length = n_sep + n_quanta
+    ones = itertools.repeat(1)
+    for seps in itertools.combinations(range(length), n_sep):
+        gaps = map(operator.sub, seps + (length,), (-1,) + seps)
+        energies = tuple(map(operator.sub, gaps, ones))
+        yield "o".join(map("e".__mul__, energies)), energies
+
+
+def block_rows(problem):
+    """symbol_blocks spelled out: (text, energies text) per symbol."""
+    return [
+        (head + text, energies_head + energies)
+        for head, energies_head, texts, energies_texts in counting.symbol_blocks(problem)
+        for text, energies in zip(texts, energies_texts)
+    ]
+
+
+def check_against_separator_positions(n_res, n_quanta, symbol_rows_too=True):
+    problem = CountingProblem(n_res, n_quanta)
+    want = list(separator_rows(n_res, n_quanta))
+    if symbol_rows_too:
+        assert list(counting.symbol_rows(problem)) == want, (n_res, n_quanta)
+    assert block_rows(problem) == [
+        (text, ";".join(map(str, energies))) for text, energies in want
+    ], (n_res, n_quanta)
+
+
+@pytest.mark.parametrize("n_res", range(1, 13))
+def test_symbol_blocks_and_rows_match_separator_positions_on_the_grid(n_res):
+    for n_quanta in range(0, 11):
+        if math.comb(n_res - 1 + n_quanta, n_quanta) <= 3 * 10 ** 5:
+            check_against_separator_positions(n_res, n_quanta)
+
+
+@pytest.mark.parametrize(
+    "n_res,n_quanta",
+    [(40, 1), (40, 2), (2, 40), (3, 40), (64, 3), (3000, 1), (300, 2), (100000, 0)],
+)
+def test_symbol_blocks_match_separator_positions_on_thin_and_wide_shapes(n_res, n_quanta):
+    # symbol_rows' energies tuples of thousands of resonators only add time here
+    check_against_separator_positions(n_res, n_quanta, symbol_rows_too=n_res <= 64)
+
+
+def separator_output(n_res, n_quanta, fmt, k):
+    """The Planck `count` report with `enumerate`, from separator_rows and json.dumps."""
+    w = math.comb(n_res - 1 + n_quanta, n_quanta)
+    s = counting.entropy(w, k)
+    rows = list(separator_rows(n_res, n_quanta))
+    if fmt == "json":
+        symbols = [{"symbol": text, "energies": list(energies)} for text, energies in rows]
+        report = {"W": w, "S": cli._round_floats(s), "symbols": symbols}
+        return json.dumps(report, indent=2) + "\n"
+    lines = ["quantity,value", f"W,{w}", f"S,{cli._fmt(s)}", "symbol,energies"]
+    lines += [f"{text},{';'.join(map(str, energies))}" for text, energies in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_res,n_quanta", [(13, 7), (8, 12)])
+def test_the_benchmark_planck_counts_match_separator_positions(n_res, n_quanta, fmt):
+    cfg = {"N": n_res, "P": n_quanta, "enumerate": True, "k": 0.8}
+    assert cli.cmd_count(cfg, fmt) == separator_output(n_res, n_quanta, fmt, 0.8)
+
+
+def test_the_half_rows_are_not_kept_between_calls():
+    problem = CountingProblem(9, 6)
+    first = counting.symbol_blocks(problem)
+    second = counting.symbol_blocks(problem)
+    assert first == second
+    assert all(a[2] is not b[2] for a, b in zip(first, second))
+
+
+def test_a_planck_count_child_peaks_below_a_bare_numpy_import(tmp_path):
+    # the benchmark's peak_rss_mb is the largest child process: a Planck
+    # enumeration must not outgrow the children that import numpy
+    config = tmp_path / "planck.json"
+    config.write_text(json.dumps({"N": 13, "P": 7, "enumerate": True}))
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "def peak(*args):\n"
+        "    subprocess.run([sys.executable, *args], check=True, stdout=subprocess.DEVNULL)\n"
+        "    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(peak('-m', 'identicals', 'count', '--config', sys.argv[1]))\n"
+        "print(peak('-c', 'import numpy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", wrapper, str(config)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    count_peak, peak_after_numpy = map(int, result.stdout.split())
+    # RUSAGE_CHILDREN holds the largest child so far, so it grows only if
+    # the numpy child peaked higher than the count child
+    assert count_peak < peak_after_numpy
+
+
 # ------------------------------------------------ the W digit bound
 
 def run_count(tmp_path, capsys, cfg, fmt="csv"):
@@ -131,6 +239,36 @@ def test_a_count_past_the_digit_limit_exits_3_before_it_is_computed(
     assert f"{sys.get_int_max_str_digits()}-digit limit" in err
     assert "W is about 10^" in err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_enumeration_past_the_character_cap_exits_3_before_a_row_is_built(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    # W = 10^6 passes the symbol cap; its rows would hold ~10^12 characters
+    def never(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(counting, "_symbol_texts", never)
+    cfg = {"N": 2, "P": 999999, "enumerate": True}
+    code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
+    assert code == 3
+    assert out == ""
+    assert f"about {10 ** 6 * (2 + 999999)} characters" in err
+    assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
+    assert elapsed < 1.0
+
+
+def test_the_character_cap_admits_every_planck_count_of_the_configs_and_benchmark():
+    shapes = [(13, 7), (8, 12), (7, 11), (40, 1), (40, 2), (2, 40), (3, 40), (64, 3),
+              (3000, 1), (300, 2), (100000, 0)]
+    for path in CONFIGS.glob("count_*.json"):
+        cfg = json.loads(path.read_text())
+        if cfg.get("enumerate"):
+            shapes.append((cfg["N"], cfg["P"]))
+    for n_res, n_quanta in shapes:
+        w = math.comb(n_res - 1 + n_quanta, n_quanta)
+        assert w * (n_res + n_quanta) <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta)
 
 
 def test_the_exact_count_decides_at_the_limit(tmp_path, capsys):

@@ -206,6 +206,30 @@ def test_cli_basis_over_the_cap_exits_3_quickly(tmp_path, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [64, 70])
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("basis", lambda n: {"d": 1, "n": n, "sector": "symmetric"}),
+        ("analyze", lambda n: {"symbol": "f_{" + "e1" * n + "}", "d": 1, "sector": "symmetric"}),
+    ],
+)
+def test_cli_more_slots_than_numpy_axes_exits_3(tmp_path, capsys, command, cfg, n):
+    # numpy arrays have at most 64 axes, and np.indices over N slots adds one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg(n)))
+    assert cli.main([command, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert f"N = {n} slots exceed the dense-tensor cap of 63" in err
+
+
+def test_the_slot_cap_is_the_last_n_numpy_can_hold():
+    assert states.check_dense_dim(1, states.MAX_SLOTS) == 1
+    assert len(sector_basis(1, states.MAX_SLOTS, SYM)) == 1
+    with pytest.raises(CapExceeded):
+        states.check_dense_dim(1, states.MAX_SLOTS + 1)
+
+
 def test_cli_symbol_infers_d_from_its_largest_mode(tmp_path, capsys):
     config = tmp_path / "analyze.json"
     config.write_text(json.dumps({"symbol": "f_{e70}", "sector": "symmetric"}))
