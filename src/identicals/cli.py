@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import counting
@@ -66,7 +67,14 @@ def _get_number(cfg, key, where):
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number")
-    return float(v)
+    # json reads NaN and +-Infinity, and an integer may be too large for a float
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: {key} must be a finite number")
+    return x
 
 
 def _get_sector(cfg, where) -> ExchangeSector:

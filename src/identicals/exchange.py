@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -92,6 +94,45 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1) / norm)
 
 
+#: bytes of orbit tables that orbit_table keeps for reuse; a table larger
+#: than this is built and returned but not kept
+ORBIT_CACHE_BYTES = 32 * 2 ** 20
+
+
+class _TableCache:
+    """Least-recently-used orbit tables with a running byte total.
+
+    The lock keeps the byte total exact when threads miss on the same key
+    at once: each builds the table, only the first one stored is kept.
+    """
+
+    def __init__(self):
+        self.tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            tables = self.tables.get(key)
+            if tables is not None:
+                self.tables.move_to_end(key)
+            return tables
+
+    def put(self, key, tables):
+        size = sum(a.nbytes for a in tables)
+        with self.lock:
+            if size > ORBIT_CACHE_BYTES or key in self.tables:
+                return
+            while self.nbytes + size > ORBIT_CACHE_BYTES:
+                _, old = self.tables.popitem(last=False)
+                self.nbytes -= sum(a.nbytes for a in old)
+            self.tables[key] = tables
+            self.nbytes += size
+
+
+_orbit_tables = _TableCache()
+
+
 def orbit_table(
     d: int, n: int, sector: ExchangeSector
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,8 +147,27 @@ def orbit_table(
     sorted tuple itself, the first of its class, is positive.  first[k] is
     the flat index of that sorted tuple for class k, so first is ascending
     and np.unravel_index(first, (d,) * n) lists each class's modes.
+
+    The dense cap (check_dense_dim) is checked before the cache is read.
+    Each (d, n, sector) table is built once and kept read-only, so every
+    caller shares the same three arrays.  The kept tables hold at most
+    ORBIT_CACHE_BYTES; the least recently used are dropped first, and a
+    table larger than the whole budget is returned without being kept.
     """
     check_dense_dim(d, n)
+    key = (d, n, sector)
+    tables = _orbit_tables.get(key)
+    if tables is None:
+        tables = _build_orbit_table(d, n, sector)
+        for a in tables:
+            a.setflags(write=False)
+        _orbit_tables.put(key, tables)
+    return tables
+
+
+def _build_orbit_table(
+    d: int, n: int, sector: ExchangeSector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shape = (d,) * n
     idx = np.indices(shape).reshape(n, -1)
     ordered = np.sort(idx, axis=0)

@@ -6,7 +6,10 @@ form is accepted on input).  The maps to and from labeled sector states are
 isometries onto the symmetric/antisymmetric sector bases.  Both directions
 work on the orbit table of exchange.orbit_table: the occupations of a Fock
 vector are one integer matrix (one row per term), validated, indexed and
-counted as whole arrays, never one occupation at a time.
+counted as whole arrays, never one occupation at a time.  The table of each
+(d, N, sector) is built once and then shared, read-only, by every call of
+either direction and by occupation_to_labeled (see exchange.orbit_table for
+its cache and byte budget).
 """
 
 from __future__ import annotations

@@ -117,10 +117,11 @@ class LabeledState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        if abs(np.linalg.norm(amps) - 1.0) > TAU_NORM:
-            raise ValueError(f"state norm {np.linalg.norm(amps)} deviates from 1")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > TAU_NORM:
+            raise ValueError(f"state norm {norm} deviates from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

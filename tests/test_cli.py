@@ -294,3 +294,51 @@ def test_basis_with_more_modes_than_the_recursion_limit(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 1200
     assert lines[1].startswith("1;" + "0;" * 1198 + "0,")
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("k", NON_FINITE, ids=["nan", "inf", "minus_inf"])
+def test_non_finite_k_is_a_config_error(tmp_path, k, fmt):
+    # json.dumps writes NaN and +-Infinity, and json.load reads them back
+    config = write_config(tmp_path, {"N": 3, "P": 2, "k": k})
+    result = run_cli("count", "--config", config, "--format", fmt)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "config error: count: k must be a finite number\n"
+
+
+def test_integer_k_beyond_float_range_is_a_config_error(tmp_path):
+    config = write_config(tmp_path, {"N": 3, "P": 2, "k": 10 ** 400})
+    result = run_cli("count", "--config", config)
+    assert result.returncode == 2
+    assert result.stderr == "config error: count: k must be a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "packet_s,grid,message",
+    [
+        ({"center": float("nan"), "width": 1.0}, {},
+         "packet_s: center must be a finite number"),
+        ({"center": 0.0, "width": 1.0}, {"x_min": float("-inf")},
+         "grid: x_min must be a finite number"),
+    ],
+    ids=["nan_center", "minus_inf_x_min"],
+)
+def test_non_finite_density_number_is_a_config_error(tmp_path, packet_s, grid, message):
+    out = tmp_path / "out.csv"
+    config = write_config(
+        tmp_path,
+        {
+            "packet_s": packet_s,
+            "packet_n": {"center": 10.0, "width": 1.0},
+            "grid": {"x_min": -6.0, "x_max": 16.0, "n_points": 64, **grid},
+            "output": str(out),
+        },
+    )
+    result = run_cli("density", "--config", config)
+    assert result.returncode == 2
+    assert result.stderr == f"config error: {message}\n"
+    assert not out.exists()

@@ -221,3 +221,54 @@ class TestReduceOneParticle:
             evals = np.linalg.eigvalsh(rdm)
             assert evals.min() > -1e-10
             assert evals.max() < 1 + 1e-10
+
+
+def reference_check(n_slots, basis, amplitudes):
+    """The LabeledState checks as two finiteness tests and two norms."""
+    if n_slots < 1:
+        raise ValueError("n_slots must be positive")
+    dim = basis.dim ** n_slots
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (dim,):
+        raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        raise ValueError("amplitudes must be finite")
+    if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        raise ValueError(f"state norm {np.linalg.norm(amps)} deviates from 1")
+
+
+def raised(check, *args):
+    with pytest.raises(Exception) as info:
+        check(*args)
+    return type(info.value), str(info.value)
+
+
+class TestLabeledStateValidation:
+    HALF = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
+
+    @pytest.mark.parametrize(
+        "amps,message",
+        [
+            (HALF + [np.nan, 0, 0, 0], "amplitudes must be finite"),
+            (HALF + [0, 1j * np.nan, 0, 0], "amplitudes must be finite"),
+            (HALF + [0, 0, np.inf, 0], "amplitudes must be finite"),
+            (HALF + [0, 0, 0, -np.inf], "amplitudes must be finite"),
+            (HALF + [0, 0, 0, 1j * np.inf], "amplitudes must be finite"),
+            (np.array([np.nan, 1.0, 0.0]), "expected 4 amplitudes, got shape (3,)"),
+            (HALF * (1 + 1e-6), f"state norm {np.linalg.norm(HALF * (1 + 1e-6))} deviates from 1"),
+        ],
+        ids=["nan_real", "nan_imag", "inf", "minus_inf", "inf_imag", "shape", "norm_1e-6"],
+    )
+    def test_same_errors_as_separate_checks(self, amps, message):
+        expected = raised(reference_check, 2, AB, amps)
+        assert raised(LabeledState, 2, AB, amps) == expected == (ValueError, message)
+
+    def test_norm_message_prints_the_norm(self):
+        with pytest.raises(ValueError, match=r"^state norm 1\.000001\d* deviates from 1$"):
+            LabeledState(1, AB, E0 * (1 + 1e-6))
+
+    def test_norm_within_tolerance_is_accepted(self):
+        amps = E0 * (1 + 0.5e-10)
+        assert abs(np.linalg.norm(amps) - 1) == pytest.approx(0.5e-10, rel=1e-3)
+        reference_check(1, AB, amps)
+        assert LabeledState(1, AB, amps).amplitudes[0] == amps[0]
