@@ -7,7 +7,9 @@ cap exceeded, 4 domain error, 5 I/O error.
 
 Only the numpy-free `counting` and `errors` modules are imported here at
 module level; every other command imports what it uses inside its own
-function, so `identicals count` runs on the standard library alone.
+function, so `identicals count` and a symbol `analyze` (whose report is
+closed form, see emergence.occupation_report) run on the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import sys
 
 from . import counting
-from .errors import CapExceeded
+from .errors import CapExceeded, check_dense_dim
 
 
 class ConfigError(Exception):
@@ -63,8 +65,7 @@ def _get_int(cfg, key, where, minimum=None):
     return v
 
 
-def _get_number(cfg, key, where):
-    v = cfg[key]
+def _number(v, where, key) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number")
     # json reads NaN and +-Infinity, and an integer may be too large for a float
@@ -77,26 +78,32 @@ def _get_number(cfg, key, where):
     return x
 
 
-def _get_sector(cfg, where) -> ExchangeSector:
-    from .exchange import ExchangeSector
+def _get_number(cfg, key, where):
+    return _number(cfg[key], where, key)
 
+
+def _get_sector(cfg, where) -> counting.ExchangeSector:
     v = cfg.get("sector")
     try:
-        return ExchangeSector(v)
+        return counting.ExchangeSector(v)
     except ValueError:
         raise ConfigError(
             f"{where}: sector must be 'symmetric' or 'antisymmetric', got {v!r}"
         ) from None
 
 
-def _complex_list(raw, where) -> np.ndarray:
+def _complex_list(raw, where, key) -> np.ndarray:
+    """raw[i] = [re, im] as complex entries; each re and im must be a finite number."""
     import numpy as np
 
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 for p in raw
     ):
         raise ConfigError(f"{where}: amplitudes must be a list of [re, im] pairs")
-    return np.array([complex(p[0], p[1]) for p in raw])
+    return np.array([
+        complex(_number(re, where, f"{key}[{i}][0]"), _number(im, where, f"{key}[{i}][1]"))
+        for i, (re, im) in enumerate(raw)
+    ])
 
 
 def _interleave(vec: np.ndarray) -> list:
@@ -232,46 +239,63 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
 
 # ---------------------------------------------------------------- analyze
 
-def _state_from_config(cfg: dict) -> tuple[LabeledState, ExchangeSector]:
+def _occupation_from_config(
+    cfg: dict, sector: counting.ExchangeSector
+) -> fock.OccupationState:
     from . import fock
-    from .states import LabeledState, OneParticleBasis, check_dense_dim
 
-    sector = _get_sector(cfg, "analyze")
-    if "symbol" in cfg:
-        _check_keys(cfg, {"symbol", "d", "sector"}, {"symbol", "sector"}, "analyze")
-        text = cfg["symbol"]
-        if not isinstance(text, str):
-            raise ConfigError("analyze: symbol must be a string")
-        modes = fock.symbol_modes(text)
-        d = _get_int(cfg, "d", "analyze", 1) if "d" in cfg else max([1, *modes])
-        check_dense_dim(d, len(modes))  # before parse_symbol allocates d counters
-        occ = fock.parse_symbol(text, d, sector)
-        state = fock.occupation_to_labeled(occ, OneParticleBasis.default(d))
-        return state, sector
+    _check_keys(cfg, {"symbol", "d", "sector"}, {"symbol", "sector"}, "analyze")
+    text = cfg["symbol"]
+    if not isinstance(text, str):
+        raise ConfigError("analyze: symbol must be a string")
+    modes = fock.symbol_modes(text)
+    d = _get_int(cfg, "d", "analyze", 1) if "d" in cfg else max([1, *modes])
+    check_dense_dim(d, len(modes))
+    if not modes:
+        raise ValueError(fock.VACUUM)  # before parse_symbol allocates d counters
+    return fock.parse_symbol(text, d, sector)
+
+
+def _state_from_config(cfg: dict) -> LabeledState:
+    from .states import LabeledState, OneParticleBasis
+
     _check_keys(
         cfg, {"amplitudes", "d", "n_slots", "sector"},
         {"amplitudes", "d", "n_slots", "sector"}, "analyze",
     )
     d = _get_int(cfg, "d", "analyze", 1)
     n_slots = _get_int(cfg, "n_slots", "analyze", 1)
-    amps = _complex_list(cfg["amplitudes"], "analyze")
+    amps = _complex_list(cfg["amplitudes"], "analyze", "amplitudes")
     if amps.shape != (d ** n_slots,):
         raise ConfigError(
             f"analyze: expected {d ** n_slots} amplitudes, got {len(amps)}"
         )
-    return LabeledState(n_slots, OneParticleBasis.default(d), amps), sector
+    return LabeledState(n_slots, OneParticleBasis.default(d), amps)
+
+
+def _unit_vector(m: int, d: int) -> list[float]:
+    """e_m as _interleave writes it: (re, im) of each of the d modes."""
+    vec = [0.0] * (2 * d)
+    vec[2 * m] = 1.0
+    return vec
 
 
 def cmd_analyze(cfg: dict, fmt: str) -> str:
     from . import emergence
 
-    state, sector = _state_from_config(cfg)
-    report = emergence.detect_emergent_particles(state, sector)
+    sector = _get_sector(cfg, "analyze")
+    if "symbol" in cfg:
+        occ = _occupation_from_config(cfg, sector)
+        report = emergence.occupation_report(occ)
+        states = [_unit_vector(m, occ.n_modes) for m, _ in report.defining_states]
+    else:
+        report = emergence.detect_emergent_particles(_state_from_config(cfg), sector)
+        states = [_interleave(vec) for vec, _ in report.defining_states]
     payload = {
         "verdict": report.verdict.value,
         "defining_states": [
-            {"occupation": n_i, "state": _interleave(vec)}
-            for vec, n_i in report.defining_states
+            {"occupation": n_i, "state": state}
+            for state, (_, n_i) in zip(states, report.defining_states)
         ],
         "fidelity": report.fidelity,
         "natural_spectrum": report.natural_spectrum,
@@ -308,7 +332,7 @@ def cmd_hom(cfg: dict, fmt: str, baseline_flag: bool = False) -> str:
             raise ConfigError("hom: splitter must be a 2x2 matrix of [re, im] pairs")
         try:
             matrix = np.array(
-                [_complex_list(row, "hom") for row in raw]
+                [_complex_list(row, "hom", f"splitter[{i}]") for i, row in enumerate(raw)]
             ).reshape(2, 2)
             scenario = interferometer.BeamSplitterScenario(splitter=matrix)
         except (ValueError, ConfigError) as exc:

@@ -3,7 +3,9 @@
 Everything here is exact integer combinatorics: how many ways P quanta can
 sit on N resonators, the symbol strings that realize the stars-and-bars
 argument literally, and the Boltzmann / Bose-Einstein / Fermi-Dirac
-microstate counts for n particles on d modes.
+microstate counts for n particles on d modes.  The exchange sectors are
+named here too, with the statistics of each, so that occupation-level code
+needs no linear algebra.
 """
 
 from __future__ import annotations
@@ -73,6 +75,18 @@ class StatisticsKind(enum.Enum):
     BOLTZMANN = "boltzmann"
     BOSE_EINSTEIN = "bose_einstein"
     FERMI_DIRAC = "fermi_dirac"
+
+
+class ExchangeSector(enum.Enum):
+    SYMMETRIC = "symmetric"
+    ANTISYMMETRIC = "antisymmetric"
+
+    @property
+    def statistics(self) -> StatisticsKind:
+        """The occupation statistics of the sector: Bose-Einstein or Fermi-Dirac."""
+        if self is ExchangeSector.SYMMETRIC:
+            return StatisticsKind.BOSE_EINSTEIN
+        return StatisticsKind.FERMI_DIRAC
 
 
 def planck_count(problem: CountingProblem) -> int:

@@ -12,6 +12,13 @@ candidate (anti)symmetrized product of the natural orbitals is never built:
 for orthonormal orbitals phi_i with occupations n_i its fidelity with the
 state is the closed form |<phi_1 x ... x phi_N | P psi>|^2 N! / prod n_i!,
 N contractions of the projection with one orbital each.
+
+An occupation state needs none of this.  Its 1-RDM is diag(n_m / N), so its
+natural orbitals are its modes, its natural spectrum is its occupations
+over N, and the state is itself the (anti)symmetrized product of its
+occupied modes: fidelity 1.  occupation_report writes that report in closed
+form, on the standard library alone; numpy, `exchange` and `states` are
+imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -20,11 +27,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import exchange
-from .exchange import ExchangeSector
-from .states import TAU_ORTH, TAU_PSD, LabeledState, check_unitary, fix_phase
+from .counting import ExchangeSector
+from .fock import VACUUM
 
 #: |N*lambda_i - round(N*lambda_i)| must stay below this for a decomposition
 DELTA_OCC = 0.05
@@ -40,10 +44,23 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class EmergenceReport:
+    """A verdict, the defining one-particle states with their occupations, and evidence.
+
+    A defining state is a vector over the modes, or, in occupation_report,
+    the 0-based index m of the mode's unit vector e_m.
+    """
+
     verdict: Verdict
-    defining_states: list[tuple[np.ndarray, int]] = field(default_factory=list)
+    defining_states: list[tuple[np.ndarray | int, int]] = field(default_factory=list)
     fidelity: float = 0.0
     natural_spectrum: list[float] = field(default_factory=list)
+
+
+def _decomposed(occupations) -> Verdict:
+    """The verdict on a state that is the product of orbitals with these occupations."""
+    if all(n_i <= 1 for n_i in occupations):
+        return Verdict.PARTICLE_DECOMPOSITION
+    return Verdict.CONDENSED_OBJECT
 
 
 def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -52,6 +69,10 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     Eigenvector phases are fixed (first significant component real positive);
     degenerate eigenvalues are ordered by the flat index of that component.
     """
+    import numpy as np
+
+    from .states import TAU_PSD, fix_phase
+
     rdm = np.asarray(rdm, dtype=complex)
     herm_dev = np.max(np.abs(rdm - rdm.conj().T))
     if herm_dev > TAU_PSD:
@@ -68,6 +89,8 @@ def detect_emergent_particles(
     state: LabeledState, sector: ExchangeSector
 ) -> EmergenceReport:
     """Classify a sector state and extract its defining one-particle states."""
+    from . import exchange
+
     projected = exchange._sector_projection(state, sector)
     if projected is None:
         raise ValueError(f"state is not in the {sector.value} sector")
@@ -102,11 +125,27 @@ def detect_emergent_particles(
         return EmergenceReport(
             Verdict.NO_PARTICLE_DECOMPOSITION, [], fidelity, spectrum
         )
-    if all(n_i <= 1 for n_i in occupations):
-        return EmergenceReport(
-            Verdict.PARTICLE_DECOMPOSITION, defining, fidelity, spectrum
-        )
-    return EmergenceReport(Verdict.CONDENSED_OBJECT, defining, fidelity, spectrum)
+    return EmergenceReport(_decomposed(occupations), defining, fidelity, spectrum)
+
+
+def occupation_report(occ: OccupationState) -> EmergenceReport:
+    """The report of detect_emergent_particles on an occupation state, in closed form.
+
+    The defining states are the occupied modes m, ordered by (-n_m, m); the
+    natural spectrum is n_m / N in that order, then a 0 per empty mode; the
+    fidelity is exactly 1.  No labeled state is built.
+    """
+    n = occ.total
+    if n == 0:
+        raise ValueError(VACUUM)
+    occupied = sorted(
+        ((m, n_m) for m, n_m in enumerate(occ.occupations) if n_m), key=lambda t: -t[1]
+    )
+    spectrum = [n_m / n for _, n_m in occupied]
+    spectrum += [0.0] * (occ.n_modes - len(occupied))
+    return EmergenceReport(
+        _decomposed(n_m for _, n_m in occupied), occupied, 1.0, spectrum
+    )
 
 
 def slater_rank_two_fermions(state: LabeledState) -> int:
@@ -115,6 +154,10 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
     Rank 1 means the state is a single Slater determinant, i.e. two
     individual, perfectly distinguishable particles.
     """
+    import numpy as np
+
+    from . import exchange
+
     if state.n_slots != 2:
         raise ValueError("Slater rank is defined here for two-slot states only")
     if not exchange.is_in_sector(state, ExchangeSector.ANTISYMMETRIC):
@@ -134,6 +177,10 @@ def genidentity_track(
     Orthogonality is preserved, so each state keeps tracing out its own
     distinguishable path.
     """
+    import numpy as np
+
+    from .states import TAU_ORTH, check_unitary
+
     vecs = [np.asarray(v, dtype=complex) for v in initial_states]
     if not vecs:
         return []

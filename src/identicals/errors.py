@@ -1,5 +1,28 @@
-"""Shared exception types."""
+"""Shared exception types and the dense-tensor caps.
+
+The caps live here, beside CapExceeded, so that numpy-free code (the CLI's
+symbol checks) applies the same limits as the dense modules that re-export
+them (`states`, `exchange`).
+"""
+
+#: dense storage only; anything bigger is out of desk scale
+MAX_DIM = 2 ** 24
+#: numpy arrays have at most 64 axes: one per slot, and np.indices adds one
+MAX_SLOTS = 63
 
 
 class CapExceeded(Exception):
     """A requested object is larger than the configured desk-scale cap."""
+
+
+def check_dense_dim(d: int, n: int) -> int:
+    """d^N, or CapExceeded when N slots of d modes do not fit a dense tensor."""
+    if n > MAX_SLOTS:
+        raise CapExceeded(
+            f"N = {n} slots exceed the dense-tensor cap of {MAX_SLOTS} "
+            "(numpy's 64-axis limit)"
+        )
+    dim = d ** n
+    if dim > MAX_DIM:
+        raise CapExceeded(f"d^N = {d}^{n} exceeds the dense-storage cap {MAX_DIM}")
+    return dim

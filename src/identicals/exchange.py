@@ -10,7 +10,6 @@ slot index tuples under S_N.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import threading
@@ -19,6 +18,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import counting
+from .counting import ExchangeSector
 from .errors import CapExceeded
 from .states import (
     MAX_DIM,
@@ -34,18 +34,6 @@ TAU_SECTOR = 1e-9
 #: below this pre-normalization norm an antisymmetrized product counts as
 #: a Pauli violation rather than a usable state
 MIN_PRODUCT_NORM = 1e-6
-
-
-class ExchangeSector(enum.Enum):
-    SYMMETRIC = "symmetric"
-    ANTISYMMETRIC = "antisymmetric"
-
-    @property
-    def statistics(self) -> counting.StatisticsKind:
-        """The occupation statistics of the sector: Bose-Einstein or Fermi-Dirac."""
-        if self is ExchangeSector.SYMMETRIC:
-            return counting.StatisticsKind.BOSE_EINSTEIN
-        return counting.StatisticsKind.FERMI_DIRAC
 
 
 def _project_raw(arr: np.ndarray, sector: ExchangeSector) -> np.ndarray:

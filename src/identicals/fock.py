@@ -10,6 +10,13 @@ counted as whole arrays, never one occupation at a time.  The table of each
 (d, N, sector) is built once and then shared, read-only, by every call of
 either direction and by occupation_to_labeled (see exchange.orbit_table for
 its cache and byte budget).
+
+Symbols and occupation states need only the standard library: numpy,
+`exchange` and `states` are imported inside the functions that use them,
+so parsing a symbol (and the CLI's symbol `analyze`) never imports numpy.
+Those imports name the package absolutely: a relative import inside a
+function resolves the package again on every call, which cost a Fock round
+trip about 4%.
 """
 
 from __future__ import annotations
@@ -17,17 +24,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import exchange
-from .exchange import ExchangeSector
-from .states import LabeledState, OneParticleBasis
+from .counting import ExchangeSector
 
 _SYMBOL_RE = re.compile(r"^f_\{((?:e[0-9]+)*)\}$")
 _TOKEN_RE = re.compile(r"e([0-9]+)")
 _SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
 _NEGATIVE = "occupations must be non-negative"
 _PAULI = "antisymmetric occupations cannot exceed 1"
+VACUUM = "cannot build a labeled state for the vacuum"
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ class FockVector:
     total_number: int
 
     def __post_init__(self):
+        import numpy as np
+
         keys = list(self.terms)
         widths = set(map(len, keys))
         if len(widths) > 1:
@@ -125,10 +131,12 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, basis: OneParticleBasis) -> np.
     a row's n slots in order: slot s holds the first mode whose running
     occupation exceeds s.
     """
+    import numpy as np
+
     if occ.shape[1] != basis.dim:
         raise ValueError(f"occupation has {occ.shape[1]} modes, basis has {basis.dim}")
     if n == 0:
-        raise ValueError("cannot build a labeled state for the vacuum")
+        raise ValueError(VACUUM)
     mode_of_entry = np.tile(np.arange(basis.dim), len(occ))
     modes = np.repeat(mode_of_entry, occ.ravel()).reshape(len(occ), n)
     return np.ravel_multi_index(tuple(modes.T), (basis.dim,) * n)
@@ -136,9 +144,14 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, basis: OneParticleBasis) -> np.
 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
     """The sector basis vector with the given occupations."""
+    import numpy as np
+
+    import identicals.exchange as exchange
+    import identicals.states as states
+
     (first,) = _sorted_tuple_index(np.array([occ.occupations]), occ.total, basis)
     cls, amp, _ = exchange.orbit_table(basis.dim, occ.total, occ.sector)
-    return LabeledState(occ.total, basis, np.where(cls == cls[first], amp, 0.0))
+    return states.LabeledState(occ.total, basis, np.where(cls == cls[first], amp, 0.0))
 
 
 def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
@@ -149,6 +162,10 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     kept, in the order of counting.enumerate_distributions; their
     occupations are counted off the sorted index tuples of the orbit table.
     """
+    import numpy as np
+
+    import identicals.exchange as exchange
+
     if not exchange.is_in_sector(state, sector):
         raise ValueError(f"state is not in the {sector.value} sector")
     n, d = state.n_slots, state.basis.dim
@@ -172,13 +189,18 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock."""
+    import numpy as np
+
+    import identicals.exchange as exchange
+    import identicals.states as states
+
     occ = np.array(list(fv.terms))
     firsts = _sorted_tuple_index(occ, fv.total_number, basis)
     cls, amp, classes = exchange.orbit_table(basis.dim, fv.total_number, fv.sector)
     # one coefficient per class, plus a last 0 that class -1 reads
     coeffs = np.zeros(classes.size + 1, dtype=complex)
     coeffs[cls[firsts]] = list(fv.terms.values())
-    return LabeledState(fv.total_number, basis, coeffs[cls] * amp)
+    return states.LabeledState(fv.total_number, basis, coeffs[cls] * amp)
 
 
 def replace_indistinguishable(occ: OccupationState, mode: int) -> OccupationState:

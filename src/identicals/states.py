@@ -12,30 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded
+# the dense caps, re-exported for the modules and callers that read them here
+from .errors import MAX_DIM, MAX_SLOTS, check_dense_dim
 
 TAU_NORM = 1e-10
 TAU_UNITARY = 1e-10
 TAU_PSD = 1e-10
 TAU_ORTH = 1e-10
-
-#: dense storage only; anything bigger is out of desk scale
-MAX_DIM = 2 ** 24
-#: numpy arrays have at most 64 axes: one per slot, and np.indices adds one
-MAX_SLOTS = 63
-
-
-def check_dense_dim(d: int, n: int) -> int:
-    """d^N, or CapExceeded when N slots of d modes do not fit a dense tensor."""
-    if n > MAX_SLOTS:
-        raise CapExceeded(
-            f"N = {n} slots exceed the dense-tensor cap of {MAX_SLOTS} "
-            "(numpy's 64-axis limit)"
-        )
-    dim = d ** n
-    if dim > MAX_DIM:
-        raise CapExceeded(f"d^N = {d}^{n} exceeds the dense-storage cap {MAX_DIM}")
-    return dim
 
 
 @dataclass(frozen=True)
@@ -176,12 +159,19 @@ def apply_permutation(state: LabeledState, p: Permutation) -> LabeledState:
 
 
 def check_unitary(u: np.ndarray, d: int) -> np.ndarray:
-    """u as a complex d x d array; ValueError unless |u^H u - I| <= TAU_UNITARY."""
+    """u as a complex d x d array; ValueError unless |u^H u - I| <= TAU_UNITARY.
+
+    A non-finite entry is refused before the product; a product that is not
+    finite (NaN compares false) is refused as not unitary.
+    """
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got {u.shape}")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(d)))
-    if dev > TAU_UNITARY:
+    if not np.isfinite(u).all():
+        raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max(np.abs(u.conj().T @ u - np.eye(d)))
+    if not dev <= TAU_UNITARY:
         raise ValueError(f"matrix is not unitary (max |u^H u - I| = {dev:.3g})")
     return u
 

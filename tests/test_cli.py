@@ -342,3 +342,62 @@ def test_non_finite_density_number_is_a_config_error(tmp_path, packet_s, grid, m
     assert result.returncode == 2
     assert result.stderr == f"config error: {message}\n"
     assert not out.exists()
+
+
+# a JSON [re, im] entry and the end of its config error
+BAD_ENTRIES = [
+    pytest.param("1", "must be a number", id="string"),
+    pytest.param(True, "must be a number", id="bool"),
+    pytest.param(float("nan"), "must be a finite number", id="nan"),
+    pytest.param(float("inf"), "must be a finite number", id="inf"),
+    pytest.param(float("-inf"), "must be a finite number", id="minus_inf"),
+    pytest.param(10 ** 400, "must be a finite number", id="int_past_float"),
+]
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+@pytest.mark.parametrize("entry,error", BAD_ENTRIES)
+def test_a_bad_amplitude_entry_is_a_config_error(tmp_path, capsys, entry, error, part):
+    pair = [entry, 0] if part == 0 else [0, entry]
+    config = write_config(
+        tmp_path,
+        {"sector": "symmetric", "d": 2, "n_slots": 1, "amplitudes": [[1, 0], pair]},
+    )
+    assert cli.main(["analyze", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: analyze: amplitudes[1][{part}] {error}\n"
+
+
+@pytest.mark.parametrize("entry,error", BAD_ENTRIES)
+def test_a_bad_splitter_entry_is_a_config_error(tmp_path, capsys, entry, error):
+    config = write_config(
+        tmp_path, {"splitter": [[[1, 0], [0, 0]], [[0, 0], [entry, 0]]]}
+    )
+    assert cli.main(["hom", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: hom: invalid splitter override: hom: splitter[1][1][0] {error}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "splitter,reason",
+    [
+        # json reads 1e400 as inf
+        ('[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]',
+         "hom: splitter[0][0][0] must be a finite number"),
+        # finite entries whose product u^H u overflows
+        ('[[[1e200, 0], [1e200, 0]], [[1e200, 0], [1, 0]]]',
+         "matrix is not unitary (max |u^H u - I| = inf)"),
+    ],
+    ids=["inf_entry", "overflowing_product"],
+)
+def test_a_non_finite_splitter_is_one_config_error_line(tmp_path, splitter, reason):
+    path = tmp_path / "config.json"
+    path.write_text('{"splitter": %s}' % splitter)
+    result = run_cli("hom", "--config", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"config error: hom: invalid splitter override: {reason}\n"

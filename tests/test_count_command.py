@@ -357,20 +357,34 @@ def test_star_import_and_dir_show_the_same_public_names():
     assert public <= set(dir(identicals))
 
 
-def test_count_runs_without_numpy():
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("count", "count_planck_figure"),
+        ("analyze", "analyze_condensate"),
+        ("analyze", "analyze_fermion_pair"),
+        ("analyze", {"symbol": "f_{e1e4096}", "sector": "symmetric"}),
+    ],
+    ids=["count_planck_figure", "analyze_condensate", "analyze_fermion_pair", "analyze_e1e4096"],
+)
+def test_runs_without_numpy(tmp_path, command, config):
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = CONFIGS / f"{config}.json"
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['identicals', 'count', '--config', sys.argv[1]]\n"
+        "sys.argv = ['identicals', *sys.argv[1:]]\n"
         "try:\n"
         "    runpy.run_module('identicals', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    config = str(CONFIGS / "count_planck_figure.json")
     result = subprocess.run(
-        [sys.executable, "-c", code, config], capture_output=True, text=True
+        [sys.executable, "-c", code, command, "--config", str(path)],
+        capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
-

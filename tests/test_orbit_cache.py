@@ -15,7 +15,7 @@ from identicals import (
     occupation_to_labeled,
     sector_basis,
 )
-from identicals import exchange, fock, states
+from identicals import errors, exchange, fock
 from identicals.exchange import orbit_table
 
 from conftest import random_sector_state
@@ -69,7 +69,7 @@ def test_cached_arrays_equal_a_fresh_build_bit_for_bit(monkeypatch, cache, secto
 def test_a_cached_table_still_checks_the_dense_cap_first(monkeypatch, cache):
     orbit_table(3, 2, SYM)
     assert (3, 2, SYM) in cache.tables
-    monkeypatch.setattr(states, "MAX_DIM", 8)
+    monkeypatch.setattr(errors, "MAX_DIM", 8)
     with pytest.raises(CapExceeded):
         orbit_table(3, 2, SYM)
     with pytest.raises(CapExceeded):

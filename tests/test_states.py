@@ -16,7 +16,7 @@ from identicals import (
     sector_basis,
     tensor_product,
 )
-from identicals.states import compose
+from identicals.states import check_unitary, compose
 
 from conftest import random_sector_state, random_unitary, random_unit_vector
 
@@ -186,6 +186,25 @@ class TestOneParticleUnitary:
         s = tensor_product([E0], AB)
         with pytest.raises(ValueError):
             apply_one_particle_unitary(s, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize(
+        "entry", [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.nan, 0)]
+    )
+    def test_rejects_a_non_finite_entry_before_the_product(self, entry):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = entry
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            check_unitary(u, 2)
+
+    @pytest.mark.parametrize(
+        "u,dev",
+        [([[1e200, 1e200], [1e200, 1.0]], "inf"), ([[1e200, 1e200], [1e200, 1e200j]], "nan")],
+        ids=["inf_deviation", "nan_deviation"],
+    )
+    def test_rejects_an_overflowing_product_without_warnings(self, u, dev):
+        # every entry is finite, u^H u is not; RuntimeWarnings are errors here
+        with pytest.raises(ValueError, match=rf"not unitary \(max \|u\^H u - I\| = {dev}\)"):
+            check_unitary(np.array(u), 2)
 
 
 class TestReduceOneParticle:

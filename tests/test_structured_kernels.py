@@ -30,7 +30,7 @@ from identicals import (
     occupation_to_labeled,
     sector_basis,
 )
-from identicals import cli, exchange, states
+from identicals import cli, errors, exchange, states
 from identicals.exchange import _project_raw, orbit_table
 
 from conftest import random_sector_state
@@ -164,7 +164,7 @@ def test_near_sector_state_round_trips(sector, d):
 
 
 def test_orbit_table_checks_the_dense_cap_first(monkeypatch):
-    monkeypatch.setattr(states, "MAX_DIM", 8)
+    monkeypatch.setattr(errors, "MAX_DIM", 8)
     with pytest.raises(CapExceeded):
         orbit_table(3, 2, SYM)
     with pytest.raises(CapExceeded):
