@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "counting": (
         "CountingProblem",
+        "ExchangeSector",
         "StatisticsKind",
         "SymbolString",
         "count_microstates",
@@ -37,7 +38,6 @@ _EXPORTS = {
     ),
     "errors": ("CapExceeded",),
     "exchange": (
-        "ExchangeSector",
         "is_in_sector",
         "sector_basis",
         "sector_project",

@@ -7,11 +7,17 @@ such decomposition at all.  The candidate one-particle states are the
 eigenvectors of the one-particle reduced density matrix.
 
 One detection projects the state onto its sector once.  Every slot of a
-sector state has the same reduced density matrix, so slot 0 gives it.  The
-candidate (anti)symmetrized product of the natural orbitals is never built:
-for orthonormal orbitals phi_i with occupations n_i its fidelity with the
-state is the closed form |<phi_1 x ... x phi_N | P psi>|^2 N! / prod n_i!,
-N contractions of the projection with one orbital each.
+sector state has the same reduced density matrix, so slot 0 gives it.  Its
+spectrum comes from eigvalsh, and the occupations are read off it; only the
+r <= N occupied orbitals are then needed.  When the eigenvalues past the r
+occupied ones sum to at most TAU_RANK, the 1-RDM is rank r and those
+orbitals come from r steps of pivoted Cholesky and the eigh of an r x r
+Gram matrix, with no d x d eigenvectors; any other state falls back to the
+full natural_orbitals.  The candidate (anti)symmetrized product of the
+natural orbitals is never built: for orthonormal orbitals phi_i with
+occupations n_i its fidelity with the state is the closed form
+|<phi_1 x ... x phi_N | P psi>|^2 N! / prod n_i!, N contractions of the
+projection with one orbital each.
 
 An occupation state needs none of this.  Its 1-RDM is diag(n_m / N), so its
 natural orbitals are its modes, its natural spectrum is its occupations
@@ -34,6 +40,10 @@ from .fock import VACUUM
 DELTA_OCC = 0.05
 TAU_FID = 1e-8
 SLATER_SV_THRESHOLD = 1e-9
+#: a 1-RDM whose eigenvalues past its r occupied ones sum to at most this in
+#: absolute value is taken as rank r, its orbitals from r pivoted-Cholesky
+#: steps; rounding leaves tails under 4e-16 on rank-r states up to d = 256
+TAU_RANK = 1e-13
 
 
 class Verdict(enum.Enum):
@@ -63,32 +73,80 @@ def _decomposed(occupations) -> Verdict:
     return Verdict.CONDENSED_OBJECT
 
 
-def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs of a one-particle reduced density matrix, eigenvalue-descending.
-
-    Eigenvector phases are fixed (first significant component real positive);
-    degenerate eigenvalues are ordered by the flat index of that component.
-    """
+def _hermitian(rdm) -> np.ndarray:
+    """rdm as a complex array, or ValueError if it is not Hermitian to TAU_PSD."""
     import numpy as np
 
-    from .states import TAU_PSD, fix_phase
+    from .states import TAU_PSD
 
     rdm = np.asarray(rdm, dtype=complex)
     herm_dev = np.max(np.abs(rdm - rdm.conj().T))
     if herm_dev > TAU_PSD:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3g})")
-    evals, evecs = np.linalg.eigh(rdm)
-    evals, vecs = evals[::-1], evecs.T[::-1]
+    return rdm
+
+
+def _ordered(evals: np.ndarray, vecs: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Eigenpairs from descending eigenvalues and their eigenvectors as rows.
+
+    Each vector's phase is fixed in place (first significant component real
+    positive); eigenvalues equal to 1e-9 are ordered by the flat index of
+    that component.
+    """
+    import numpy as np
+
+    from .states import fix_phase
+
     fix_phase(vecs)
     lead = np.argmax(np.abs(vecs) > 1e-9, axis=1)
     order = np.lexsort((lead, -np.round(evals / 1e-9)))
     return [(float(evals[i]), vecs[i]) for i in order]
 
 
+def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Eigenpairs of a one-particle reduced density matrix, eigenvalue-descending.
+
+    All d eigenpairs, from one full eigh.  Eigenvector phases are fixed
+    (first significant component real positive); degenerate eigenvalues are
+    ordered by the flat index of that component.  detect_emergent_particles
+    calls this only for a 1-RDM that is not of the rank its occupations
+    claim; otherwise it needs the occupied orbitals alone.
+    """
+    import numpy as np
+
+    evals, evecs = np.linalg.eigh(_hermitian(rdm))
+    return _ordered(evals[::-1], evecs.T[::-1])
+
+
+def _occupied_orbitals(rdm: np.ndarray, r: int) -> list[tuple[float, np.ndarray]]:
+    """The r eigenpairs of nonzero eigenvalue of a rank-r 1-RDM, as natural_orbitals orders them.
+
+    r steps of pivoted Cholesky (pivot: the largest residual diagonal, the
+    first on ties) give rdm = L L^dagger with L d x r; the eigh of the r x r
+    Gram matrix L^dagger L = U diag(lam) U^dagger then gives the orbitals
+    L U lam^(-1/2).  An exactly diagonal rdm has scaled unit vectors for
+    columns of L and a diagonal Gram matrix, so its orbitals are exact unit
+    vectors.
+    """
+    import numpy as np
+
+    chol = np.zeros((len(rdm), r), dtype=complex)
+    residual = rdm.diagonal().real.copy()
+    for k in range(r):
+        p = int(np.argmax(residual))
+        chol[:, k] = (rdm[:, p] - chol[:, :k] @ chol[p, :k].conj()) / math.sqrt(residual[p])
+        residual -= np.abs(chol[:, k]) ** 2
+    lam, u = np.linalg.eigh(chol.conj().T @ chol)
+    vecs = (chol @ u / np.sqrt(lam)).T
+    return _ordered(lam[::-1], vecs[::-1])
+
+
 def detect_emergent_particles(
     state: LabeledState, sector: ExchangeSector
 ) -> EmergenceReport:
     """Classify a sector state and extract its defining one-particle states."""
+    import numpy as np
+
     from . import exchange
 
     projected = exchange._sector_projection(state, sector)
@@ -96,11 +154,11 @@ def detect_emergent_particles(
         raise ValueError(f"state is not in the {sector.value} sector")
     n, d = state.n_slots, state.basis.dim
     slot = projected.reshape(d, -1)
-    orbitals = natural_orbitals(slot @ slot.conj().T)
-    spectrum = [lam for lam, _ in orbitals]
+    rdm = _hermitian(slot @ slot.conj().T)
+    spectrum = np.linalg.eigvalsh(rdm)[::-1].tolist()
 
     occupations = []
-    for lam, _ in orbitals:
+    for lam in spectrum:
         n_i = int(round(n * lam))
         if abs(n * lam - n_i) > DELTA_OCC:
             return EmergenceReport(
@@ -110,21 +168,28 @@ def detect_emergent_particles(
     if sum(occupations) != n:
         return EmergenceReport(Verdict.NO_PARTICLE_DECOMPOSITION, [], 0.0, spectrum)
 
+    # the spectrum descends, so the r occupied orbitals come first
+    r = sum(n_i > 0 for n_i in occupations)
+    if abs(sum(spectrum[r:])) <= TAU_RANK:
+        orbitals = _occupied_orbitals(rdm, r)
+    else:
+        # not of rank r, so its fidelity is at most 1 - tail: reported as the
+        # full eigendecomposition gives it
+        orbitals = natural_orbitals(rdm)[:r]
+
     # |<psi|cand>|^2 without building cand = P(x)phi / |P(x)phi|: for
     # orthonormal phi_i, <psi|P(x)phi> = <P psi|(x)phi> and |P(x)phi|^2 = prod n_i! / N!
     overlap = projected
-    for (lam, vec), n_i in zip(orbitals, occupations):
+    for (_, vec), n_i in zip(orbitals, occupations):
         for _ in range(n_i):
             overlap = vec.conj() @ overlap.reshape(d, -1)
     multinomial = math.factorial(n) // math.prod(map(math.factorial, occupations))
     fidelity = abs(overlap.item()) ** 2 * multinomial
-    defining = [
-        (vec, n_i) for (lam, vec), n_i in zip(orbitals, occupations) if n_i > 0
-    ]
     if fidelity < 1.0 - TAU_FID:
         return EmergenceReport(
             Verdict.NO_PARTICLE_DECOMPOSITION, [], fidelity, spectrum
         )
+    defining = [(vec, n_i) for (_, vec), n_i in zip(orbitals, occupations)]
     return EmergenceReport(_decomposed(occupations), defining, fidelity, spectrum)
 
 

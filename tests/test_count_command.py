@@ -388,3 +388,18 @@ def test_runs_without_numpy(tmp_path, command, config):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_exchange_sector_is_exported_without_numpy():
+    code = (
+        "import sys\n"
+        "import identicals\n"
+        "from identicals import ExchangeSector\n"
+        "assert identicals.ExchangeSector is ExchangeSector\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        "import identicals.exchange\n"
+        "print(identicals.ExchangeSector is identicals.exchange.ExchangeSector)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True"]
