@@ -153,7 +153,7 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             counting.StatisticsKind.BOSE_EINSTEIN, problem.n_quanta, problem.n_resonators
         )
         s = counting.entropy(w, k)
-        blocks = counting.symbol_blocks(problem) if cfg.get("enumerate", False) else None
+        blocks = counting.symbol_blocks(problem, fmt=fmt) if cfg.get("enumerate", False) else None
         # each block of symbols is one string: one % of the block's template per symbol
         if fmt == "json":
             text = json.dumps({"W": w, "S": _round_floats(s)}, indent=2)

@@ -19,8 +19,24 @@ from dataclasses import dataclass
 from .errors import CapExceeded
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
-#: bound on W * (N + P), the characters a Planck enumeration builds
+#: bound on enumeration_characters, the characters a Planck enumeration builds
 ENUMERATION_CHARACTER_CAP = 2 * 10 ** 7
+
+
+def enumeration_characters(problem: CountingProblem, fmt: str | None = None) -> int:
+    """Estimated characters of the W symbols of a Planck enumeration.
+
+    Each symbol text has N - 1 + P marks.  A `count` report in format `fmt`
+    adds the N energies of each symbol, each at most digits(P) digits and a
+    separator ("csv": ';', ',' or a newline) or the separator and indent of
+    json.dumps(indent=2) (ten characters).
+    """
+    w = planck_count(problem)
+    k, p = problem.n_resonators, problem.n_quanta
+    size = w * (k - 1 + p)
+    if fmt is not None:
+        size += w * k * (len(str(p)) + (1 if fmt == "csv" else 10))
+    return size
 
 
 @dataclass(frozen=True)
@@ -95,7 +111,7 @@ def planck_count(problem: CountingProblem) -> int:
 
 
 def symbol_blocks(
-    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
+    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP, fmt: str | None = None
 ) -> list[tuple[str, str, list[str], list[str]]]:
     """Every symbol's text ('ooee') and energies text ('0;0;2'), in enumerate_symbols order.
 
@@ -105,14 +121,15 @@ def symbol_blocks(
     symbol, so a caller formats each block with one template; the memo of
     half-enumerations behind them is dropped when the call returns.  Both caps
     are checked before anything is built: at most `cap` symbols, and at most
-    ENUMERATION_CHARACTER_CAP for W * (N + P), the estimated characters (each
-    symbol text has N - 1 + P marks).
+    ENUMERATION_CHARACTER_CAP for enumeration_characters(problem, fmt), the
+    estimated characters of the symbols, or of a `count` report in format
+    `fmt`.
     """
     w = planck_count(problem)
     if w > cap:
         raise CapExceeded(f"{w} symbols exceed the enumeration cap {cap}")
     k, p = problem.n_resonators, problem.n_quanta
-    size = w * (k + p)
+    size = enumeration_characters(problem, fmt)
     if size > ENUMERATION_CHARACTER_CAP:
         raise CapExceeded(
             f"{w} symbols of {k} resonators and {p} quanta are about {size} "
@@ -179,18 +196,6 @@ def _texts(blocks: list[tuple[str, str, list[str], list[str]]]) -> Iterator[str]
     for head, _, texts, _ in blocks:
         for text in texts:
             yield head + text
-
-
-def symbol_rows(
-    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(text, energies) of every symbol, in enumerate_symbols order.
-
-    The rows are read from symbol_blocks, with no SymbolString; both caps
-    are checked at the call.
-    """
-    texts = _texts(symbol_blocks(problem, cap))
-    return ((text, tuple(map(len, text.split("o")))) for text in texts)
 
 
 def enumerate_symbols(

@@ -7,17 +7,22 @@ such decomposition at all.  The candidate one-particle states are the
 eigenvectors of the one-particle reduced density matrix.
 
 One detection projects the state onto its sector once.  Every slot of a
-sector state has the same reduced density matrix, so slot 0 gives it.  Its
-spectrum comes from eigvalsh, and the occupations are read off it; only the
-r <= N occupied orbitals are then needed.  When the eigenvalues past the r
-occupied ones sum to at most TAU_RANK, the 1-RDM is rank r and those
-orbitals come from r steps of pivoted Cholesky and the eigh of an r x r
-Gram matrix, with no d x d eigenvectors; any other state falls back to the
-full natural_orbitals.  The candidate (anti)symmetrized product of the
-natural orbitals is never built: for orthonormal orbitals phi_i with
-occupations n_i its fidelity with the state is the closed form
+sector state has the same reduced density matrix gamma = slot slot^dagger,
+with slot the projection reshaped to (d, d^(N-1)).  A state of individual
+particles has a gamma of rank r <= N, so detection goes rank first: at
+most N steps of pivoted Cholesky on slot, one column of gamma each, with
+gamma never formed.  When the residual trace falls to TAU_RANK after
+k <= N steps, gamma ~ L L^dagger (L d x k), and the eigh of the k x k Gram
+matrix L^dagger L gives the spectrum (k eigenvalues, then d - k exact
+zeros) and the occupied orbitals; no d x d matrix is built.  Any other
+state builds gamma and takes its spectrum from eigvalsh and its orbitals
+from the full natural_orbitals.  The occupations are read off the
+spectrum.  The candidate (anti)symmetrized product of the natural
+orbitals is never built: for orthonormal orbitals phi_i with occupations
+n_i its fidelity with the state is the closed form
 |<phi_1 x ... x phi_N | P psi>|^2 N! / prod n_i!, N contractions of the
-projection with one orbital each.
+projection with one orbital each.  slater_rank_two_fermions reuses the
+same Cholesky steps.
 
 An occupation state needs none of this.  Its 1-RDM is diag(n_m / N), so its
 natural orbitals are its modes, its natural spectrum is its occupations
@@ -40,9 +45,10 @@ from .fock import VACUUM
 DELTA_OCC = 0.05
 TAU_FID = 1e-8
 SLATER_SV_THRESHOLD = 1e-9
-#: a 1-RDM whose eigenvalues past its r occupied ones sum to at most this in
-#: absolute value is taken as rank r, its orbitals from r pivoted-Cholesky
-#: steps; rounding leaves tails under 4e-16 on rank-r states up to d = 256
+#: a 1-RDM whose pivoted-Cholesky residual trace falls to at most this within
+#: N steps is taken as rank k <= N, its spectrum and orbitals from the k x k
+#: Gram matrix; rounding leaves residuals under 4e-16 on rank-k states up to
+#: d = 256
 TAU_RANK = 1e-13
 
 
@@ -109,8 +115,8 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     All d eigenpairs, from one full eigh.  Eigenvector phases are fixed
     (first significant component real positive); degenerate eigenvalues are
     ordered by the flat index of that component.  detect_emergent_particles
-    calls this only for a 1-RDM that is not of the rank its occupations
-    claim; otherwise it needs the occupied orbitals alone.
+    calls this only for a 1-RDM of rank above N; otherwise the rank-first
+    path gives the occupied orbitals alone.
     """
     import numpy as np
 
@@ -118,27 +124,52 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return _ordered(evals[::-1], evecs.T[::-1])
 
 
-def _occupied_orbitals(rdm: np.ndarray, r: int) -> list[tuple[float, np.ndarray]]:
-    """The r eigenpairs of nonzero eigenvalue of a rank-r 1-RDM, as natural_orbitals orders them.
+def _pivoted_cholesky(psi: np.ndarray) -> tuple[list[int], np.ndarray] | None:
+    """Pivots and L (d x k, k <= N) with gamma ~ L L^dagger for a slot tensor psi, or None.
 
-    r steps of pivoted Cholesky (pivot: the largest residual diagonal, the
-    first on ties) give rdm = L L^dagger with L d x r; the eigh of the r x r
-    Gram matrix L^dagger L = U diag(lam) U^dagger then gives the orbitals
-    L U lam^(-1/2).  An exactly diagonal rdm has scaled unit vectors for
-    columns of L and a diagonal Gram matrix, so its orbitals are exact unit
-    vectors.
+    gamma = slot slot^dagger is the 1-RDM of psi, slot = psi reshaped to
+    (d, d^(N-1)).  Rank-revealing pivoted Cholesky (Harbrecht, Peters &
+    Schneider, Appl. Numer. Math. 62, 2012) with gamma never formed: its
+    diagonal is the squared row norms of slot, and each step computes the
+    one column slot @ slot[p].conj() at the pivot p, the largest residual
+    diagonal (the first on ties).  It stops as soon as the residual trace is
+    at most TAU_RANK, and returns None if N steps do not get there.  An
+    exactly diagonal gamma has scaled unit vectors for columns of L.
+
+    The residual trace after N steps is at least the sum of gamma's
+    eigenvalues past the N-th, so it is None at once when the (N+1)-th
+    exceeds TAU_RANK.  For any N + 1 columns C of slot, gamma >= C C^dagger,
+    so that eigenvalue is at least the smallest one of the Gram matrix
+    C^dagger C, itself at least det / trace^N of it.  The columns are the
+    adjacent psi[:, 0, 1, ..., N-3, x] for x = N-2..2N-2, nonzero in either
+    sector: a dense state far from rank N is refused from (N+1) d
+    amplitudes.
     """
     import numpy as np
 
-    chol = np.zeros((len(rdm), r), dtype=complex)
-    residual = rdm.diagonal().real.copy()
-    for k in range(r):
+    d, n = len(psi), psi.ndim
+    slot = psi.reshape(d, -1)
+    if n > 1 and d >= 2 * n - 1:
+        # the flat column index of (0, 1, ..., N-2); the next N columns raise its last index
+        start = sum(t * d ** (n - 2 - t) for t in range(n - 1))
+        probe = slot[:, start : start + n + 1]
+        gram = probe.conj().T @ probe
+        if np.linalg.det(gram).real > TAU_RANK * np.trace(gram).real ** n:
+            return None
+    pairs = np.ascontiguousarray(slot).view(np.float64)
+    # one dot product per row: no d^N temporary
+    residual = (pairs[:, None, :] @ pairs[:, :, None]).ravel()
+    chol = np.zeros((d, n), dtype=complex)
+    pivots: list[int] = []
+    for k in range(n):
+        if residual.sum() <= TAU_RANK:
+            return pivots, chol[:, :k]
         p = int(np.argmax(residual))
-        chol[:, k] = (rdm[:, p] - chol[:, :k] @ chol[p, :k].conj()) / math.sqrt(residual[p])
+        pivots.append(p)
+        column = slot @ slot[p].conj() - chol[:, :k] @ chol[p, :k].conj()
+        chol[:, k] = column / math.sqrt(residual[p])
         residual -= np.abs(chol[:, k]) ** 2
-    lam, u = np.linalg.eigh(chol.conj().T @ chol)
-    vecs = (chol @ u / np.sqrt(lam)).T
-    return _ordered(lam[::-1], vecs[::-1])
+    return (pivots, chol) if residual.sum() <= TAU_RANK else None
 
 
 def detect_emergent_particles(
@@ -153,14 +184,23 @@ def detect_emergent_particles(
     if projected is None:
         raise ValueError(f"state is not in the {sector.value} sector")
     n, d = state.n_slots, state.basis.dim
-    slot = projected.reshape(d, -1)
-    rdm = _hermitian(slot @ slot.conj().T)
-    spectrum = np.linalg.eigvalsh(rdm)[::-1].tolist()
+    found = _pivoted_cholesky(projected)
+    if found is not None:
+        # gamma = L L^dagger has the nonzero eigenvalues of the k x k Gram
+        # matrix L^dagger L = U diag(lam) U^dagger, eigenvectors L U lam^(-1/2)
+        chol = found[1]
+        lam, u = np.linalg.eigh(chol.conj().T @ chol)
+        lam, u = lam[::-1], u[:, ::-1]
+        spectrum = lam.tolist() + [0.0] * (d - len(lam))
+    else:
+        slot = projected.reshape(d, -1)
+        rdm = _hermitian(slot @ slot.conj().T)
+        spectrum = np.linalg.eigvalsh(rdm)[::-1].tolist()
 
     occupations = []
-    for lam in spectrum:
-        n_i = int(round(n * lam))
-        if abs(n * lam - n_i) > DELTA_OCC:
+    for lam_i in spectrum:
+        n_i = int(round(n * lam_i))
+        if abs(n * lam_i - n_i) > DELTA_OCC:
             return EmergenceReport(
                 Verdict.NO_PARTICLE_DECOMPOSITION, [], 0.0, spectrum
             )
@@ -170,11 +210,9 @@ def detect_emergent_particles(
 
     # the spectrum descends, so the r occupied orbitals come first
     r = sum(n_i > 0 for n_i in occupations)
-    if abs(sum(spectrum[r:])) <= TAU_RANK:
-        orbitals = _occupied_orbitals(rdm, r)
+    if found is not None:
+        orbitals = _ordered(lam[:r], (chol @ u[:, :r] / np.sqrt(lam[:r])).T)
     else:
-        # not of rank r, so its fidelity is at most 1 - tail: reported as the
-        # full eigendecomposition gives it
         orbitals = natural_orbitals(rdm)[:r]
 
     # |<psi|cand>|^2 without building cand = P(x)phi / |P(x)phi|: for
@@ -217,7 +255,16 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
     """Number of antisymmetrized product terms needed for a two-fermion state.
 
     Rank 1 means the state is a single Slater determinant, i.e. two
-    individual, perfectly distinguishable particles.
+    individual, perfectly distinguishable particles.  The rank is half the
+    number of singular values above SLATER_SV_THRESHOLD of the d x d
+    amplitude matrix w (Schliemann, Cirac, Kus, Lewenstein & Loss, PRA 64,
+    022303, 2001).  Two pivoted-Cholesky steps on w w^dagger give Q, an
+    orthonormal basis of the pivot rows of w, and w = M Q + R with M = w Q^dagger
+    (d x k) and R formed explicitly.  By Weyl's inequality each singular
+    value of w is within |R|_F of the same one of M Q, whose nonzero ones
+    are M's; M's come from the eigh of its k x k Gram matrix.  When that
+    settles every singular value on one side of the threshold, the count is
+    the full SVD's; otherwise the full SVD runs.
     """
     import numpy as np
 
@@ -229,6 +276,22 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
         raise ValueError("state is not antisymmetric")
     d = state.basis.dim
     w = state.amplitudes.reshape(d, d)
+    found = _pivoted_cholesky(w)
+    if found is not None:
+        # orthonormal rows spanning the pivot rows of w
+        q = np.linalg.qr(w[found[0]].T)[0].T
+        m = w @ q.conj().T
+        residual = m @ q
+        np.subtract(w, residual, out=residual)
+        gram = m.conj().T @ m
+        sv = np.sqrt(np.clip(np.linalg.eigh(gram)[0], 0.0, None))
+        # rounding of the length-d products and of the SVD itself, then of
+        # each sigma taken as the square root of a Gram eigenvalue
+        eps = d * np.finfo(float).eps
+        tail = np.linalg.norm(residual) + eps
+        spread = tail + math.sqrt(eps * np.trace(gram).real)
+        if tail < SLATER_SV_THRESHOLD and np.all(np.abs(sv - SLATER_SV_THRESHOLD) > spread):
+            return int(np.count_nonzero(sv > SLATER_SV_THRESHOLD)) // 2
     sv = np.linalg.svd(w, compute_uv=False)
     # singular values of an antisymmetric matrix come in equal pairs
     return int(np.count_nonzero(sv > SLATER_SV_THRESHOLD)) // 2

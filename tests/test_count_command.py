@@ -77,13 +77,14 @@ def test_enumerate_symbols_matches_the_reference(n_res):
 
 def test_symbol_rows_are_the_symbol_text_and_energies():
     problem = CountingProblem(4, 7)
-    rows = list(counting.symbol_rows(problem))
-    assert rows == [(s.as_text(), s.energies()) for s in reference_symbols(problem)]
+    assert block_rows(problem) == [
+        (s.as_text(), ";".join(map(str, s.energies()))) for s in reference_symbols(problem)
+    ]
 
 
 def test_symbol_rows_checks_the_cap_before_the_first_row():
     with pytest.raises(counting.CapExceeded):
-        counting.symbol_rows(CountingProblem(30, 30))
+        counting.symbol_blocks(CountingProblem(30, 30))
 
 
 def test_a_million_resonators_without_quanta_is_one_row(tmp_path, capsys):
@@ -123,11 +124,9 @@ def block_rows(problem):
     ]
 
 
-def check_against_separator_positions(n_res, n_quanta, symbol_rows_too=True):
+def check_against_separator_positions(n_res, n_quanta):
     problem = CountingProblem(n_res, n_quanta)
     want = list(separator_rows(n_res, n_quanta))
-    if symbol_rows_too:
-        assert list(counting.symbol_rows(problem)) == want, (n_res, n_quanta)
     assert block_rows(problem) == [
         (text, ";".join(map(str, energies))) for text, energies in want
     ], (n_res, n_quanta)
@@ -145,8 +144,7 @@ def test_symbol_blocks_and_rows_match_separator_positions_on_the_grid(n_res):
     [(40, 1), (40, 2), (2, 40), (3, 40), (64, 3), (3000, 1), (300, 2), (100000, 0)],
 )
 def test_symbol_blocks_match_separator_positions_on_thin_and_wide_shapes(n_res, n_quanta):
-    # symbol_rows' energies tuples of thousands of resonators only add time here
-    check_against_separator_positions(n_res, n_quanta, symbol_rows_too=n_res <= 64)
+    check_against_separator_positions(n_res, n_quanta)
 
 
 def separator_output(n_res, n_quanta, fmt, k):
@@ -254,21 +252,61 @@ def test_an_enumeration_past_the_character_cap_exits_3_before_a_row_is_built(
     code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
     assert code == 3
     assert out == ""
-    assert f"about {10 ** 6 * (2 + 999999)} characters" in err
+    # W (N - 1 + P) marks, and N energies of 6 digits and a separator each
+    separator = {"csv": 1, "json": 10}[fmt]
+    assert f"about {10 ** 6 * (1 + 999999) + 10 ** 6 * 2 * (6 + separator)} characters" in err
     assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
     assert elapsed < 1.0
 
 
 def test_the_character_cap_admits_every_planck_count_of_the_configs_and_benchmark():
-    shapes = [(13, 7), (8, 12), (7, 11), (40, 1), (40, 2), (2, 40), (3, 40), (64, 3),
-              (3000, 1), (300, 2), (100000, 0)]
+    # the benchmark's generated Planck configs, then the committed ones
+    reports = [(13, 7), (8, 12), (7, 11)]
     for path in CONFIGS.glob("count_*.json"):
         cfg = json.loads(path.read_text())
         if cfg.get("enumerate"):
-            shapes.append((cfg["N"], cfg["P"]))
-    for n_res, n_quanta in shapes:
-        w = math.comb(n_res - 1 + n_quanta, n_quanta)
-        assert w * (n_res + n_quanta) <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta)
+            reports.append((cfg["N"], cfg["P"]))
+    for n_res, n_quanta in reports:
+        for fmt in ("csv", "json"):
+            size = counting.enumeration_characters(CountingProblem(n_res, n_quanta), fmt)
+            assert size <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta, fmt)
+    # the shapes the tests above enumerate without a report
+    for n_res, n_quanta in [(40, 1), (40, 2), (2, 40), (3, 40), (64, 3), (3000, 1), (300, 2),
+                            (100000, 0)]:
+        size = counting.enumeration_characters(CountingProblem(n_res, n_quanta))
+        assert size <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_report_of_long_energy_lists_exits_3_before_a_row_is_built(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    # 4000 symbols of 4000 marks pass as text, but their energies lists
+    # would make a 48 MB CSV or a 192 MB JSON report
+    def never(*args):
+        raise AssertionError("a row was built")
+
+    problem = CountingProblem(4000, 1)
+    assert counting.enumeration_characters(problem) <= counting.ENUMERATION_CHARACTER_CAP
+    monkeypatch.setattr(counting, "_symbol_texts", never)
+    cfg = {"N": 4000, "P": 1, "enumerate": True}
+    code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
+    assert code == 3
+    assert out == ""
+    assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
+    assert elapsed < 1.0
+
+
+def test_the_character_estimate_follows_reports_of_many_resonators():
+    # where the energies lists dominate, the estimate is the report's size
+    # to within its per-symbol framing; W (N + P) read a third of the CSV
+    for n_res, n_quanta in [(40, 1), (40, 2), (200, 1), (100000, 0)]:
+        problem = CountingProblem(n_res, n_quanta)
+        for fmt in ("csv", "json"):
+            report = cli.cmd_count({"N": n_res, "P": n_quanta, "enumerate": True}, fmt)
+            rows = len(report) - len(cli.cmd_count({"N": n_res, "P": n_quanta}, fmt))
+            estimate = counting.enumeration_characters(problem, fmt)
+            assert 0.95 <= rows / estimate <= 1.15, (n_res, n_quanta, fmt, rows, estimate)
 
 
 def test_the_exact_count_decides_at_the_limit(tmp_path, capsys):
