@@ -36,8 +36,7 @@ def _fmt(v) -> str:
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        v = obj if obj != 0 else 0.0
-        return float(f"{v:.12g}")
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -45,24 +44,31 @@ def _round_floats(obj):
     return obj
 
 
-def _check_keys(cfg: dict, allowed: set[str], required: set[str], where: str):
+# ---------------------------------------------------------------- config schemas
+# A schema maps each key of a config object to (check, required); a check is
+# called as check(value, where, key) and returns the parsed value.
+
+def _parse(cfg, schema: dict, where: str) -> dict:
+    """The parsed value of each key cfg holds, checked in schema order."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - set(schema)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(cfg)
+    missing = {key for key, (_, required) in schema.items() if required} - set(cfg)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    return {key: check(cfg[key], where, key) for key, (check, _) in schema.items() if key in cfg}
 
 
-def _get_int(cfg, key, where, minimum=None):
-    v = cfg[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{where}: {key} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}: {key} must be >= {minimum}")
-    return v
+def _integer(minimum: int):
+    def check(v, where, key) -> int:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ConfigError(f"{where}: {key} must be an integer")
+        if v < minimum:
+            raise ConfigError(f"{where}: {key} must be >= {minimum}")
+        return v
+    return check
 
 
 def _number(v, where, key) -> float:
@@ -78,18 +84,23 @@ def _number(v, where, key) -> float:
     return x
 
 
-def _get_number(cfg, key, where):
-    return _number(cfg[key], where, key)
+def _instance(kind: type, description: str):
+    def check(v, where, key):
+        if not isinstance(v, kind):
+            raise ConfigError(f"{where}: {key} must be {description}")
+        return v
+    return check
 
 
-def _get_sector(cfg, where) -> counting.ExchangeSector:
-    v = cfg.get("sector")
-    try:
-        return counting.ExchangeSector(v)
-    except ValueError:
-        raise ConfigError(
-            f"{where}: sector must be 'symmetric' or 'antisymmetric', got {v!r}"
-        ) from None
+def _sector(v, where, key) -> counting.ExchangeSector:
+    if v not in [sector.value for sector in counting.ExchangeSector]:
+        raise ConfigError(f"{where}: {key} must be 'symmetric' or 'antisymmetric', got {v!r}")
+    return counting.ExchangeSector(v)
+
+
+def _object(schema: dict):
+    """A nested config object, named by its key in messages."""
+    return lambda v, where, key: _parse(v, schema, key)
 
 
 def _complex_list(raw, where, key) -> np.ndarray:
@@ -104,6 +115,55 @@ def _complex_list(raw, where, key) -> np.ndarray:
         complex(_number(re, where, f"{key}[{i}][0]"), _number(im, where, f"{key}[{i}][1]"))
         for i, (re, im) in enumerate(raw)
     ])
+
+
+def _kinds(v, where, key) -> list[counting.StatisticsKind]:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: {key} must be a non-empty list")
+    names = [kind.value for kind in counting.StatisticsKind]
+    for name in v:
+        if name not in names:
+            raise ConfigError(f"{where}: unknown statistics kind {name!r}")
+    return list(map(counting.StatisticsKind, v))
+
+
+def _symbol(v, where, key) -> tuple[str, list[int]]:
+    """The text and mode indices of a symbol; a malformed symbol is a domain error."""
+    from . import fock
+
+    text = _STRING(v, where, key)
+    return text, fock.symbol_modes(text)
+
+
+def _splitter(raw, where, key) -> interferometer.BeamSplitterScenario:
+    import numpy as np
+
+    from . import interferometer
+
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ConfigError(f"{where}: {key} must be a 2x2 matrix of [re, im] pairs")
+    try:
+        rows = [_complex_list(row, where, f"{key}[{i}]") for i, row in enumerate(raw)]
+        return interferometer.BeamSplitterScenario(splitter=np.array(rows).reshape(2, 2))
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: invalid {key} override: {exc}") from None
+
+
+_BOOLEAN = _instance(bool, "true or false")
+_STRING = _instance(str, "a string")
+_PLANCK = {"N": (_integer(1), True), "P": (_integer(0), True),
+           "enumerate": (_BOOLEAN, False), "k": (_number, False)}
+_MICROSTATES = {"n": (_integer(0), True), "d": (_integer(1), True),
+                "k": (_number, False), "kinds": (_kinds, True)}
+_BASIS = {"d": (_integer(1), True), "n": (_integer(1), True), "sector": (_sector, True)}
+_SYMBOL = {"symbol": (_symbol, True), "d": (_integer(1), False), "sector": (_sector, True)}
+_AMPLITUDES = {"d": (_integer(1), True), "n_slots": (_integer(1), True),
+               "amplitudes": (_complex_list, True), "sector": (_sector, True)}
+_HOM = {"splitter": (_splitter, False), "baseline": (_BOOLEAN, False)}
+_PACKET = {"center": (_number, True), "width": (_number, True), "phase_velocity": (_number, False)}
+_GRID = {"x_min": (_number, True), "x_max": (_number, True), "n_points": (_integer(2), True)}
+_DENSITY = {"packet_s": (_object(_PACKET), True), "packet_n": (_object(_PACKET), True),
+            "grid": (_object(_GRID), True), "output": (_STRING, False)}
 
 
 def _interleave(vec: np.ndarray) -> list:
@@ -143,17 +203,15 @@ _JSON_SEP = ",\n        "
 
 def cmd_count(cfg: dict, fmt: str) -> str:
     if "N" in cfg or "P" in cfg:
-        _check_keys(cfg, {"N", "P", "enumerate", "k"}, {"N", "P"}, "count")
-        problem = counting.CountingProblem(
-            _get_int(cfg, "N", "count", 1), _get_int(cfg, "P", "count", 0)
-        )
-        k = _get_number(cfg, "k", "count") if "k" in cfg else 1.0
+        parsed = _parse(cfg, _PLANCK, "count")
+        problem = counting.CountingProblem(parsed["N"], parsed["P"])
+        k = parsed.get("k", 1.0)
         # W(N, P) is the Bose-Einstein count of P quanta on N resonators
         w = _printable_count(
             counting.StatisticsKind.BOSE_EINSTEIN, problem.n_quanta, problem.n_resonators
         )
         s = counting.entropy(w, k)
-        blocks = counting.symbol_blocks(problem, fmt=fmt) if cfg.get("enumerate", False) else None
+        blocks = counting.symbol_blocks(problem, fmt=fmt) if parsed.get("enumerate") else None
         # each block of symbols is one string: one % of the block's template per symbol
         if fmt == "json":
             text = json.dumps({"W": w, "S": _round_floats(s)}, indent=2)
@@ -174,19 +232,10 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             ]
         return "\n".join(lines) + "\n"
 
-    _check_keys(cfg, {"n", "d", "kinds", "k"}, {"n", "d", "kinds"}, "count")
-    n = _get_int(cfg, "n", "count", 0)
-    d = _get_int(cfg, "d", "count", 1)
-    k = _get_number(cfg, "k", "count") if "k" in cfg else 1.0
-    kinds = cfg["kinds"]
-    if not isinstance(kinds, list) or not kinds:
-        raise ConfigError("count: kinds must be a non-empty list")
+    parsed = _parse(cfg, _MICROSTATES, "count")
+    n, d, k = parsed["n"], parsed["d"], parsed.get("k", 1.0)
     rows = []
-    for name in kinds:
-        try:
-            kind = counting.StatisticsKind(name)
-        except ValueError:
-            raise ConfigError(f"count: unknown statistics kind {name!r}") from None
+    for kind in parsed["kinds"]:
         count = _printable_count(kind, n, d)
         rows.append(
             {
@@ -211,10 +260,8 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
 
     from . import exchange
 
-    _check_keys(cfg, {"d", "n", "sector"}, {"d", "n", "sector"}, "basis")
-    d = _get_int(cfg, "d", "basis", 1)
-    n = _get_int(cfg, "n", "basis", 1)
-    sector = _get_sector(cfg, "basis")
+    parsed = _parse(cfg, _BASIS, "basis")
+    d, n, sector = parsed["d"], parsed["n"], parsed["sector"]
     states = exchange.sector_basis(d, n, sector)
     occs = counting.enumerate_distributions(sector.statistics, n, d)
     # one row per state; + 0.0 turns -0.0 into 0, as _fmt does
@@ -239,37 +286,26 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
 
 # ---------------------------------------------------------------- analyze
 
-def _occupation_from_config(
-    cfg: dict, sector: counting.ExchangeSector
-) -> fock.OccupationState:
+def _occupation_from_config(cfg: dict) -> fock.OccupationState:
     from . import fock
 
-    _check_keys(cfg, {"symbol", "d", "sector"}, {"symbol", "sector"}, "analyze")
-    text = cfg["symbol"]
-    if not isinstance(text, str):
-        raise ConfigError("analyze: symbol must be a string")
-    modes = fock.symbol_modes(text)
-    d = _get_int(cfg, "d", "analyze", 1) if "d" in cfg else max([1, *modes])
+    parsed = _parse(cfg, _SYMBOL, "analyze")
+    text, modes = parsed["symbol"]
+    d = parsed.get("d", max([1, *modes]))
     check_dense_dim(d, len(modes))
     if not modes:
         raise ValueError(fock.VACUUM)  # before parse_symbol allocates d counters
-    return fock.parse_symbol(text, d, sector)
+    return fock.parse_symbol(text, d, parsed["sector"])
 
 
 def _state_from_config(cfg: dict) -> LabeledState:
     from .states import LabeledState, OneParticleBasis
 
-    _check_keys(
-        cfg, {"amplitudes", "d", "n_slots", "sector"},
-        {"amplitudes", "d", "n_slots", "sector"}, "analyze",
-    )
-    d = _get_int(cfg, "d", "analyze", 1)
-    n_slots = _get_int(cfg, "n_slots", "analyze", 1)
-    amps = _complex_list(cfg["amplitudes"], "analyze", "amplitudes")
-    if amps.shape != (d ** n_slots,):
-        raise ConfigError(
-            f"analyze: expected {d ** n_slots} amplitudes, got {len(amps)}"
-        )
+    parsed = _parse(cfg, _AMPLITUDES, "analyze")
+    d, n_slots, amps = parsed["d"], parsed["n_slots"], parsed["amplitudes"]
+    dim = check_dense_dim(d, n_slots)  # before d ** n_slots of an unbounded n_slots
+    if amps.shape != (dim,):
+        raise ConfigError(f"analyze: expected {dim} amplitudes, got {len(amps)}")
     return LabeledState(n_slots, OneParticleBasis.default(d), amps)
 
 
@@ -283,9 +319,10 @@ def _unit_vector(m: int, d: int) -> list[float]:
 def cmd_analyze(cfg: dict, fmt: str) -> str:
     from . import emergence
 
-    sector = _get_sector(cfg, "analyze")
+    # the sector before the keys: a config without one is told so first
+    sector = _sector(cfg.get("sector"), "analyze", "sector")
     if "symbol" in cfg:
-        occ = _occupation_from_config(cfg, sector)
+        occ = _occupation_from_config(cfg)
         report = emergence.occupation_report(occ)
         states = [_unit_vector(m, occ.n_modes) for m, _ in report.defining_states]
     else:
@@ -321,25 +358,11 @@ def _stage_rows(result: interferometer.ExperimentResult) -> dict:
 
 
 def cmd_hom(cfg: dict, fmt: str, baseline_flag: bool = False) -> str:
-    import numpy as np
-
     from . import interferometer
 
-    _check_keys(cfg, {"splitter", "baseline"}, set(), "hom")
-    if "splitter" in cfg:
-        raw = cfg["splitter"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError("hom: splitter must be a 2x2 matrix of [re, im] pairs")
-        try:
-            matrix = np.array(
-                [_complex_list(row, "hom", f"splitter[{i}]") for i, row in enumerate(raw)]
-            ).reshape(2, 2)
-            scenario = interferometer.BeamSplitterScenario(splitter=matrix)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"hom: invalid splitter override: {exc}") from None
-    else:
-        scenario = interferometer.BeamSplitterScenario()
-    baseline = baseline_flag or bool(cfg.get("baseline", False))
+    parsed = _parse(cfg, _HOM, "hom")
+    scenario = parsed.get("splitter") or interferometer.BeamSplitterScenario()
+    baseline = baseline_flag or parsed.get("baseline", False)
 
     initial = interferometer.build_initial_state(scenario)
     final = interferometer.evolve_through_splitter(initial, scenario)
@@ -368,40 +391,16 @@ def cmd_hom(cfg: dict, fmt: str, baseline_flag: bool = False) -> str:
 
 # ---------------------------------------------------------------- density
 
-def _packet(cfg: dict, key: str) -> interferometer.GaussianPacket:
-    from . import interferometer
-
-    sub = cfg[key]
-    _check_keys(sub, {"center", "width", "phase_velocity"}, {"center", "width"}, key)
-    return interferometer.GaussianPacket(
-        center=_get_number(sub, "center", key),
-        width=_get_number(sub, "width", key),
-        phase_velocity=(
-            _get_number(sub, "phase_velocity", key) if "phase_velocity" in sub else 0.0
-        ),
-    )
-
-
 def cmd_density(cfg: dict, fmt: str, output_override: str | None) -> str:
     from . import interferometer
 
-    _check_keys(
-        cfg, {"packet_s", "packet_n", "grid", "output"},
-        {"packet_s", "packet_n", "grid"}, "density",
-    )
-    packet_s = _packet(cfg, "packet_s")
-    packet_n = _packet(cfg, "packet_n")
-    grid_cfg = cfg["grid"]
-    _check_keys(grid_cfg, {"x_min", "x_max", "n_points"},
-                {"x_min", "x_max", "n_points"}, "grid")
+    parsed = _parse(cfg, _DENSITY, "density")
     grid = interferometer.joint_spatial_density(
-        packet_s,
-        packet_n,
-        _get_number(grid_cfg, "x_min", "grid"),
-        _get_number(grid_cfg, "x_max", "grid"),
-        _get_int(grid_cfg, "n_points", "grid", 2),
+        interferometer.GaussianPacket(**parsed["packet_s"]),
+        interferometer.GaussianPacket(**parsed["packet_n"]),
+        **parsed["grid"],
     )
-    path = output_override or cfg.get("output")
+    path = output_override or parsed.get("output")
     if path is None:
         raise ConfigError("density: no output path (config 'output' or --output)")
     with open(path, "w", encoding="utf-8") as fh:

@@ -45,7 +45,6 @@ class CountingProblem:
 
     n_resonators: int
     n_quanta: int
-    quantum_size: float = 1.0  # epsilon, carried for display only
 
     def __post_init__(self):
         if self.n_resonators < 1:
@@ -111,7 +110,7 @@ def planck_count(problem: CountingProblem) -> int:
 
 
 def symbol_blocks(
-    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP, fmt: str | None = None
+    problem: CountingProblem, fmt: str | None = None
 ) -> list[tuple[str, str, list[str], list[str]]]:
     """Every symbol's text ('ooee') and energies text ('0;0;2'), in enumerate_symbols order.
 
@@ -120,14 +119,14 @@ def symbol_blocks(
     energies energies_head + energies[i].  The blocks hold no text per
     symbol, so a caller formats each block with one template; the memo of
     half-enumerations behind them is dropped when the call returns.  Both caps
-    are checked before anything is built: at most `cap` symbols, and at most
-    ENUMERATION_CHARACTER_CAP for enumeration_characters(problem, fmt), the
-    estimated characters of the symbols, or of a `count` report in format
-    `fmt`.
+    are checked before anything is built: at most DEFAULT_ENUMERATION_CAP
+    symbols, and at most ENUMERATION_CHARACTER_CAP for
+    enumeration_characters(problem, fmt), the estimated characters of the
+    symbols, or of a `count` report in format `fmt`.
     """
     w = planck_count(problem)
-    if w > cap:
-        raise CapExceeded(f"{w} symbols exceed the enumeration cap {cap}")
+    if w > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"{w} symbols exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     k, p = problem.n_resonators, problem.n_quanta
     size = enumeration_characters(problem, fmt)
     if size > ENUMERATION_CHARACTER_CAP:
@@ -198,13 +197,11 @@ def _texts(blocks: list[tuple[str, str, list[str], list[str]]]) -> Iterator[str]
             yield head + text
 
 
-def enumerate_symbols(
-    problem: CountingProblem, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[SymbolString]:
+def enumerate_symbols(problem: CountingProblem) -> list[SymbolString]:
     """All distinct symbols, in lexicographic order with SEPARATOR < QUANTUM."""
     return [
         SymbolString(tuple(map(_TEXT_MARK.__getitem__, text)))
-        for text in _texts(symbol_blocks(problem, cap))
+        for text in _texts(symbol_blocks(problem))
     ]
 
 
@@ -264,13 +261,15 @@ def _occupation(modes: tuple[int, ...], d: int) -> tuple[int, ...]:
     return tuple(occ)
 
 
-def enumerate_distributions(
-    kind: StatisticsKind, n: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_distributions(kind: StatisticsKind, n: int, d: int) -> list[tuple[int, ...]]:
     """All configurations: occupation vectors (BE/FD) or slot assignments (Boltzmann)."""
     total = count_microstates(kind, n, d)
-    if total > cap:
-        raise CapExceeded(f"{total} configurations exceed the enumeration cap {cap}")
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(
+            f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    if total == 0:
+        return []  # more fermions than modes: combinations would first fill n indices
     if kind is StatisticsKind.BOLTZMANN:
         return list(itertools.product(range(d), repeat=n))
     # ascending index tuples in lexicographic order give the occupation

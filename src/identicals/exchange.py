@@ -22,6 +22,7 @@ from .counting import ExchangeSector
 from .errors import CapExceeded
 from .states import (
     MAX_DIM,
+    MAX_SLOTS,
     TAU_NORM,
     LabeledState,
     OneParticleBasis,
@@ -185,7 +186,13 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     Ordered by the occupation enumeration of the counting module; empty when
     the sector holds no states (e.g. more fermions than modes).  The whole
     basis is one dense array, so its size is capped before anything is built.
+    Past the slot cap neither the count nor d^N is computed: more fermions
+    than modes give the empty basis, anything else the slot cap's error.
     """
+    if n > MAX_SLOTS:
+        if sector is ExchangeSector.ANTISYMMETRIC and n > d:
+            return []
+        check_dense_dim(d, n)
     count = counting.count_microstates(sector.statistics, n, d)
     if count * d ** n > MAX_DIM:
         raise CapExceeded(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from identicals import (
     StatisticsKind,
     apply_permutation,
     count_microstates,
+    enumerate_distributions,
     inner_product,
     is_in_sector,
     reduce_one_particle,
@@ -19,6 +21,8 @@ from identicals import (
     symmetrized_product,
     tensor_product,
 )
+
+from identicals.errors import CapExceeded
 
 from conftest import random_orthonormal_set, random_sector_state
 
@@ -157,6 +161,24 @@ class TestSectorBasis:
         assert len(sector_basis(d, n, ANTI)) == count_microstates(
             StatisticsKind.FERMI_DIRAC, n, d
         )
+
+    @pytest.mark.parametrize(
+        "d,n,sector",
+        [(2, 10 ** 11, SYM), (10 ** 6, 10 ** 11, SYM), (10 ** 6, 10 ** 5, ANTI), (1, 64, SYM)],
+    )
+    def test_past_the_slot_cap_refuses_before_the_count(self, d, n, sector):
+        # the count (math.comb) and d ** n of these would not finish in seconds
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"N = {n} slots exceed the dense-tensor cap"):
+            sector_basis(d, n, sector)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [3, 64, 200, 10 ** 11])
+    def test_more_fermions_than_modes_is_empty_at_any_n(self, n):
+        start = time.perf_counter()
+        assert sector_basis(2, n, ANTI) == []
+        assert enumerate_distributions(StatisticsKind.FERMI_DIRAC, n, 2) == []
+        assert time.perf_counter() - start < 1.0
 
     def test_members_live_in_their_sector(self):
         for s in sector_basis(3, 2, SYM):
