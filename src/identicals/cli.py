@@ -110,7 +110,7 @@ def _complex_list(raw, where, key) -> np.ndarray:
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 for p in raw
     ):
-        raise ConfigError(f"{where}: amplitudes must be a list of [re, im] pairs")
+        raise ConfigError(f"{where}: {key} must be a list of [re, im] pairs")
     return np.array([
         complex(_number(re, where, f"{key}[{i}][0]"), _number(im, where, f"{key}[{i}][1]"))
         for i, (re, im) in enumerate(raw)
@@ -199,6 +199,9 @@ def _printable_count(kind: counting.StatisticsKind, n: int, d: int) -> int:
 # one symbol as json.dumps(indent=2) writes it in the report's "symbols" list
 _JSON_SYMBOL = '    {\n      "symbol": "%s",\n      "energies": [\n        %s\n      ]\n    }'
 _JSON_SEP = ",\n        "
+# what a symbol adds to the JSON report besides its text and energies, with the
+# ",\n" before the next; the report's head and tail around the list are shorter
+_JSON_FRAMING = len(_JSON_SYMBOL % ("", "")) + len(",\n")
 
 
 def cmd_count(cfg: dict, fmt: str) -> str:
@@ -211,7 +214,8 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             counting.StatisticsKind.BOSE_EINSTEIN, problem.n_quanta, problem.n_resonators
         )
         s = counting.entropy(w, k)
-        blocks = counting.symbol_blocks(problem, fmt=fmt) if parsed.get("enumerate") else None
+        framing = _JSON_FRAMING if fmt == "json" else 0
+        blocks = counting.symbol_blocks(problem, fmt, framing) if parsed.get("enumerate") else None
         # each block of symbols is one string: one % of the block's template per symbol
         if fmt == "json":
             text = json.dumps({"W": w, "S": _round_floats(s)}, indent=2)

@@ -264,7 +264,18 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
     value of w is within |R|_F of the same one of M Q, whose nonzero ones
     are M's; M's come from the eigh of its k x k Gram matrix.  When that
     settles every singular value on one side of the threshold, the count is
-    the full SVD's; otherwise the full SVD runs.
+    the full SVD's.
+
+    Otherwise, at even d, w may have full rank: Cholesky runs once on
+    w w^dagger with shift = tau^2 + 4 (d + 2) eps tr(w w^dagger) taken off
+    its diagonal in place (tau = SLATER_SV_THRESHOLD, eps the machine
+    epsilon).  The rounding of the product and Cholesky's backward error
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5) are
+    each within about (d + 1) eps tr of it, so a Cholesky that completes
+    puts every sigma^2 of w above tau^2 + 2 (d + 2) eps tr: far above the
+    threshold by much more than the SVD's own error, and the count is d / 2.
+    An antisymmetric w of odd d is singular and skips the certificate; it,
+    and a Cholesky that fails, leave the count to the full SVD.
     """
     import numpy as np
 
@@ -292,6 +303,17 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
         spread = tail + math.sqrt(eps * np.trace(gram).real)
         if tail < SLATER_SV_THRESHOLD and np.all(np.abs(sv - SLATER_SV_THRESHOLD) > spread):
             return int(np.count_nonzero(sv > SLATER_SV_THRESHOLD)) // 2
+    if d % 2 == 0:
+        # full rank if w w^dagger - shift I is positive definite; shifted in place
+        gram = w @ w.conj().T
+        shift = SLATER_SV_THRESHOLD ** 2 + 4 * (d + 2) * np.finfo(float).eps * np.trace(gram).real
+        gram.flat[:: d + 1] -= shift
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return d // 2
     sv = np.linalg.svd(w, compute_uv=False)
     # singular values of an antisymmetric matrix come in equal pairs
     return int(np.count_nonzero(sv > SLATER_SV_THRESHOLD)) // 2

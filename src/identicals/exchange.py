@@ -5,7 +5,10 @@ Projectors onto the symmetric/antisymmetric sectors, normalized
 by occupation vectors.  No permutation sum is evaluated term by term: the
 projector is applied as a product of transposition sums, N(N-1)/2 axis
 swaps, and basis vectors are written in closed form from the orbits of the
-slot index tuples under S_N.
+slot index tuples under S_N.  A complex buffer is divided by a real scalar
+(a coset round's 1/k, a norm) as one multiply of its float64 view by the
+reciprocal (_divide): the bits of numpy's complex division, but for the
+sign of a zero, without its cost.
 """
 
 from __future__ import annotations
@@ -37,21 +40,43 @@ TAU_SECTOR = 1e-9
 MIN_PRODUCT_NORM = 1e-6
 
 
+def _divide(arr: np.ndarray, c: float) -> None:
+    """arr /= c in place for a real scalar c, with the bits of numpy's `/=` but a zero's sign.
+
+    A complex128 array's float64 view is multiplied by 1 / c.  numpy divides
+    a complex by c + 0j as (re + im 0) fl(1/c) and (im - re 0) fl(1/c), so
+    the two differ at most in the sign of a zero, and this skips the complex
+    division.  A real array keeps `/=`: there it is correctly rounded and a
+    reciprocal multiply is not.
+    """
+    if arr.dtype == complex:
+        view = arr.view(np.float64)
+        view *= 1.0 / c
+    else:
+        arr /= c
+
+
 def _project_raw(arr: np.ndarray, sector: ExchangeSector) -> np.ndarray:
-    """(1/N!) sum_p (+-1)^p P_p applied to a slot-indexed tensor.
+    """(1/N!) sum_p (+-1)^p P_p applied to a slot-indexed tensor, in a new array.
 
     Uses the coset factorisation S_k = (1/k)(1 +- sum_{j<k} (j k)) S_{k-1},
-    with (j k) a swap of two slot axes, and two work buffers.
+    with (j k) a swap of two slot axes, and at most two work buffers.  Each
+    round writes its first sum straight into a buffer, and the first round
+    reads the input itself, so N = 2 needs one buffer.
     """
     op = np.subtract if sector is ExchangeSector.ANTISYMMETRIC else np.add
-    out = arr.astype(np.result_type(arr, float))
-    acc = np.empty_like(out)
-    for k in range(1, arr.ndim):
-        np.copyto(acc, out)
-        for j in range(k):
+    src = np.asarray(arr, dtype=np.result_type(arr, float))
+    if src.ndim < 2:
+        return src.copy()
+    out, spare = src, None
+    for k in range(1, src.ndim):
+        acc = np.empty(src.shape, src.dtype) if spare is None else spare
+        op(out, out.swapaxes(0, k), out=acc)
+        for j in range(1, k):
             op(acc, out.swapaxes(j, k), out=acc)
-        acc /= k + 1
-        out, acc = acc, out
+        _divide(acc, k + 1)
+        spare = None if out is src else out
+        out = acc
     return out
 
 
@@ -61,7 +86,8 @@ def sector_project(state: LabeledState, sector: ExchangeSector) -> LabeledState 
     norm = np.linalg.norm(raw)
     if norm <= TAU_NORM:
         return None
-    return LabeledState(state.n_slots, state.basis, raw.reshape(-1) / norm)
+    _divide(raw, norm)
+    return LabeledState(state.n_slots, state.basis, raw.reshape(-1))
 
 
 def symmetrized_product(
@@ -80,7 +106,8 @@ def symmetrized_product(
             "antisymmetrized product vanishes: factors are not linearly independent "
             "(Pauli exclusion)"
         )
-    return LabeledState(product.n_slots, basis, raw.reshape(-1) / norm)
+    _divide(raw, norm)
+    return LabeledState(product.n_slots, basis, raw.reshape(-1))
 
 
 #: bytes of orbit tables that orbit_table keeps for reuse; a table larger
@@ -219,7 +246,7 @@ def _sector_projection(state: LabeledState, sector: ExchangeSector) -> np.ndarra
     norm = np.linalg.norm(projected)
     if norm <= TAU_NORM:
         return None
-    projected /= norm
+    _divide(projected, norm)
     if np.linalg.norm(projected.reshape(-1) - state.amplitudes) > TAU_SECTOR:
         return None
     return projected

@@ -175,7 +175,7 @@ SINGLE_FAULTS = [
         fault(HOM, splitter=[*HOM["splitter"], [[0, 0], [0, 0]]]), 2,
         "hom: splitter must be a 2x2 matrix of [re, im] pairs"),
     row("hom_splitter_row_of_numbers", "hom", fault(HOM, splitter=[[1, 0], HOM["splitter"][1]]),
-        2, "hom: invalid splitter override: hom: amplitudes must be a list of [re, im] pairs"),
+        2, "hom: invalid splitter override: hom: splitter[0] must be a list of [re, im] pairs"),
     row("hom_splitter_entry_string", "hom",
         fault(HOM, splitter=[[[0.6, 0], [0.8, "0"]], HOM["splitter"][1]]), 2,
         "hom: invalid splitter override: hom: splitter[0][1][1] must be a number"),

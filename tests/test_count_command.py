@@ -252,9 +252,12 @@ def test_an_enumeration_past_the_character_cap_exits_3_before_a_row_is_built(
     code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
     assert code == 3
     assert out == ""
-    # W (N - 1 + P) marks, and N energies of 6 digits and a separator each
+    # W (N - 1 + P) marks, N energies of 6 digits and a separator each, and in
+    # JSON each symbol's framing, once more for the report's head and tail
     separator = {"csv": 1, "json": 10}[fmt]
-    assert f"about {10 ** 6 * (1 + 999999) + 10 ** 6 * 2 * (6 + separator)} characters" in err
+    framing = {"csv": 0, "json": cli._JSON_FRAMING}[fmt]
+    size = 10 ** 6 * (1 + 999999) + 10 ** 6 * 2 * (6 + separator) + (10 ** 6 + 1) * framing
+    assert f"about {size} characters" in err
     assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
     assert elapsed < 1.0
 
@@ -267,8 +270,8 @@ def test_the_character_cap_admits_every_planck_count_of_the_configs_and_benchmar
         if cfg.get("enumerate"):
             reports.append((cfg["N"], cfg["P"]))
     for n_res, n_quanta in reports:
-        for fmt in ("csv", "json"):
-            size = counting.enumeration_characters(CountingProblem(n_res, n_quanta), fmt)
+        for fmt, framing in (("csv", 0), ("json", cli._JSON_FRAMING)):
+            size = counting.enumeration_characters(CountingProblem(n_res, n_quanta), fmt, framing)
             assert size <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta, fmt)
     # the shapes the tests above enumerate without a report
     for n_res, n_quanta in [(40, 1), (40, 2), (2, 40), (3, 40), (64, 3), (3000, 1), (300, 2),
@@ -291,6 +294,36 @@ def test_a_report_of_long_energy_lists_exits_3_before_a_row_is_built(
     monkeypatch.setattr(counting, "_symbol_texts", never)
     cfg = {"N": 4000, "P": 1, "enumerate": True}
     code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
+    assert code == 3
+    assert out == ""
+    assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
+    assert elapsed < 1.0
+
+
+def test_the_json_estimate_bounds_the_whole_report():
+    start = time.perf_counter()
+    for n_res in range(1, 7):
+        for n_quanta in range(13):
+            cfg = {"N": n_res, "P": n_quanta, "enumerate": True}
+            estimate = counting.enumeration_characters(
+                CountingProblem(n_res, n_quanta), "json", cli._JSON_FRAMING
+            )
+            assert estimate >= len(cli.cmd_count(cfg, "json")), (n_res, n_quanta)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_json_report_of_few_resonators_and_many_quanta_exits_3_before_a_row_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    # estimated at 1.91e7 characters without the framing, admitted, and 2.92e7 written
+    def never(*args):
+        raise AssertionError("a row was built")
+
+    problem = CountingProblem(5, 43)
+    assert counting.enumeration_characters(problem, "json") <= counting.ENUMERATION_CHARACTER_CAP
+    monkeypatch.setattr(counting, "_symbol_texts", never)
+    code, out, err, elapsed = run_count(tmp_path, capsys, {"N": 5, "P": 43, "enumerate": True},
+                                        "json")
     assert code == 3
     assert out == ""
     assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err

@@ -8,8 +8,9 @@ other state goes through the 1-RDM, eigvalsh and the full natural_orbitals.
 Both paths are held to the reference pipeline of
 test_emergence_equivalence and to the closed-form occupation report, at
 sizes beyond those two files compare.  slater_rank_two_fermions counts
-from two Cholesky steps when Weyl's inequality settles the count, and
-must then give the full SVD's count.
+from two Cholesky steps when Weyl's inequality settles the count, or, at
+even d, from one Cholesky of w w^dagger less a shift that certifies full
+rank, and must then give the full SVD's count.
 """
 
 import tracemalloc
@@ -255,8 +256,8 @@ def test_slater_rank_is_the_full_svd_count(monkeypatch, rank, d):
         svd = spy_on_solver(monkeypatch, "svd")
         got = slater_rank_two_fermions(state)
         monkeypatch.undo()
-        # a single Slater determinant is counted without the SVD
-        assert (svd == []) == (rank == 1)
+        # a single Slater determinant, and a full-rank state, are counted without the SVD
+        assert (svd == []) == (rank in (1, d // 2))
         assert got == full_svd_rank(state) == rank
 
 
@@ -270,6 +271,52 @@ def test_a_singular_pair_at_the_threshold_falls_back_to_the_svd(monkeypatch, sid
     monkeypatch.undo()
     assert svd == [(8, 8)]
     assert rank == full_svd_rank(state) == want
+
+
+@pytest.mark.parametrize("d", [4, 6, 64, 256])
+def test_a_random_antisymmetric_state_is_certified_full_rank_without_the_svd(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        state = random_sector_state(rng, d, 2, ANTI)
+        svd = spy_on_solver(monkeypatch, "svd")
+        chol = spy_on_solver(monkeypatch, "cholesky")
+        rank = slater_rank_two_fermions(state)
+        monkeypatch.undo()
+        assert svd == [] and chol == [(d, d)]
+        assert rank == full_svd_rank(state) == d // 2
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_odd_d_never_runs_the_full_rank_certificate(monkeypatch, d):
+    # an antisymmetric matrix of odd size is singular
+    rng = np.random.default_rng(d)
+    for state in [random_sector_state(rng, d, 2, ANTI), slater_sum(rng, d, [0.8, 0.6])]:
+        chol = spy_on_solver(monkeypatch, "cholesky")
+        svd = spy_on_solver(monkeypatch, "svd")
+        rank = slater_rank_two_fermions(state)
+        monkeypatch.undo()
+        assert chol == [] and svd == [(d, d)]
+        assert rank == full_svd_rank(state)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("side", [1 + 1e-6, 1 - 1e-6])
+def test_a_full_rank_state_with_a_pair_at_the_threshold_falls_back_to_the_svd(
+    monkeypatch, d, side
+):
+    # the last pair of singular values is weight / sqrt(2) = 1e-9 (1 +- 1e-6)
+    rng = np.random.default_rng(d)
+    weights = rng.uniform(0.3, 1.0, d // 2)
+    weights[-1] = 0.0
+    weights *= np.sqrt(1 - 2 * (SLATER_SV_THRESHOLD * side) ** 2) / np.linalg.norm(weights)
+    weights[-1] = np.sqrt(2) * SLATER_SV_THRESHOLD * side
+    state = slater_sum(rng, d, weights)
+    chol = spy_on_solver(monkeypatch, "cholesky")
+    svd = spy_on_solver(monkeypatch, "svd")
+    rank = slater_rank_two_fermions(state)
+    monkeypatch.undo()
+    assert chol == [(d, d)] and svd == [(d, d)]
+    assert rank == full_svd_rank(state) == (d // 2 if side > 1 else d // 2 - 1)
 
 
 def test_a_slater_pair_runs_no_d_by_d_eigensolve_or_svd(monkeypatch):
