@@ -202,6 +202,12 @@ _JSON_SEP = ",\n        "
 # what a symbol adds to the JSON report besides its text and energies, with the
 # ",\n" before the next; the report's head and tail around the list are shorter
 _JSON_FRAMING = len(_JSON_SYMBOL % ("", "")) + len(",\n")
+# the CSV report: W and S, then a row "text,e1;...;eN" per symbol
+_CSV_HEAD = "quantity,value\nW,%s\nS,%s\n"
+_CSV_SYMBOLS = "symbol,energies\n"
+# what a row adds to the CSV report besides its text and its N energies with
+# their N - 1 ';' and the ',': the newline that ends it
+_CSV_FRAMING = len("\n")
 
 
 def cmd_count(cfg: dict, fmt: str) -> str:
@@ -214,27 +220,29 @@ def cmd_count(cfg: dict, fmt: str) -> str:
             counting.StatisticsKind.BOSE_EINSTEIN, problem.n_quanta, problem.n_resonators
         )
         s = counting.entropy(w, k)
-        framing = _JSON_FRAMING if fmt == "json" else 0
-        blocks = counting.symbol_blocks(problem, fmt, framing) if parsed.get("enumerate") else None
-        # each block of symbols is one string: one % of the block's template per symbol
         if fmt == "json":
             text = json.dumps({"W": w, "S": _round_floats(s)}, indent=2)
-            if blocks is None:
-                return text + "\n"
+            # the last framing counted covers the head and tail
+            framing, head_size = _JSON_FRAMING, 0
+        else:
+            text = _CSV_HEAD % (w, _fmt(s))
+            framing, head_size = _CSV_FRAMING, len(text) + len(_CSV_SYMBOLS)
+        if not parsed.get("enumerate"):
+            return text + "\n" if fmt == "json" else text
+        blocks = counting.symbol_blocks(problem, fmt, framing, head_size)
+        # each block of symbols is one string: one % of the block's template per symbol
+        if fmt == "json":
             items = []
             for head, energies_head, texts, energies in blocks:
                 item = _JSON_SYMBOL % (head + "%s", energies_head.replace(";", _JSON_SEP) + "%s")
                 values = [e.replace(";", _JSON_SEP) for e in energies]
                 items.append(",\n".join(map(item.__mod__, zip(texts, values))))
             return text[:-2] + ',\n  "symbols": [\n' + ",\n".join(items) + "\n  ]\n}\n"
-        lines = ["quantity,value", f"W,{w}", f"S,{_fmt(s)}"]
-        if blocks is not None:
-            lines.append("symbol,energies")
-            lines += [
-                "\n".join(map(f"{head}%s,{energies_head}%s".__mod__, zip(texts, energies)))
-                for head, energies_head, texts, energies in blocks
-            ]
-        return "\n".join(lines) + "\n"
+        rows = [
+            "\n".join(map(f"{head}%s,{energies_head}%s".__mod__, zip(texts, energies)))
+            for head, energies_head, texts, energies in blocks
+        ]
+        return text + _CSV_SYMBOLS + "\n".join(rows) + "\n"
 
     parsed = _parse(cfg, _MICROSTATES, "count")
     n, d, k = parsed["n"], parsed["d"], parsed.get("k", 1.0)

@@ -24,20 +24,21 @@ ENUMERATION_CHARACTER_CAP = 2 * 10 ** 7
 
 
 def enumeration_characters(
-    problem: CountingProblem, fmt: str | None = None, framing: int = 0
+    problem: CountingProblem, fmt: str | None = None, framing: int = 0, head: int = 0
 ) -> int:
     """Estimated characters of the W symbols of a Planck enumeration.
 
     Each symbol text has N - 1 + P marks.  A `count` report in format `fmt`
     adds the N energies of each symbol, each at most digits(P) digits and a
-    separator ("csv": ';', ',' or a newline) or the separator and indent of
+    separator ("csv": ';' or ',') or the separator and indent of
     json.dumps(indent=2) (ten characters).  `framing` is what the report
     spends on each symbol besides; it is counted W + 1 times, the last for
-    the report's own head and tail, which the caller's framing must cover.
+    the report's tail.  `head` is what the report spends once, before its
+    symbols, beyond that last framing.
     """
     w = planck_count(problem)
     k, p = problem.n_resonators, problem.n_quanta
-    size = w * (k - 1 + p) + (w + 1) * framing
+    size = w * (k - 1 + p) + (w + 1) * framing + head
     if fmt is not None:
         size += w * k * (len(str(p)) + (1 if fmt == "csv" else 10))
     return size
@@ -114,7 +115,7 @@ def planck_count(problem: CountingProblem) -> int:
 
 
 def symbol_blocks(
-    problem: CountingProblem, fmt: str | None = None, framing: int = 0
+    problem: CountingProblem, fmt: str | None = None, framing: int = 0, head: int = 0
 ) -> list[tuple[str, str, list[str], list[str]]]:
     """Every symbol's text ('ooee') and energies text ('0;0;2'), in enumerate_symbols order.
 
@@ -125,14 +126,14 @@ def symbol_blocks(
     half-enumerations behind them is dropped when the call returns.  Both caps
     are checked before anything is built: at most DEFAULT_ENUMERATION_CAP
     symbols, and at most ENUMERATION_CHARACTER_CAP for
-    enumeration_characters(problem, fmt, framing), the estimated characters
+    enumeration_characters(problem, fmt, framing, head), the estimated characters
     of the symbols, or of a `count` report in format `fmt`.
     """
     w = planck_count(problem)
     if w > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(f"{w} symbols exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     k, p = problem.n_resonators, problem.n_quanta
-    size = enumeration_characters(problem, fmt, framing)
+    size = enumeration_characters(problem, fmt, framing, head)
     if size > ENUMERATION_CHARACTER_CAP:
         raise CapExceeded(
             f"{w} symbols of {k} resonators and {p} quanta are about {size} "

@@ -79,19 +79,6 @@ def _decomposed(occupations) -> Verdict:
     return Verdict.CONDENSED_OBJECT
 
 
-def _hermitian(rdm) -> np.ndarray:
-    """rdm as a complex array, or ValueError if it is not Hermitian to TAU_PSD."""
-    import numpy as np
-
-    from .states import TAU_PSD
-
-    rdm = np.asarray(rdm, dtype=complex)
-    herm_dev = np.max(np.abs(rdm - rdm.conj().T))
-    if herm_dev > TAU_PSD:
-        raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3g})")
-    return rdm
-
-
 def _ordered(evals: np.ndarray, vecs: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs from descending eigenvalues and their eigenvectors as rows.
 
@@ -120,7 +107,13 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """
     import numpy as np
 
-    evals, evecs = np.linalg.eigh(_hermitian(rdm))
+    from .states import TAU_PSD
+
+    rdm = np.asarray(rdm, dtype=complex)
+    herm_dev = np.max(np.abs(rdm - rdm.conj().T))
+    if herm_dev > TAU_PSD:
+        raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3g})")
+    evals, evecs = np.linalg.eigh(rdm)
     return _ordered(evals[::-1], evecs.T[::-1])
 
 
@@ -194,7 +187,8 @@ def detect_emergent_particles(
         spectrum = lam.tolist() + [0.0] * (d - len(lam))
     else:
         slot = projected.reshape(d, -1)
-        rdm = _hermitian(slot @ slot.conj().T)
+        # Hermitian by construction; natural_orbitals checks the matrices callers pass
+        rdm = slot @ slot.conj().T
         spectrum = np.linalg.eigvalsh(rdm)[::-1].tolist()
 
     occupations = []

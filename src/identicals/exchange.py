@@ -243,13 +243,20 @@ def _sector_projection(state: LabeledState, sector: ExchangeSector) -> np.ndarra
     exceeds TAU_SECTOR.  Normalizes the projector's own buffer in place.
     """
     projected = _project_raw(state.tensor(), sector)
+    return projected if _near_projection(projected, state.amplitudes) else None
+
+
+def _near_projection(projected: np.ndarray, psi: np.ndarray) -> bool:
+    """Whether psi is in the sector, given projected = P psi: the membership rule.
+
+    False when |P psi| <= TAU_NORM or |P psi / |P psi| - psi| > TAU_SECTOR.
+    Normalizes projected in place (if it does not vanish).
+    """
     norm = np.linalg.norm(projected)
     if norm <= TAU_NORM:
-        return None
+        return False
     _divide(projected, norm)
-    if np.linalg.norm(projected.reshape(-1) - state.amplitudes) > TAU_SECTOR:
-        return None
-    return projected
+    return not np.linalg.norm(projected.reshape(-1) - psi) > TAU_SECTOR
 
 
 def is_in_sector(state: LabeledState, sector: ExchangeSector) -> bool:

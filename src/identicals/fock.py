@@ -5,11 +5,15 @@ Occupation vectors play the role of quasi-cardinals; the symbol grammar is
 form is accepted on input).  The maps to and from labeled sector states are
 isometries onto the symmetric/antisymmetric sector bases.  Both directions
 work on the orbit table of exchange.orbit_table: the occupations of a Fock
-vector are one integer matrix (one row per term), validated, indexed and
-counted as whole arrays, never one occupation at a time.  The table of each
-(d, N, sector) is built once and then shared, read-only, by every call of
-either direction and by occupation_to_labeled (see exchange.orbit_table for
-its cache and byte budget).
+vector are one integer matrix (one row per term), read in one call and
+validated, indexed and counted as whole arrays, never one occupation at a
+time.  Sector membership also comes from the table: labeled_to_fock spreads
+its Fock coefficients back over it, P psi = amp * c, and applies the
+membership rule of exchange.is_in_sector to that, so the bridge runs no
+coset projector.  The table of each (d, N, sector) is built once and then
+shared, read-only, by every call of either direction and by
+occupation_to_labeled (see exchange.orbit_table for its cache and byte
+budget).
 
 Symbols and occupation states need only the standard library: numpy,
 `exchange` and `states` are imported inside the functions that use them,
@@ -21,7 +25,9 @@ trip about 4%.
 
 from __future__ import annotations
 
+import itertools
 import re
+import struct
 from dataclasses import dataclass
 
 from .counting import ExchangeSector
@@ -62,9 +68,10 @@ class OccupationState:
 class FockVector:
     """Superposition of occupation states with a common sector and total number.
 
-    All occupations have the same number of modes.  A term that breaks the
-    total number or the sector's occupation rule raises the error of the
-    first such term, checked in that order.
+    All occupations have the same number of modes and hold integers (see
+    _occupation_matrix); the first occupation that does not raises first.
+    Then a term that breaks the total number or the sector's occupation rule
+    raises the error of the first such term, checked in that order.
     """
 
     terms: dict[tuple[int, ...], complex]
@@ -78,7 +85,7 @@ class FockVector:
         widths = set(map(len, keys))
         if len(widths) > 1:
             raise ValueError(f"occupations have different mode counts {sorted(widths)}")
-        occ = np.array(keys).reshape(len(keys), max(widths, default=0))
+        occ = _occupation_matrix(keys, max(widths, default=0))
         failed = np.stack(
             [
                 occ.sum(axis=1) != self.total_number,
@@ -95,6 +102,28 @@ class FockVector:
         norm = np.linalg.norm(list(self.terms.values()))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"Fock vector norm {norm} deviates from 1")
+
+
+def _occupation_matrix(keys: list, width: int) -> np.ndarray:
+    """The occupation keys as one int64 matrix, one row per key, read in one call.
+
+    Every entry must be an integer that fits in 64 bits: an int, a bool or
+    anything with __index__.  A float is refused even when it is integral,
+    since reading it as an integer would truncate 2.5 to 2 without a word.
+    ValueError names the first occupation that breaks this.
+    """
+    import numpy as np
+
+    try:
+        packed = struct.pack(f"{len(keys) * width}q", *itertools.chain.from_iterable(keys))
+    except struct.error:
+        for key in keys:
+            try:
+                struct.pack(f"{len(key)}q", *key)
+            except struct.error:
+                raise ValueError(f"occupation {key} must hold 64-bit integers") from None
+        raise
+    return np.frombuffer(packed, np.int64).reshape(len(keys), width)
 
 
 def symbol_modes(text: str) -> list[int]:
@@ -158,26 +187,28 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     """Expand a sector state over the occupation-number basis.
 
     Each coefficient is the overlap <b_occ|psi>, summed over the orbit of
-    the occupation's index tuples.  Terms with |coefficient| > 1e-12 are
-    kept, in the order of counting.enumerate_distributions; their
+    the occupation's index tuples.  The state must be in the sector: P psi,
+    each amplitude's basis amplitude times its class's coefficient, is held
+    to the rule of exchange.is_in_sector.  Terms with |coefficient| > 1e-12
+    are kept, in the order of counting.enumerate_distributions; their
     occupations are counted off the sorted index tuples of the orbit table.
     """
     import numpy as np
 
     import identicals.exchange as exchange
 
-    if not exchange.is_in_sector(state, sector):
-        raise ValueError(f"state is not in the {sector.value} sector")
     n, d = state.n_slots, state.basis.dim
     cls, amp, first = exchange.orbit_table(d, n, sector)
-    weights = amp * state.amplitudes
-    # class -1 (outside the sector, zero weight) goes to bin 0 and is dropped
+    psi = state.amplitudes
+    weights = amp * psi
+    # class -1 (outside the sector, zero weight) goes to bin 0
     bins = cls + 1
     size = first.size + 1
-    coeffs = (
-        np.bincount(bins, weights.real, size)[1:]
-        + 1j * np.bincount(bins, weights.imag, size)[1:]
-    )
+    coeffs = np.bincount(bins, weights.real, size) + 1j * np.bincount(bins, weights.imag, size)
+    # P psi: each amplitude's basis amplitude times its class's coefficient
+    if not exchange._near_projection(amp * coeffs[bins], psi):
+        raise ValueError(f"state is not in the {sector.value} sector")
+    coeffs = coeffs[1:]
     (keep,) = np.nonzero(np.abs(coeffs) > 1e-12)
     modes = np.stack(np.unravel_index(first[keep], (d,) * n), axis=1)
     # occupation matrix: per kept term, how many of its n slots hold each mode
@@ -194,7 +225,8 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     import identicals.exchange as exchange
     import identicals.states as states
 
-    occ = np.array(list(fv.terms))
+    keys = list(fv.terms)
+    occ = _occupation_matrix(keys, len(keys[0]))
     firsts = _sorted_tuple_index(occ, fv.total_number, basis)
     cls, amp, classes = exchange.orbit_table(basis.dim, fv.total_number, fv.sector)
     # one coefficient per class, plus a last 0 that class -1 reads

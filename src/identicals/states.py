@@ -8,6 +8,7 @@ base-d digit, so flat index = sum_k i_k * d^(N-1-k).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,10 +101,14 @@ class LabeledState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TAU_NORM:
+        # one BLAS pass; NaN or inf amplitudes, or an overflow, make it not finite
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= TAU_NORM:
+            if not math.isfinite(norm) and not np.isfinite(amps).all():
+                raise ValueError("amplitudes must be finite")
+            # the message prints the norm as np.linalg.norm gives it, overflow and all
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(amps)
             raise ValueError(f"state norm {norm} deviates from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

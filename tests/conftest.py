@@ -7,6 +7,7 @@ from identicals import (
     OneParticleBasis,
     sector_project,
 )
+from identicals.exchange import _project_raw
 
 
 @pytest.fixture
@@ -39,3 +40,11 @@ def random_sector_state(rng, d, n, sector):
         if projected is not None:
             return projected
     return None
+
+
+def perturbed(state, sector, size, rng):
+    """state plus a component of norm `size` orthogonal to the sector, renormalized."""
+    eta = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
+    off = eta - _project_raw(eta.reshape(state.tensor().shape), sector).reshape(-1)
+    amps = state.amplitudes + size * off / np.linalg.norm(off)
+    return LabeledState(state.n_slots, state.basis, amps / np.linalg.norm(amps))

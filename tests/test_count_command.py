@@ -252,14 +252,24 @@ def test_an_enumeration_past_the_character_cap_exits_3_before_a_row_is_built(
     code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
     assert code == 3
     assert out == ""
-    # W (N - 1 + P) marks, N energies of 6 digits and a separator each, and in
-    # JSON each symbol's framing, once more for the report's head and tail
+    # W (N - 1 + P) marks, N energies of 6 digits and a separator each, and
+    # each symbol's framing, once more for the report's tail; the CSV's head
+    # besides, which in JSON that last framing covers
     separator = {"csv": 1, "json": 10}[fmt]
-    framing = {"csv": 0, "json": cli._JSON_FRAMING}[fmt]
-    size = 10 ** 6 * (1 + 999999) + 10 ** 6 * 2 * (6 + separator) + (10 ** 6 + 1) * framing
+    framing = {"csv": cli._CSV_FRAMING, "json": cli._JSON_FRAMING}[fmt]
+    head = report_head(2, 999999, fmt)
+    size = (10 ** 6 * (1 + 999999) + 10 ** 6 * 2 * (6 + separator) + (10 ** 6 + 1) * framing
+            + head)
     assert f"about {size} characters" in err
     assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
     assert elapsed < 1.0
+
+
+def report_head(n_res, n_quanta, fmt):
+    """What cmd_count counts once for a report's head: the CSV before its rows."""
+    if fmt == "json":
+        return 0
+    return len(cli.cmd_count({"N": n_res, "P": n_quanta}, "csv") + cli._CSV_SYMBOLS)
 
 
 def test_the_character_cap_admits_every_planck_count_of_the_configs_and_benchmark():
@@ -270,8 +280,10 @@ def test_the_character_cap_admits_every_planck_count_of_the_configs_and_benchmar
         if cfg.get("enumerate"):
             reports.append((cfg["N"], cfg["P"]))
     for n_res, n_quanta in reports:
-        for fmt, framing in (("csv", 0), ("json", cli._JSON_FRAMING)):
-            size = counting.enumeration_characters(CountingProblem(n_res, n_quanta), fmt, framing)
+        for fmt, framing in (("csv", cli._CSV_FRAMING), ("json", cli._JSON_FRAMING)):
+            size = counting.enumeration_characters(
+                CountingProblem(n_res, n_quanta), fmt, framing, report_head(n_res, n_quanta, fmt)
+            )
             assert size <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta, fmt)
     # the shapes the tests above enumerate without a report
     for n_res, n_quanta in [(40, 1), (40, 2), (2, 40), (3, 40), (64, 3), (3000, 1), (300, 2),
@@ -310,6 +322,24 @@ def test_the_json_estimate_bounds_the_whole_report():
             )
             assert estimate >= len(cli.cmd_count(cfg, "json")), (n_res, n_quanta)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_estimate_the_cap_checks_bounds_the_whole_report(monkeypatch, fmt):
+    # the estimate symbol_blocks compares with the cap, not one the test rebuilds
+    estimates = []
+    estimate = counting.enumeration_characters
+
+    def recorded(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(counting, "enumeration_characters", recorded)
+    for n_res in range(1, 7):
+        for n_quanta in range(13):
+            report = cli.cmd_count({"N": n_res, "P": n_quanta, "enumerate": True}, fmt)
+            assert len(estimates) == 1
+            assert len(report) <= estimates.pop(), (n_res, n_quanta, fmt)
 
 
 def test_a_json_report_of_few_resonators_and_many_quanta_exits_3_before_a_row_is_built(

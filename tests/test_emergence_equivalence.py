@@ -31,6 +31,7 @@ from identicals.emergence import DELTA_OCC, TAU_FID
 from identicals.exchange import TAU_SECTOR, _project_raw
 
 from conftest import (
+    perturbed,
     random_orthonormal_set,
     random_sector_state,
     random_unit_vector,
@@ -194,14 +195,6 @@ class TestDetectorMatchesReference:
         with pytest.raises(ValueError) as got:
             detect_emergent_particles(bare, sector)
         assert str(got.value) == str(want.value) == message
-
-
-def perturbed(state, sector, size, rng):
-    """state plus a component of norm `size` orthogonal to the sector, renormalized."""
-    eta = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
-    off = eta - _project_raw(eta.reshape(state.tensor().shape), sector).reshape(-1)
-    amps = state.amplitudes + size * off / np.linalg.norm(off)
-    return LabeledState(state.n_slots, state.basis, amps / np.linalg.norm(amps))
 
 
 class TestNaturalOrbitalsMatchLoop:

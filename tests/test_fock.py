@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from identicals import (
     ExchangeSector,
+    FockVector,
     OccupationState,
     OneParticleBasis,
     StatisticsKind,
@@ -20,8 +21,9 @@ from identicals import (
     replace_indistinguishable,
     sector_basis,
 )
+from identicals import exchange
 
-from conftest import random_sector_state
+from conftest import perturbed, random_sector_state
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
@@ -160,6 +162,68 @@ class TestOccupationLabeledMaps:
         bare = tensor_product([np.eye(2)[0], np.eye(2)[1]], basis)
         with pytest.raises(ValueError):
             labeled_to_fock(bare, SYM)
+
+
+class TestMembershipFromFockCoefficients:
+    """labeled_to_fock tests sector membership on P psi = amp c[cls + 1]."""
+
+    def test_no_projector_runs(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called by labeled_to_fock")
+
+        states = [(random_sector_state(rng, 4, 3, s), s) for s in (SYM, ANTI)]
+        for name in ("_project_raw", "_sector_projection", "is_in_sector", "sector_project"):
+            monkeypatch.setattr(exchange, name, forbidden)
+        for state, sector in states:
+            assert abs(sum(abs(c) ** 2 for c in labeled_to_fock(state, sector).terms.values())
+                       - 1) < 1e-12
+            other = ANTI if sector is SYM else SYM
+            with pytest.raises(ValueError, match=f"^state is not in the {other.value} sector$"):
+                labeled_to_fock(state, other)
+
+    @pytest.mark.parametrize("sector", [SYM, ANTI])
+    def test_agrees_with_is_in_sector_on_perturbed_states(self, rng, sector):
+        for d in range(2, 6):
+            for n in range(2, 6):
+                if sector is ANTI and n > d:
+                    continue
+                clean = random_sector_state(rng, d, n, sector)
+                for size, inside in ((1e-12, True), (1e-7, False)):
+                    state = perturbed(clean, sector, size, rng)
+                    assert exchange.is_in_sector(state, sector) is inside, (d, n, size)
+                    try:
+                        labeled_to_fock(state, sector)
+                        accepted = True
+                    except ValueError as err:
+                        assert str(err) == f"state is not in the {sector.value} sector"
+                        accepted = False
+                    assert accepted is inside, (d, n, size)
+
+
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        # a float row that sums to the total, and one that would truncate to (2, 0)
+        ({(1.5, 0.5): 1.0}, "occupation (1.5, 0.5) must hold 64-bit integers"),
+        ({(2.5, -0.5): 1.0}, "occupation (2.5, -0.5) must hold 64-bit integers"),
+        ({(2.0, 0): 1.0}, "occupation (2.0, 0) must hold 64-bit integers"),
+        ({(2 ** 64, 2 - 2 ** 64): 1.0},
+         f"occupation {(2 ** 64, 2 - 2 ** 64)} must hold 64-bit integers"),
+        # the first occupation that is not integer, ahead of a term before it
+        ({(3, 0): 0.6, (1, 1): 0.0, ("2", 0): 0.8},
+         "occupation ('2', 0) must hold 64-bit integers"),
+    ],
+)
+def test_fock_vector_refuses_non_integer_occupations(terms, message):
+    with pytest.raises(ValueError) as got:
+        FockVector(terms, SYM, 2)
+    assert str(got.value) == message
+
+
+def test_fock_vector_reads_integer_types():
+    fv = FockVector({(True, np.int64(1), 0): 0.6, (0, 2, False): 0.8}, SYM, 2)
+    back = fock_to_labeled(fv, OneParticleBasis.default(3))
+    assert labeled_to_fock(back, SYM).terms == pytest.approx({(1, 1, 0): 0.6, (0, 2, 0): 0.8})
 
 
 class TestReplacementTheorem:

@@ -275,11 +275,16 @@ class TestLabeledStateValidation:
             (HALF + [0, 0, 0, 1j * np.inf], "amplitudes must be finite"),
             (np.array([np.nan, 1.0, 0.0]), "expected 4 amplitudes, got shape (3,)"),
             (HALF * (1 + 1e-6), f"state norm {np.linalg.norm(HALF * (1 + 1e-6))} deviates from 1"),
+            # finite, but its squared norm overflows
+            (HALF + [1e200, 0, 0, 0], "state norm inf deviates from 1"),
         ],
-        ids=["nan_real", "nan_imag", "inf", "minus_inf", "inf_imag", "shape", "norm_1e-6"],
+        ids=["nan_real", "nan_imag", "inf", "minus_inf", "inf_imag", "shape", "norm_1e-6",
+             "overflow"],
     )
     def test_same_errors_as_separate_checks(self, amps, message):
-        expected = raised(reference_check, 2, AB, amps)
+        # the reference's overflowing norm warns; LabeledState must not
+        with np.errstate(over="ignore"):
+            expected = raised(reference_check, 2, AB, amps)
         assert raised(LabeledState, 2, AB, amps) == expected == (ValueError, message)
 
     def test_norm_message_prints_the_norm(self):
