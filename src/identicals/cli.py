@@ -307,7 +307,27 @@ def _occupation_from_config(cfg: dict) -> fock.OccupationState:
     check_dense_dim(d, len(modes))
     if not modes:
         raise ValueError(fock.VACUUM)  # before parse_symbol allocates d counters
+    defining = len(set(modes))
+    size = _symbol_report_characters(d, defining)
+    if size > counting.ENUMERATION_CHARACTER_CAP:
+        raise CapExceeded(
+            f"the report of {defining} defining states over d = {d} modes is up to "
+            f"{size} characters, over the character cap of {counting.ENUMERATION_CHARACTER_CAP}"
+        )
     return fock.parse_symbol(text, d, parsed["sector"])
+
+
+def _symbol_report_characters(d: int, defining: int) -> int:
+    """An upper bound on the characters of a symbol's `analyze` report of d modes.
+
+    json.dumps(indent=2) writes each defining state (one per distinct mode
+    of the symbol) as 2d lines of "0.0" or "1.0" at indent 8, 13 characters
+    with ",\n", in 62 of framing (an occupation of at most MAX_SLOTS = 63
+    has two digits); the natural spectrum as d lines at indent 4, the
+    `defining` nonzero values at most 24 characters (the longest float repr)
+    and the zeros 3, each with 6 more; 200 covers the report's head and tail.
+    """
+    return defining * (26 * d + 62) + 9 * d + 21 * defining + 200
 
 
 def _state_from_config(cfg: dict) -> LabeledState:

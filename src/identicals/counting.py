@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .errors import CapExceeded
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
-#: bound on enumeration_characters, the characters a Planck enumeration builds
+#: bound on enumeration_characters, the characters a Planck enumeration builds,
+#: and on the characters of a symbol's `analyze` report
 ENUMERATION_CHARACTER_CAP = 2 * 10 ** 7
 
 

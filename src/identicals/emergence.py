@@ -140,6 +140,8 @@ def _pivoted_cholesky(psi: np.ndarray) -> tuple[list[int], np.ndarray] | None:
     """
     import numpy as np
 
+    from .states import norm
+
     d, n = len(psi), psi.ndim
     slot = psi.reshape(d, -1)
     if n > 1 and d >= 2 * n - 1:
@@ -149,9 +151,7 @@ def _pivoted_cholesky(psi: np.ndarray) -> tuple[list[int], np.ndarray] | None:
         gram = probe.conj().T @ probe
         if np.linalg.det(gram).real > TAU_RANK * np.trace(gram).real ** n:
             return None
-    pairs = np.ascontiguousarray(slot).view(np.float64)
-    # one dot product per row: no d^N temporary
-    residual = (pairs[:, None, :] @ pairs[:, :, None]).ravel()
+    residual = norm(slot, rows=True)
     chol = np.zeros((d, n), dtype=complex)
     pivots: list[int] = []
     for k in range(n):
@@ -274,6 +274,7 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
     import numpy as np
 
     from . import exchange
+    from .states import norm
 
     if state.n_slots != 2:
         raise ValueError("Slater rank is defined here for two-slot states only")
@@ -293,7 +294,7 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
         # rounding of the length-d products and of the SVD itself, then of
         # each sigma taken as the square root of a Gram eigenvalue
         eps = d * np.finfo(float).eps
-        tail = np.linalg.norm(residual) + eps
+        tail = norm(residual) + eps
         spread = tail + math.sqrt(eps * np.trace(gram).real)
         if tail < SLATER_SV_THRESHOLD and np.all(np.abs(sv - SLATER_SV_THRESHOLD) > spread):
             return int(np.count_nonzero(sv > SLATER_SV_THRESHOLD)) // 2

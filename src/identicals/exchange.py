@@ -30,13 +30,14 @@ from .states import (
     LabeledState,
     OneParticleBasis,
     check_dense_dim,
+    norm,
     tensor_product,
 )
 
 TAU_SECTOR = 1e-9
 
-#: below this pre-normalization norm an antisymmetrized product counts as
-#: a Pauli violation rather than a usable state
+#: at or below this pre-normalization norm an antisymmetrized product counts
+#: as a Pauli violation rather than a usable state
 MIN_PRODUCT_NORM = 1e-6
 
 
@@ -54,6 +55,15 @@ def _divide(arr: np.ndarray, c: float) -> None:
         view *= 1.0 / c
     else:
         arr /= c
+
+
+def _normalize(arr: np.ndarray, floor: float) -> bool:
+    """Divide arr by its norm in place; False, and arr untouched, if the norm is at most floor."""
+    length = norm(arr)
+    if length <= floor:
+        return False
+    _divide(arr, length)
+    return True
 
 
 def _project_raw(arr: np.ndarray, sector: ExchangeSector) -> np.ndarray:
@@ -83,10 +93,8 @@ def _project_raw(arr: np.ndarray, sector: ExchangeSector) -> np.ndarray:
 def sector_project(state: LabeledState, sector: ExchangeSector) -> LabeledState | None:
     """Project onto the sector and renormalize; None when the projection vanishes."""
     raw = _project_raw(state.tensor(), sector)
-    norm = np.linalg.norm(raw)
-    if norm <= TAU_NORM:
+    if not _normalize(raw, TAU_NORM):
         return None
-    _divide(raw, norm)
     return LabeledState(state.n_slots, state.basis, raw.reshape(-1))
 
 
@@ -100,13 +108,11 @@ def symmetrized_product(
     """
     product = tensor_product(factors, basis)
     raw = _project_raw(product.tensor(), sector)
-    norm = np.linalg.norm(raw)
-    if norm < MIN_PRODUCT_NORM:
+    if not _normalize(raw, MIN_PRODUCT_NORM):
         raise ValueError(
             "antisymmetrized product vanishes: factors are not linearly independent "
             "(Pauli exclusion)"
         )
-    _divide(raw, norm)
     return LabeledState(product.n_slots, basis, raw.reshape(-1))
 
 
@@ -252,11 +258,7 @@ def _near_projection(projected: np.ndarray, psi: np.ndarray) -> bool:
     False when |P psi| <= TAU_NORM or |P psi / |P psi| - psi| > TAU_SECTOR.
     Normalizes projected in place (if it does not vanish).
     """
-    norm = np.linalg.norm(projected)
-    if norm <= TAU_NORM:
-        return False
-    _divide(projected, norm)
-    return not np.linalg.norm(projected.reshape(-1) - psi) > TAU_SECTOR
+    return _normalize(projected, TAU_NORM) and not norm(projected.reshape(-1) - psi) > TAU_SECTOR
 
 
 def is_in_sector(state: LabeledState, sector: ExchangeSector) -> bool:

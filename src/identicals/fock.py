@@ -81,6 +81,8 @@ class FockVector:
     def __post_init__(self):
         import numpy as np
 
+        import identicals.states as states
+
         keys = list(self.terms)
         widths = set(map(len, keys))
         if len(widths) > 1:
@@ -99,9 +101,9 @@ class FockVector:
             term, check = divmod(int(np.argmax(failed)), failed.shape[1])
             total_error = f"occupation {keys[term]} breaks the total number {self.total_number}"
             raise ValueError((total_error, _NEGATIVE, _PAULI)[check])
-        norm = np.linalg.norm(list(self.terms.values()))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"Fock vector norm {norm} deviates from 1")
+        length = states.norm(list(self.terms.values()))
+        if abs(length - 1.0) > 1e-9:
+            raise ValueError(f"Fock vector norm {length} deviates from 1")
 
 
 def _occupation_matrix(keys: list, width: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .states import (
     check_dense_dim,
     check_unitary,
     fix_phase,
+    norm,
 )
 
 TAU_GRID = 1e-6
@@ -117,7 +118,7 @@ def measure_ports_and_spins(
         raise ValueError("no coincidence events; conditional spin state undefined")
     # spin amplitudes with the left-port particle listed first
     chi = np.array([a[s1, 2 + s2] for s1 in range(2) for s2 in range(2)])
-    chi = chi / np.linalg.norm(chi)
+    chi = chi / norm(chi)
     fix_phase(chi)
 
     def correlator(op1: np.ndarray, op2: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from identicals import exchange
+from identicals import exchange, states
 from identicals.counting import ExchangeSector
 from identicals.exchange import MIN_PRODUCT_NORM, TAU_SECTOR
 from identicals.states import TAU_NORM, LabeledState, OneParticleBasis, tensor_product
@@ -38,22 +38,22 @@ def frozen_project_raw(arr, sector):
 def frozen_sector_projection(state, sector):
     """(P psi / |P psi| as a slot tensor, membership verdict), or (None, False)."""
     projected = frozen_project_raw(state.tensor(), sector)
-    norm = np.linalg.norm(projected)
+    norm = states.norm(projected)
     if norm <= TAU_NORM:
         return None, False
     projected /= norm
-    return projected, np.linalg.norm(projected.reshape(-1) - state.amplitudes) <= TAU_SECTOR
+    return projected, states.norm(projected.reshape(-1) - state.amplitudes) <= TAU_SECTOR
 
 
 def frozen_sector_project(state, sector):
     raw = frozen_project_raw(state.tensor(), sector)
-    norm = np.linalg.norm(raw)
+    norm = states.norm(raw)
     return None if norm <= TAU_NORM else raw.reshape(-1) / norm
 
 
 def frozen_symmetrized_product(factors, sector, basis):
     raw = frozen_project_raw(tensor_product(factors, basis).tensor(), sector)
-    norm = np.linalg.norm(raw)
+    norm = states.norm(raw)
     return None if norm < MIN_PRODUCT_NORM else raw.reshape(-1) / norm
 
 
