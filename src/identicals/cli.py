@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import counting
-from .errors import CapExceeded, check_dense_dim
+from .errors import CapExceeded, check_dense_dim, check_report_size
 
 
 class ConfigError(Exception):
@@ -121,9 +121,14 @@ def _kinds(v, where, key) -> list[counting.StatisticsKind]:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where}: {key} must be a non-empty list")
     names = [kind.value for kind in counting.StatisticsKind]
+    seen = set()
     for name in v:
         if name not in names:
             raise ConfigError(f"{where}: unknown statistics kind {name!r}")
+        # one row per kind: a repeated kind would only lengthen the report
+        if name in seen:
+            raise ConfigError(f"{where}: {key} lists {name!r} more than once")
+        seen.add(name)
     return list(map(counting.StatisticsKind, v))
 
 
@@ -274,6 +279,16 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
 
     parsed = _parse(cfg, _BASIS, "basis")
     d, n, sector = parsed["d"], parsed["n"], parsed["sector"]
+    # more fermions than modes is the empty sector, a constant report; any
+    # other sector meets the slot and d^N caps, then the report cap, before
+    # sector_basis builds anything
+    if not (sector is counting.ExchangeSector.ANTISYMMETRIC and n > d):
+        check_dense_dim(d, n)
+        count = counting.count_microstates(sector.statistics, n, d)
+        check_report_size(
+            _basis_report_characters(d, n, count, fmt),
+            f"the basis report of {count} states over d^N = {d}^{n} amplitudes",
+        )
     states = exchange.sector_basis(d, n, sector)
     occs = counting.enumerate_distributions(sector.statistics, n, d)
     # one row per state; + 0.0 turns -0.0 into 0, as _fmt does
@@ -296,6 +311,23 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _basis_report_characters(d: int, n: int, count: int, fmt: str) -> int:
+    """An upper bound on the characters of a `basis` report of count states.
+
+    Each state is its occupation, d counts of at most digits(n) digits, and
+    its 2 d^N interleaved (re, im) values.  A zero prints as "0" with a
+    space in CSV, or as the 13-character line "        0.0,\n" in JSON; any
+    other value is at least 1/sqrt(63!) in size, so at most 18 characters
+    with a 2-digit exponent, and at most d^N values are nonzero, since each
+    amplitude index lies in one occupation.  A JSON state adds 80 of
+    framing; 22 (CSV) and 30 (JSON) cover the report's head and tail.
+    """
+    dim, digits = d ** n, len(str(n))
+    if fmt == "json":
+        return 30 + count * (d * (10 + digits) + 26 * dim + 80) + 15 * dim
+    return 22 + count * (d * (digits + 1) + 1 + 4 * dim) + 17 * dim
+
+
 # ---------------------------------------------------------------- analyze
 
 def _occupation_from_config(cfg: dict) -> fock.OccupationState:
@@ -308,12 +340,10 @@ def _occupation_from_config(cfg: dict) -> fock.OccupationState:
     if not modes:
         raise ValueError(fock.VACUUM)  # before parse_symbol allocates d counters
     defining = len(set(modes))
-    size = _symbol_report_characters(d, defining)
-    if size > counting.ENUMERATION_CHARACTER_CAP:
-        raise CapExceeded(
-            f"the report of {defining} defining states over d = {d} modes is up to "
-            f"{size} characters, over the character cap of {counting.ENUMERATION_CHARACTER_CAP}"
-        )
+    check_report_size(
+        _symbol_report_characters(d, defining),
+        f"the report of {defining} defining states over d = {d} modes",
+    )
     return fock.parse_symbol(text, d, parsed["sector"])
 
 
@@ -427,14 +457,18 @@ def cmd_density(cfg: dict, fmt: str, output_override: str | None) -> str:
     from . import interferometer
 
     parsed = _parse(cfg, _DENSITY, "density")
+    path = output_override or parsed.get("output")
+    if path is None:
+        raise ConfigError("density: no output path (config 'output' or --output)")
+    n_points = parsed["grid"]["n_points"]
+    check_report_size(
+        _density_csv_characters(n_points), f"the density CSV of {n_points}^2 grid points"
+    )
     grid = interferometer.joint_spatial_density(
         interferometer.GaussianPacket(**parsed["packet_s"]),
         interferometer.GaussianPacket(**parsed["packet_n"]),
         **parsed["grid"],
     )
-    path = output_override or parsed.get("output")
-    if path is None:
-        raise ConfigError("density: no output path (config 'output' or --output)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(grid.to_csv())
     report = {"cross_term_max": grid.cross_term_max, "integral": grid.integral()}
@@ -445,6 +479,16 @@ def cmd_density(cfg: dict, fmt: str, output_override: str | None) -> str:
         f"cross_term_max,{_fmt(report['cross_term_max'])}\n"
         f"integral,{_fmt(report['integral'])}\n"
     )
+
+
+def _density_csv_characters(n_points: int) -> int:
+    """An upper bound on the characters of the density CSV of an n_points grid.
+
+    Each of the n_points^2 rows is three %.12g numbers of at most 19
+    characters ("-1.23456789012e-300"), two commas and a newline; the
+    header "x1,x2,rho\n" adds 10.
+    """
+    return 10 + 60 * n_points ** 2
 
 
 # ---------------------------------------------------------------- driver

@@ -16,12 +16,9 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import CapExceeded
+from .errors import CapExceeded, check_report_size
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
-#: bound on enumeration_characters, the characters a Planck enumeration builds,
-#: and on the characters of a symbol's `analyze` report
-ENUMERATION_CHARACTER_CAP = 2 * 10 ** 7
 
 
 def enumeration_characters(
@@ -126,7 +123,7 @@ def symbol_blocks(
     symbol, so a caller formats each block with one template; the memo of
     half-enumerations behind them is dropped when the call returns.  Both caps
     are checked before anything is built: at most DEFAULT_ENUMERATION_CAP
-    symbols, and at most ENUMERATION_CHARACTER_CAP for
+    symbols, and the report cap (errors.check_report_size) for
     enumeration_characters(problem, fmt, framing, head), the estimated characters
     of the symbols, or of a `count` report in format `fmt`.
     """
@@ -134,12 +131,10 @@ def symbol_blocks(
     if w > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(f"{w} symbols exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     k, p = problem.n_resonators, problem.n_quanta
-    size = enumeration_characters(problem, fmt, framing, head)
-    if size > ENUMERATION_CHARACTER_CAP:
-        raise CapExceeded(
-            f"{w} symbols of {k} resonators and {p} quanta are about {size} "
-            f"characters, over the enumeration cap of {ENUMERATION_CHARACTER_CAP}"
-        )
+    check_report_size(
+        enumeration_characters(problem, fmt, framing, head),
+        f"the enumeration of {w} symbols of {k} resonators and {p} quanta",
+    )
     if p == 0 or k <= 2:
         return [("", "", *_symbol_texts(k, p, {}))]
     return list(_halves(k, p, {}))
@@ -288,7 +283,14 @@ def enumerate_distributions(kind: StatisticsKind, n: int, d: int) -> list[tuple[
 
 
 def entropy(count: int, k: float = 1.0) -> float:
-    """S = k ln(count); count = 0 signals an impossible configuration."""
+    """S = k ln(count); count = 0 signals an impossible configuration.
+
+    A product k ln(count) past the float range is a ValueError, not +-inf.
+    """
     if count < 1:
         raise ValueError(f"entropy undefined for count {count}")
-    return k * math.log(count)
+    ln_w = math.log(count)
+    s = k * ln_w
+    if not math.isfinite(s):
+        raise ValueError(f"entropy S = k ln W is not finite for k = {k!r}, ln W = {ln_w!r}")
+    return s

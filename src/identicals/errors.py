@@ -1,14 +1,16 @@
-"""Shared exception types and the dense-tensor caps.
+"""Shared exception types, the dense-tensor caps and the report cap.
 
 The caps live here, beside CapExceeded, so that numpy-free code (the CLI's
-symbol checks) applies the same limits as the dense modules that re-export
-them (`states`, `exchange`).
+symbol checks, `counting`) applies the same limits as the dense modules that
+re-export them (`states`, `exchange`).
 """
 
 #: dense storage only; anything bigger is out of desk scale
 MAX_DIM = 2 ** 24
 #: numpy arrays have at most 64 axes: one per slot, and np.indices adds one
 MAX_SLOTS = 63
+#: characters a report may hold: only check_report_size reads it
+MAX_REPORT_CHARS = 2 * 10 ** 7
 
 
 class CapExceeded(Exception):
@@ -26,3 +28,15 @@ def check_dense_dim(d: int, n: int) -> int:
     if dim > MAX_DIM:
         raise CapExceeded(f"d^N = {d}^{n} exceeds the dense-storage cap {MAX_DIM}")
     return dim
+
+
+def check_report_size(size: int, what: str) -> None:
+    """CapExceeded when `size`, an upper bound on the characters of `what`, passes the cap.
+
+    Every command whose report can grow without limit calls this with its
+    estimate before it builds anything.
+    """
+    if size > MAX_REPORT_CHARS:
+        raise CapExceeded(
+            f"{what} is up to {size} characters, over the report cap of {MAX_REPORT_CHARS}"
+        )

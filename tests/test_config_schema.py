@@ -278,6 +278,10 @@ NEW_REFUSALS = [
         slot_cap(10 ** 11)),
     row("basis_fermions_d_1e6_n_1e5", "basis",
         fault(BASIS, d=10 ** 6, n=10 ** 5, sector="antisymmetric"), 3, slot_cap(10 ** 5)),
+    # 20000 rows of one kind printed 80 MB in 7.4 s
+    row("micro_kinds_repeated_20000", "count",
+        fault(MICROSTATES, n=4000, d=10, kinds=["boltzmann"] * 20000), 2,
+        "count: kinds lists 'boltzmann' more than once"),
 ]
 
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import identicals
-from identicals import cli, counting
+from identicals import cli, counting, errors
 from identicals.counting import CountingProblem, Mark, StatisticsKind, SymbolString
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -260,8 +260,8 @@ def test_an_enumeration_past_the_character_cap_exits_3_before_a_row_is_built(
     head = report_head(2, 999999, fmt)
     size = (10 ** 6 * (1 + 999999) + 10 ** 6 * 2 * (6 + separator) + (10 ** 6 + 1) * framing
             + head)
-    assert f"about {size} characters" in err
-    assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
+    assert f"up to {size} characters" in err
+    assert f"cap of {errors.MAX_REPORT_CHARS}" in err
     assert elapsed < 1.0
 
 
@@ -284,12 +284,12 @@ def test_the_character_cap_admits_every_planck_count_of_the_configs_and_benchmar
             size = counting.enumeration_characters(
                 CountingProblem(n_res, n_quanta), fmt, framing, report_head(n_res, n_quanta, fmt)
             )
-            assert size <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta, fmt)
+            assert size <= errors.MAX_REPORT_CHARS, (n_res, n_quanta, fmt)
     # the shapes the tests above enumerate without a report
     for n_res, n_quanta in [(40, 1), (40, 2), (2, 40), (3, 40), (64, 3), (3000, 1), (300, 2),
                             (100000, 0)]:
         size = counting.enumeration_characters(CountingProblem(n_res, n_quanta))
-        assert size <= counting.ENUMERATION_CHARACTER_CAP, (n_res, n_quanta)
+        assert size <= errors.MAX_REPORT_CHARS, (n_res, n_quanta)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -302,13 +302,13 @@ def test_a_report_of_long_energy_lists_exits_3_before_a_row_is_built(
         raise AssertionError("a row was built")
 
     problem = CountingProblem(4000, 1)
-    assert counting.enumeration_characters(problem) <= counting.ENUMERATION_CHARACTER_CAP
+    assert counting.enumeration_characters(problem) <= errors.MAX_REPORT_CHARS
     monkeypatch.setattr(counting, "_symbol_texts", never)
     cfg = {"N": 4000, "P": 1, "enumerate": True}
     code, out, err, elapsed = run_count(tmp_path, capsys, cfg, fmt)
     assert code == 3
     assert out == ""
-    assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
+    assert f"cap of {errors.MAX_REPORT_CHARS}" in err
     assert elapsed < 1.0
 
 
@@ -350,13 +350,13 @@ def test_a_json_report_of_few_resonators_and_many_quanta_exits_3_before_a_row_is
         raise AssertionError("a row was built")
 
     problem = CountingProblem(5, 43)
-    assert counting.enumeration_characters(problem, "json") <= counting.ENUMERATION_CHARACTER_CAP
+    assert counting.enumeration_characters(problem, "json") <= errors.MAX_REPORT_CHARS
     monkeypatch.setattr(counting, "_symbol_texts", never)
     code, out, err, elapsed = run_count(tmp_path, capsys, {"N": 5, "P": 43, "enumerate": True},
                                         "json")
     assert code == 3
     assert out == ""
-    assert f"cap of {counting.ENUMERATION_CHARACTER_CAP}" in err
+    assert f"cap of {errors.MAX_REPORT_CHARS}" in err
     assert elapsed < 1.0
 
 
@@ -392,6 +392,28 @@ def test_a_printable_count_with_a_huge_argument_is_printed(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[1] == f"W,{math.comb(n_res + 1, 2)}"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("k", [1e308, -1e308])
+@pytest.mark.parametrize(
+    "cfg", [{"N": 3, "P": 4}, {"n": 5, "d": 6, "kinds": ["fermi_dirac", "boltzmann"]}],
+    ids=["planck", "microstates"],
+)
+def test_an_entropy_past_the_float_range_is_a_domain_error(tmp_path, capsys, cfg, k, fmt):
+    # k ln W was printed as inf, or as Infinity, which is not JSON
+    code, out, err, _ = run_count(tmp_path, capsys, {**cfg, "k": k}, fmt)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"domain error: entropy S = k ln W is not finite for k = {k!r}, ln W = ")
+    assert err.count("\n") == 1
+
+
+def test_entropy_is_finite_or_a_value_error():
+    assert counting.entropy(1, 1e308) == 0.0
+    assert counting.entropy(2, 1e308) == 1e308 * math.log(2)
+    for k in [1e308, -1e308, math.inf, math.nan]:
+        with pytest.raises(ValueError, match="is not finite"):
+            counting.entropy(15, k)
 
 
 @pytest.mark.parametrize("kind", list(StatisticsKind))

@@ -1,8 +1,8 @@
 """A symbol `analyze` report is bounded before it is built.
 
 cli._symbol_report_characters bounds the characters of the report from d
-and the symbol's distinct modes; past counting.ENUMERATION_CHARACTER_CAP
-the command exits 3 before any per-mode work starts.
+and the symbol's distinct modes; past errors.MAX_REPORT_CHARS the command
+exits 3 before any per-mode work starts.
 """
 
 import itertools
@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from identicals import cli, counting
+from identicals import cli, errors
 
 SECTORS = ["symmetric", "antisymmetric"]
 
@@ -40,8 +40,8 @@ def test_a_report_past_the_cap_exits_3_in_under_a_second(tmp_path, capsys, d):
     captured = capsys.readouterr()
     assert captured.out == ""
     size = cli._symbol_report_characters(d, 1)
-    assert size > counting.ENUMERATION_CHARACTER_CAP
+    assert size > errors.MAX_REPORT_CHARS
     assert captured.err == (
         f"cap exceeded: the report of 1 defining states over d = {d} modes is up to {size} "
-        f"characters, over the character cap of {counting.ENUMERATION_CHARACTER_CAP}\n"
+        f"characters, over the report cap of {errors.MAX_REPORT_CHARS}\n"
     )
