@@ -9,6 +9,10 @@ slot index tuples under S_N.  A complex buffer is divided by a real scalar
 (a coset round's 1/k, a norm) as one multiply of its float64 view by the
 reciprocal (_divide): the bits of numpy's complex division, but for the
 sign of a zero, without its cost.
+
+sector_basis builds its vectors by the private LabeledState._trusted, which
+checks nothing: each is a row of the orbit table, a unit vector by
+construction, so validating it again would only repeat its norm.
 """
 
 from __future__ import annotations
@@ -221,6 +225,12 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     basis is one dense array, so its size is capped before anything is built.
     Past the slot cap neither the count nor d^N is computed: more fermions
     than modes give the empty basis, anything else the slot cap's error.
+
+    The vectors are built trusted, without a second validation: row k of the
+    one (count, d^N) complex array holds the orbit-table amplitudes of class
+    k, the closed-form basis amplitudes of one occupation, so it has the
+    right shape and norm 1 within rounding.  Each vector is a read-only view
+    of its row; the array is never copied.
     """
     if n > MAX_SLOTS:
         if sector is ExchangeSector.ANTISYMMETRIC and n > d:
@@ -239,7 +249,7 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     vectors = np.zeros((count, d ** n), dtype=complex)
     vectors[cls[member], member] = amp[member]
     basis = OneParticleBasis.default(d)
-    return [LabeledState(n, basis, v) for v in vectors]
+    return [LabeledState._trusted(n, basis, v) for v in vectors]
 
 
 def _sector_projection(state: LabeledState, sector: ExchangeSector) -> np.ndarray | None:

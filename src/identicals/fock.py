@@ -15,6 +15,15 @@ shared, read-only, by every call of either direction and by
 occupation_to_labeled (see exchange.orbit_table for its cache and byte
 budget).
 
+What the bridge builds is not validated a second time.  labeled_to_fock's
+terms and occupation_to_labeled's vector come from classes of the orbit
+table, so they hold the invariants that FockVector and LabeledState check;
+they are built by the private _trusted constructors, which check nothing,
+and each of the two functions says why its result is valid.  A caller's
+FockVector or LabeledState is always validated, so fock_to_labeled, whose
+input is a caller's Fock vector, builds its state through the public
+constructor.
+
 Symbols and occupation states need only the standard library: numpy,
 `exchange` and `states` are imported inside the functions that use them,
 so parsing a symbol (and the CLI's symbol `analyze`) never imports numpy.
@@ -101,9 +110,25 @@ class FockVector:
             term, check = divmod(int(np.argmax(failed)), failed.shape[1])
             total_error = f"occupation {keys[term]} breaks the total number {self.total_number}"
             raise ValueError((total_error, _NEGATIVE, _PAULI)[check])
-        length = states.norm(list(self.terms.values()))
-        if abs(length - 1.0) > 1e-9:
-            raise ValueError(f"Fock vector norm {length} deviates from 1")
+        values = list(self.terms.values())
+        states.check_unit_norm(values, "Fock coefficients", "Fock vector norm {norm} deviates from 1")
+
+    @classmethod
+    def _trusted(
+        cls, terms: dict[tuple[int, ...], complex], sector: ExchangeSector, total_number: int
+    ) -> "FockVector":
+        """A Fock vector from terms the package built valid; checks nothing.
+
+        The occupations must be tuples of ints of one width, non-negative,
+        summing to total_number and obeying the sector's occupation rule,
+        and the coefficients' norm must obey states.off_unit_norm: what
+        __post_init__ checks, the only place the checks are made.  Only a
+        function that builds the terms valid by construction calls this, and
+        its docstring says why (tests/test_trusted.py holds the list).
+        """
+        fv = object.__new__(cls)
+        vars(fv).update(terms=terms, sector=sector, total_number=total_number)
+        return fv
 
 
 def _occupation_matrix(keys: list, width: int) -> np.ndarray:
@@ -174,7 +199,14 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, basis: OneParticleBasis) -> np.
 
 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
-    """The sector basis vector with the given occupations."""
+    """The sector basis vector with the given occupations.
+
+    It is built trusted, without a second validation: it is one row of the
+    orbit table, a new complex array of d^N amplitudes holding the basis
+    amplitudes of one class, so its norm is 1 within rounding.  The class
+    exists, since OccupationState has checked signs and Pauli and
+    _sorted_tuple_index the width and the vacuum.
+    """
     import numpy as np
 
     import identicals.exchange as exchange
@@ -182,7 +214,7 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
 
     (first,) = _sorted_tuple_index(np.array([occ.occupations]), occ.total, basis)
     cls, amp, _ = exchange.orbit_table(basis.dim, occ.total, occ.sector)
-    return states.LabeledState(occ.total, basis, np.where(cls == cls[first], amp, 0.0))
+    return states.LabeledState._trusted(occ.total, basis, np.where(cls == cls[first], amp, 0j))
 
 
 def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
@@ -194,10 +226,21 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     to the rule of exchange.is_in_sector.  Terms with |coefficient| > 1e-12
     are kept, in the order of counting.enumerate_distributions; their
     occupations are counted off the sorted index tuples of the orbit table.
+
+    The result is built trusted, without a second validation.  Each
+    occupation is a tuple of d Python ints counted from a class of the
+    sector, so it is non-negative, sums to N and obeys Pauli in the
+    antisymmetric sector.  The coefficients' norm is that of P psi less the
+    terms dropped below 1e-12; the membership rule puts it within ~1e-18
+    (TAU_SECTOR^2 / 2) of |psi|, and |psi| is within TAU_NORM of 1.  Where
+    psi sits at the edge of TAU_NORM and rounding carries the coefficients'
+    norm past it, they are divided by that norm, so every result obeys the
+    unit-norm rule.
     """
     import numpy as np
 
     import identicals.exchange as exchange
+    import identicals.states as states
 
     n, d = state.n_slots, state.basis.dim
     cls, amp, first = exchange.orbit_table(d, n, sector)
@@ -216,8 +259,12 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     # occupation matrix: per kept term, how many of its n slots hold each mode
     cells = modes + d * np.arange(keep.size)[:, None]
     occ = np.bincount(cells.ravel(), minlength=keep.size * d).reshape(keep.size, d)
-    terms = dict(zip(map(tuple, occ.tolist()), coeffs[keep].tolist()))
-    return FockVector(terms, sector, n)
+    values = coeffs[keep]
+    length = states.norm(values)
+    if states.off_unit_norm(length):
+        values = values / length
+    terms = dict(zip(map(tuple, occ.tolist()), values.tolist()))
+    return FockVector._trusted(terms, sector, n)
 
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:

@@ -64,6 +64,28 @@ def norm(amps: np.ndarray, rows: bool = False) -> float | np.ndarray:
     return sums if rows else math.sqrt(sums[0])
 
 
+def off_unit_norm(length: float) -> bool:
+    """Whether a norm breaks the package's one unit-norm rule: off 1 by more than TAU_NORM.
+
+    NaN breaks it, since it compares false.
+    """
+    return not abs(length - 1.0) <= TAU_NORM
+
+
+def check_unit_norm(values, what: str, message: str) -> None:
+    """ValueError unless the values, measured by norm, obey the unit-norm rule.
+
+    Non-finite values (NaN or inf) raise '<what> must be finite'; any other
+    break, a finite array whose squared norm overflows included, raises
+    message with {norm} replaced by the norm.
+    """
+    length = norm(values)
+    if off_unit_norm(length):
+        if not math.isfinite(length) and not np.isfinite(values).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(message.format(norm=length))
+
+
 @dataclass(frozen=True)
 class OneParticleBasis:
     """Ordered mode names, optionally with per-mode energies (units of epsilon)."""
@@ -143,14 +165,26 @@ class LabeledState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        # NaN or inf amplitudes, or an overflow, make the norm not finite
-        length = norm(amps)
-        if not abs(length - 1.0) <= TAU_NORM:
-            if not math.isfinite(length) and not np.isfinite(amps).all():
-                raise ValueError("amplitudes must be finite")
-            raise ValueError(f"state norm {length} deviates from 1")
+        check_unit_norm(amps, "amplitudes", "state norm {norm} deviates from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _trusted(
+        cls, n_slots: int, basis: OneParticleBasis, amplitudes: np.ndarray
+    ) -> "LabeledState":
+        """A state from amplitudes the package built valid; checks nothing.
+
+        The amplitudes must be a complex array of shape (d^N,) whose norm
+        obeys off_unit_norm: what __post_init__ checks, the only place the
+        checks are made.  They are made read-only in place and kept, never
+        copied.  Only a function that builds them valid by construction calls
+        this, and its docstring says why (tests/test_trusted.py holds the list).
+        """
+        state = object.__new__(cls)
+        amplitudes.setflags(write=False)
+        vars(state).update(n_slots=n_slots, basis=basis, amplitudes=amplitudes)
+        return state
 
     @property
     def dim(self) -> int:
@@ -176,9 +210,7 @@ def tensor_product(factors: list[np.ndarray], basis: OneParticleBasis) -> Labele
         v = np.asarray(f, dtype=complex)
         if v.shape != (d,):
             raise ValueError(f"factor {k} has dimension {v.shape}, basis has {d} modes")
-        length = norm(v)
-        if abs(length - 1.0) > TAU_NORM:
-            raise ValueError(f"factor {k} is not unit norm (norm {length})")
+        check_unit_norm(v, f"factor {k}", f"factor {k} is not unit norm (norm {{norm}})")
         vecs.append(v)
     out = vecs[0]
     for v in vecs[1:]:

@@ -8,6 +8,7 @@ loop, and `FockVector` validating one term at a time through
 whole-array bridge of the package.
 """
 
+import cmath
 import itertools
 
 import numpy as np
@@ -26,6 +27,7 @@ from identicals import (
 )
 from identicals import counting, exchange, fock
 from identicals.exchange import _project_raw, orbit_table
+from identicals.states import TAU_NORM
 
 from conftest import random_sector_state
 
@@ -39,8 +41,10 @@ def reference_validate(terms, sector, total_number):
         if sum(occ) != total_number:
             raise ValueError(f"occupation {occ} breaks the total number {total_number}")
         OccupationState(occ, sector)  # validates sector constraint
+    if not all(cmath.isfinite(c) for c in terms.values()):
+        raise ValueError("Fock coefficients must be finite")
     norm = np.sqrt(sum(abs(c) ** 2 for c in terms.values()))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= TAU_NORM:
         raise ValueError(f"Fock vector norm {norm} deviates from 1")
 
 

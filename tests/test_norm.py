@@ -4,6 +4,9 @@ Its vector and row forms agree with math.fsum of the squares at every block
 boundary; an overflow gives inf and NaN gives NaN, without a warning; it
 allocates nothing state-sized.  An AST scan keeps it the only norm in the
 package, and the dense emergence report is exact with it at 2^20 amplitudes.
+States, product factors and Fock vectors are held to one unit-norm rule,
+states.off_unit_norm, which refuses NaN; a second scan keeps it the only
+comparison with TAU_NORM.
 """
 
 import ast
@@ -17,9 +20,11 @@ import pytest
 from identicals import states
 from identicals.counting import ExchangeSector
 from identicals.emergence import detect_emergent_particles, occupation_report
-from identicals.fock import OccupationState
+from identicals.fock import FockVector, OccupationState
 from identicals.states import _NORM_BLOCK as B
-from identicals.states import LabeledState, OneParticleBasis, norm
+from identicals.states import TAU_NORM, LabeledState, OneParticleBasis, norm, tensor_product
+
+SYM = ExchangeSector.SYMMETRIC
 
 SIZES = [1, B - 1, B, B + 1, 3 * B + 5]
 SOURCE = pathlib.Path(states.__file__).parent
@@ -123,6 +128,88 @@ def test_states_norm_is_the_only_norm_in_the_package():
             tree.body.remove(rule)
         found += [f"{path.name} {hit}" for hit in self_norms(tree)]
     assert found == []
+
+
+# ---------------------------------------------------------------- one unit-norm rule
+
+TWO = OneParticleBasis.default(2)
+
+
+def unit_norm_outcomes(values):
+    """The error message, or None, of each constructor that holds values to unit norm."""
+    builds = {
+        "state": lambda: LabeledState(1, TWO, values),
+        "factor": lambda: tensor_product([np.eye(2)[0], values], TWO),
+        "fock": lambda: FockVector(dict(zip([(1, 1), (2, 0)], values)), SYM, 2),
+    }
+    got = {}
+    for name, build in builds.items():
+        try:
+            build()
+            got[name] = None
+        except ValueError as exc:
+            got[name] = str(exc)
+    return got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=str)
+def test_every_constructor_refuses_non_finite_values(bad):
+    assert unit_norm_outcomes([bad, 0.0]) == {
+        "state": "amplitudes must be finite",
+        "factor": "factor 1 must be finite",
+        "fock": "Fock coefficients must be finite",
+    }
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 + TAU_NORM / 2, 1 - TAU_NORM / 2, 1 + 0.99 * TAU_NORM])
+def test_every_constructor_admits_a_norm_within_tau_norm(scale):
+    c = scale / math.sqrt(2)
+    assert unit_norm_outcomes([c, c]) == dict.fromkeys(["state", "factor", "fock"])
+
+
+@pytest.mark.parametrize("scale", [1 + 5 * TAU_NORM, 1 - 5 * TAU_NORM, 1 + 1.01 * TAU_NORM, 3.0])
+def test_every_constructor_refuses_a_norm_past_tau_norm(scale):
+    c = scale / math.sqrt(2)
+    length = norm([c, c])
+    assert unit_norm_outcomes([c, c]) == {
+        "state": f"state norm {length} deviates from 1",
+        "factor": f"factor 1 is not unit norm (norm {length})",
+        "fock": f"Fock vector norm {length} deviates from 1",
+    }
+
+
+def unit_norm_rules(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each comparison that reads TAU_NORM."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(
+            getattr(sub, "id", getattr(sub, "attr", None)) == "TAU_NORM" for sub in ast.walk(node)
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_scan_sees_every_comparison_with_tau_norm():
+    code = (
+        "if abs(x - 1) > TAU_NORM: pass\n"
+        "def f(x):\n    return x <= states.TAU_NORM\n"
+        "_normalize(raw, TAU_NORM)\n"
+    )
+    assert unit_norm_rules(ast.parse(code)) == [("<module>", 1), ("f", 3)]
+
+
+def test_the_unit_norm_rule_is_written_once():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += [(path.name, *hit) for hit in unit_norm_rules(ast.parse(path.read_text("utf-8")))]
+    assert [(name, function) for name, function, _ in found] == [("states.py", "off_unit_norm")]
 
 
 # ---------------------------------------------------------------- the dense report

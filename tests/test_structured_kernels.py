@@ -147,7 +147,7 @@ def test_fock_to_labeled_matches_permutation_sum(size, sector, seed):
 @pytest.mark.parametrize("sector,d", [(SYM, 3), (ANTI, 6)])
 def test_near_sector_state_round_trips(sector, d):
     # a sector state off by a renormalised 1e-10 perturbation is still in the
-    # sector, and its Fock vector still passes the 1e-9 norm check.  The
+    # sector, and its Fock vector still passes the unit-norm check.  The
     # perturbation sits on the sorted index tuples, in phase with the state:
     # reading one amplitude per occupation would scale it by up to sqrt(N!).
     rng = np.random.default_rng(6)
