@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 from collections import OrderedDict
 
@@ -120,40 +121,104 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1))
 
 
-#: bytes of orbit tables that orbit_table keeps for reuse; a table larger
-#: than this is built and returned but not kept
+#: bytes of orbit tables, and of the occupation memos kept with them, that
+#: orbit_table keeps for reuse; a table larger than this is built and
+#: returned but not kept
 ORBIT_CACHE_BYTES = 32 * 2 ** 20
+
+#: bytes of a class int held by a memo (an int object of one 30-bit digit)
+_INT_BYTES = 32
+_EMPTY_DICT_BYTES = sys.getsizeof({})
+_TUPLE_BYTES = sys.getsizeof(())
+_TUPLE_ITEM_BYTES = sys.getsizeof((0,)) - _TUPLE_BYTES
+
+
+class _OrbitEntry:
+    """One (d, N, sector) orbit table and the occupation memo kept with it.
+
+    occupation maps a class to its occupation, a tuple of d Python ints, and
+    cls maps that tuple back to the class.  Both hold only the classes some
+    call asked for, always as a pair, and only _TableCache.remember adds to
+    them; nothing is ever removed, so a class once found stays found.
+    """
+
+    __slots__ = ("key", "tables", "occupation", "cls", "nbytes")
+
+    def __init__(self, key: tuple, tables: tuple[np.ndarray, ...]):
+        self.key = key
+        self.tables = tables
+        self.occupation: dict[int, tuple[int, ...]] = {}
+        self.cls: dict[tuple[int, ...], int] = {}
+        self.nbytes = self.size()
+
+    def class_bytes(self) -> int:
+        """Bytes of one remembered class: its occupation tuple of d ints and its class int."""
+        return _TUPLE_BYTES + self.key[0] * _TUPLE_ITEM_BYTES + _INT_BYTES
+
+    def size(self) -> int:
+        """Bytes held: the three arrays, and the memo's two hash tables, tuples and class ints."""
+        arrays = sum(a.nbytes for a in self.tables)
+        # an empty memo counts 0: like an array's nbytes, no object header counts
+        tables = sys.getsizeof(self.occupation) + sys.getsizeof(self.cls) - 2 * _EMPTY_DICT_BYTES
+        return arrays + tables + len(self.occupation) * self.class_bytes()
 
 
 class _TableCache:
-    """Least-recently-used orbit tables with a running byte total.
+    """Least-recently-used orbit tables with their memos and a running byte total.
 
     The lock keeps the byte total exact when threads miss on the same key
-    at once: each builds the table, only the first one stored is kept.
+    at once (each builds the table, only the first one stored is kept) and
+    when they add to a memo at once.
     """
 
     def __init__(self):
-        self.tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
+        self.tables: OrderedDict[tuple, _OrbitEntry] = OrderedDict()
         self.nbytes = 0
         self.lock = threading.Lock()
 
-    def get(self, key):
+    def get(self, key) -> _OrbitEntry | None:
         with self.lock:
-            tables = self.tables.get(key)
-            if tables is not None:
+            entry = self.tables.get(key)
+            if entry is not None:
                 self.tables.move_to_end(key)
-            return tables
+            return entry
 
-    def put(self, key, tables):
-        size = sum(a.nbytes for a in tables)
+    def put(self, entry: _OrbitEntry) -> None:
         with self.lock:
-            if size > ORBIT_CACHE_BYTES or key in self.tables:
+            if entry.nbytes > ORBIT_CACHE_BYTES or entry.key in self.tables:
                 return
-            while self.nbytes + size > ORBIT_CACHE_BYTES:
-                _, old = self.tables.popitem(last=False)
-                self.nbytes -= sum(a.nbytes for a in old)
-            self.tables[key] = tables
-            self.nbytes += size
+            self.tables[entry.key] = entry
+            self.nbytes += entry.nbytes
+            self._evict()
+
+    def remember(self, entry: _OrbitEntry, occupations: dict[int, tuple[int, ...]]) -> None:
+        """Add class -> occupation pairs to a kept entry's memo, within the budget.
+
+        An entry that is no longer kept takes nothing, and so does one whose
+        new tuples and ints alone would take it past the whole budget.
+        Otherwise the least recently used other tables go first; if the
+        memo's hash tables still carry the entry past the budget, it is
+        dropped too, and the next call builds it afresh.
+        """
+        with self.lock:
+            if self.tables.get(entry.key) is not entry:
+                return
+            new = {k: occ for k, occ in occupations.items() if k not in entry.occupation}
+            if entry.nbytes + len(new) * entry.class_bytes() > ORBIT_CACHE_BYTES:
+                return
+            self.tables.move_to_end(entry.key)
+            for k, occ in new.items():
+                entry.occupation[k] = occ
+                entry.cls[occ] = k
+            size = entry.size()
+            self.nbytes += size - entry.nbytes
+            entry.nbytes = size
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.nbytes > ORBIT_CACHE_BYTES:
+            _, old = self.tables.popitem(last=False)
+            self.nbytes -= old.nbytes
 
 
 _orbit_tables = _TableCache()
@@ -176,19 +241,33 @@ def orbit_table(
 
     The dense cap (check_dense_dim) is checked before the cache is read.
     Each (d, n, sector) table is built once and kept read-only, so every
-    caller shares the same three arrays.  The kept tables hold at most
-    ORBIT_CACHE_BYTES; the least recently used are dropped first, and a
-    table larger than the whole budget is returned without being kept.
+    caller shares the same three arrays.  With each kept table goes the
+    occupation memo of the Fock bridge (_orbit_entry): the occupation tuple
+    of every class a bridge call asked for, and its inverse.  Tables and
+    memos together hold at most ORBIT_CACHE_BYTES; the least recently used
+    tables, with their memos, are dropped first, and a table larger than
+    the whole budget is returned without being kept.
+    """
+    return _orbit_entry(d, n, sector).tables
+
+
+def _orbit_entry(d: int, n: int, sector: ExchangeSector) -> _OrbitEntry:
+    """orbit_table's cache entry: the three arrays and the occupation memo kept with them.
+
+    An entry that is not kept (over the budget, or built by a thread that
+    lost the race to store it) still works: its memo takes nothing, so
+    every lookup in it misses.
     """
     check_dense_dim(d, n)
     key = (d, n, sector)
-    tables = _orbit_tables.get(key)
-    if tables is None:
+    entry = _orbit_tables.get(key)
+    if entry is None:
         tables = _build_orbit_table(d, n, sector)
         for a in tables:
             a.setflags(write=False)
-        _orbit_tables.put(key, tables)
-    return tables
+        entry = _OrbitEntry(key, tables)
+        _orbit_tables.put(entry)
+    return entry
 
 
 def _build_orbit_table(

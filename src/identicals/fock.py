@@ -4,16 +4,18 @@ Occupation vectors play the role of quasi-cardinals; the symbol grammar is
 `f_{` (token)* `}` with token = `e<positive integer>` (the Unicode epsilon
 form is accepted on input).  The maps to and from labeled sector states are
 isometries onto the symmetric/antisymmetric sector bases.  Both directions
-work on the orbit table of exchange.orbit_table: the occupations of a Fock
-vector are one integer matrix (one row per term), read in one call and
-validated, indexed and counted as whole arrays, never one occupation at a
-time.  Sector membership also comes from the table: labeled_to_fock spreads
-its Fock coefficients back over it, P psi = amp * c, and applies the
-membership rule of exchange.is_in_sector to that, so the bridge runs no
-coset projector.  The table of each (d, N, sector) is built once and then
-shared, read-only, by every call of either direction and by
-occupation_to_labeled (see exchange.orbit_table for its cache and byte
-budget).
+work on the orbit table of exchange.orbit_table.  FockVector validates a
+Fock vector's occupations as one integer matrix (one row per term), read in
+one call, never one occupation at a time.  Sector membership also comes
+from the table: labeled_to_fock spreads its Fock coefficients back over it,
+P psi = amp * c, and applies the membership rule of exchange.is_in_sector
+to that, so the bridge runs no coset projector.  The table of each
+(d, N, sector) is built once and then shared, read-only, by every call of
+either direction and by occupation_to_labeled, together with a memo of the
+occupation of each class that a call asked for, both ways (class -> tuple,
+tuple -> class).  A class's occupation is counted off the table once;
+later calls read it with one dict lookup.  See exchange.orbit_table for
+the cache and the byte budget that covers both.
 
 What the bridge builds is not validated a second time.  labeled_to_fock's
 terms and occupation_to_labeled's vector come from classes of the orbit
@@ -35,6 +37,7 @@ trip about 4%.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -180,41 +183,105 @@ def format_symbol(occ: OccupationState) -> str:
     return f"f_{{{body}}}"
 
 
-def _sorted_tuple_index(occ: np.ndarray, n: int, basis: OneParticleBasis) -> np.ndarray:
+def _check_modes(width: int, n: int, basis: OneParticleBasis) -> None:
+    """An occupation must have one entry per basis mode, and hold at least one particle."""
+    if width != basis.dim:
+        raise ValueError(f"occupation has {width} modes, basis has {basis.dim}")
+    if n == 0:
+        raise ValueError(VACUUM)
+
+
+def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
     """Flat index of the mode-ascending index tuple of each occupation row.
 
-    Every row holds n particles.  Repeating each mode by its occupation lists
-    a row's n slots in order: slot s holds the first mode whose running
-    occupation exceeds s.
+    Every row holds n particles in d modes.  Repeating each mode by its
+    occupation lists a row's n slots in order: slot s holds the first mode
+    whose running occupation exceeds s.
     """
     import numpy as np
 
-    if occ.shape[1] != basis.dim:
-        raise ValueError(f"occupation has {occ.shape[1]} modes, basis has {basis.dim}")
-    if n == 0:
-        raise ValueError(VACUUM)
-    mode_of_entry = np.tile(np.arange(basis.dim), len(occ))
+    mode_of_entry = np.tile(np.arange(d), len(occ))
     modes = np.repeat(mode_of_entry, occ.ravel()).reshape(len(occ), n)
-    return np.ravel_multi_index(tuple(modes.T), (basis.dim,) * n)
+    return np.ravel_multi_index(tuple(modes.T), (d,) * n)
+
+
+def _class_occupations(entry, classes: list[int]) -> list[tuple[int, ...]]:
+    """The occupation of each sector class, a tuple of d Python ints, from the table's memo.
+
+    The classes the memo lacks are counted off their sorted index tuples
+    (first[k] of the orbit table) in one pass and remembered.
+    """
+    known = entry.occupation
+    try:
+        return list(map(known.__getitem__, classes))
+    except KeyError:
+        pass
+    import numpy as np
+
+    import identicals.exchange as exchange
+
+    d, n, _ = entry.key
+    missing = [k for k in classes if k not in known]
+    modes = np.stack(np.unravel_index(entry.tables[2][missing], (d,) * n), axis=1)
+    # occupation matrix: per class, how many of its n slots hold each mode
+    cells = modes + d * np.arange(len(missing))[:, None]
+    occ = np.bincount(cells.ravel(), minlength=len(missing) * d).reshape(len(missing), d)
+    found = dict(zip(missing, map(tuple, occ.tolist())))
+    exchange._orbit_tables.remember(entry, found)
+    return [found[k] if k in found else known[k] for k in classes]
+
+
+def _classes(entry, keys: list) -> list[int]:
+    """The sector class of each occupation key, from the table's memo.
+
+    Every key must be a valid occupation of the entry's table: d integers
+    summing to N, obeying the sector's occupation rule.  A key of bools or
+    numpy ints finds the class of the equal ints.  The keys the memo lacks
+    are read as one integer matrix (_occupation_matrix), their classes read
+    off the table at their sorted index tuples, and each class remembered
+    with its occupation as a tuple of Python ints, never the caller's key.
+    """
+    known = entry.cls
+    try:
+        return list(map(known.__getitem__, keys))
+    except KeyError:
+        pass
+    import identicals.exchange as exchange
+
+    d, n, _ = entry.key
+    missing = [key for key in keys if key not in known]
+    occ = _occupation_matrix(missing, d)
+    classes = entry.tables[0][_sorted_tuple_index(occ, n, d)].tolist()
+    exchange._orbit_tables.remember(entry, dict(zip(classes, map(tuple, occ.tolist()))))
+    found = dict(zip(missing, classes))
+    return [found[key] if key in found else known[key] for key in keys]
 
 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
     """The sector basis vector with the given occupations.
 
+    Its class is one lookup in the orbit table's occupation memo (see
+    labeled_to_fock), after the width and vacuum checks; each occupation is
+    read as an integer first (operator.index), so a float is refused rather
+    than matched to the class of the equal integers.
+
     It is built trusted, without a second validation: it is one row of the
     orbit table, a new complex array of d^N amplitudes holding the basis
     amplitudes of one class, so its norm is 1 within rounding.  The class
     exists, since OccupationState has checked signs and Pauli and
-    _sorted_tuple_index the width and the vacuum.
+    _check_modes the width and the vacuum.
     """
     import numpy as np
 
     import identicals.exchange as exchange
     import identicals.states as states
 
-    (first,) = _sorted_tuple_index(np.array([occ.occupations]), occ.total, basis)
-    cls, amp, _ = exchange.orbit_table(basis.dim, occ.total, occ.sector)
-    return states.LabeledState._trusted(occ.total, basis, np.where(cls == cls[first], amp, 0j))
+    _check_modes(occ.n_modes, occ.total, basis)
+    key = tuple(map(operator.index, occ.occupations))
+    entry = exchange._orbit_entry(basis.dim, occ.total, occ.sector)
+    (k,) = _classes(entry, [key])
+    cls, amp, _ = entry.tables
+    return states.LabeledState._trusted(occ.total, basis, np.where(cls == k, amp, 0j))
 
 
 def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
@@ -224,8 +291,17 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     the occupation's index tuples.  The state must be in the sector: P psi,
     each amplitude's basis amplitude times its class's coefficient, is held
     to the rule of exchange.is_in_sector.  Terms with |coefficient| > 1e-12
-    are kept, in the order of counting.enumerate_distributions; their
-    occupations are counted off the sorted index tuples of the orbit table.
+    are kept, in the order of counting.enumerate_distributions.
+
+    The occupations come from the memo kept with the orbit table
+    (exchange.orbit_table): the occupation tuple of each class that any
+    bridge call has asked for, and its inverse, which fock_to_labeled and
+    occupation_to_labeled read.  A class it lacks is counted off its sorted
+    index tuple once and remembered.  It holds only the classes asked for,
+    never all classes, and its bytes count against
+    exchange.ORBIT_CACHE_BYTES with the table's own.  Every key is a tuple
+    of Python ints the memo built, shared by every Fock vector that holds
+    the class.
 
     The result is built trusted, without a second validation.  Each
     occupation is a tuple of d Python ints counted from a class of the
@@ -243,7 +319,8 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     import identicals.states as states
 
     n, d = state.n_slots, state.basis.dim
-    cls, amp, first = exchange.orbit_table(d, n, sector)
+    entry = exchange._orbit_entry(d, n, sector)
+    cls, amp, first = entry.tables
     psi = state.amplitudes
     weights = amp * psi
     # class -1 (outside the sector, zero weight) goes to bin 0
@@ -255,33 +332,45 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
         raise ValueError(f"state is not in the {sector.value} sector")
     coeffs = coeffs[1:]
     (keep,) = np.nonzero(np.abs(coeffs) > 1e-12)
-    modes = np.stack(np.unravel_index(first[keep], (d,) * n), axis=1)
-    # occupation matrix: per kept term, how many of its n slots hold each mode
-    cells = modes + d * np.arange(keep.size)[:, None]
-    occ = np.bincount(cells.ravel(), minlength=keep.size * d).reshape(keep.size, d)
     values = coeffs[keep]
     length = states.norm(values)
     if states.off_unit_norm(length):
         values = values / length
-    terms = dict(zip(map(tuple, occ.tolist()), values.tolist()))
+    terms = dict(zip(_class_occupations(entry, keep.tolist()), values.tolist()))
     return FockVector._trusted(terms, sector, n)
 
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
-    """Inverse of labeled_to_fock."""
+    """Inverse of labeled_to_fock.
+
+    After the width and vacuum checks, each occupation's class is one lookup
+    in the orbit table's occupation memo (see labeled_to_fock); a key it
+    lacks is read and remembered.  The amplitudes are each class's
+    coefficient times its basis amplitude.  A Fock vector that labeled_to_fock
+    made from a state at the edge of the unit-norm rule can give amplitudes
+    whose norm, summed over d^N entries instead of over the classes, lands
+    just past it; only then are they divided by their norm, as
+    labeled_to_fock does with its coefficients.
+    """
     import numpy as np
 
     import identicals.exchange as exchange
     import identicals.states as states
 
     keys = list(fv.terms)
-    occ = _occupation_matrix(keys, len(keys[0]))
-    firsts = _sorted_tuple_index(occ, fv.total_number, basis)
-    cls, amp, classes = exchange.orbit_table(basis.dim, fv.total_number, fv.sector)
+    n = fv.total_number
+    _check_modes(len(keys[0]), n, basis)
+    entry = exchange._orbit_entry(basis.dim, n, fv.sector)
+    cls, amp, classes = entry.tables
     # one coefficient per class, plus a last 0 that class -1 reads
     coeffs = np.zeros(classes.size + 1, dtype=complex)
-    coeffs[cls[firsts]] = list(fv.terms.values())
-    return states.LabeledState(fv.total_number, basis, coeffs[cls] * amp)
+    index = np.fromiter(_classes(entry, keys), np.intp, len(keys))
+    coeffs[index] = np.fromiter(fv.terms.values(), complex, len(keys))
+    amps = coeffs[cls] * amp
+    length = states.norm(amps)
+    if states.off_unit_norm(length):
+        amps = amps / length
+    return states.LabeledState(n, basis, amps)
 
 
 def replace_indistinguishable(occ: OccupationState, mode: int) -> OccupationState:

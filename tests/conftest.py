@@ -7,7 +7,9 @@ from identicals import (
     OneParticleBasis,
     sector_project,
 )
+from identicals import states
 from identicals.exchange import _project_raw
+from identicals.states import TAU_NORM
 
 
 @pytest.fixture
@@ -48,3 +50,22 @@ def perturbed(state, sector, size, rng):
     off = eta - _project_raw(eta.reshape(state.tensor().shape), sector).reshape(-1)
     amps = state.amplitudes + size * off / np.linalg.norm(off)
     return LabeledState(state.n_slots, state.basis, amps / np.linalg.norm(amps))
+
+
+def edge_state(d, n, sector, seed, edge):
+    """A random sector state whose norm sits at 1 + edge * TAU_NORM, edge in {-1, 0, 1}.
+
+    At edge +-1 the amplitudes are scaled to that norm, then stepped back
+    towards 1 by one part in 2^52 at a time until the unit-norm rule admits
+    them: the last scale that LabeledState accepts.  None when the random
+    tensor's projection (nearly) vanishes.
+    """
+    rng = np.random.default_rng(seed)
+    raw = _project_raw(rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n), sector)
+    length = states.norm(raw)
+    if length <= 1e-6:
+        return None
+    amps = raw.reshape(-1) / length * (1 + edge * TAU_NORM)
+    while states.off_unit_norm(states.norm(amps)):
+        amps *= 1 - edge * 2.0 ** -52
+    return LabeledState(n, OneParticleBasis.default(d), amps)

@@ -1,9 +1,11 @@
-"""One cycle of the in-process benchmark workloads, through their own checks.
+"""Cycles of the in-process benchmark workloads, through their own checks.
 
-Runs each workload's set-up and one seeded pass over its ladder with the
+Runs each workload's set-up and seeded passes over its ladder with the
 benchmark's own input generation (`bench/inputs.py`) and output checks
 (`bench/workloads.py`), without the runner, its subprocesses or its timing.
 An operation that the benchmark would count as failed fails here.
+`fock_bridge` runs two cycles from an empty orbit-table cache, so its
+checks see the occupation memo both cold (first cycle) and warm (second).
 """
 
 import pathlib
@@ -11,8 +13,12 @@ import sys
 
 import pytest
 
+from identicals import exchange
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 SEED = 11
+#: cycles per workload, where more than one
+CYCLES = {"fock_bridge": 2}
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +33,18 @@ def bench():
 
 
 @pytest.mark.parametrize("name", ["fock_bridge", "emergence_scan", "density_csv"])
-def test_one_cycle_passes_the_benchmark_checks(bench, name):
+def test_cycles_pass_the_benchmark_checks(monkeypatch, bench, name):
     inputs, workloads = bench
+    cycles = CYCLES.get(name, 1)
+    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     # no work directory: these workloads write no file
     wl = workloads.WORKLOADS[name](BENCH.parent, None, SEED, {})
     wl.setup()
-    for pos in inputs.cycle_order(SEED, 0, len(wl.ladder)):
-        inp = wl.make(wl.ladder[pos], inputs.op_rng(SEED, 2, 0, pos))
-        wl.check(inp, wl.run(inp))
+    for cycle in range(cycles):
+        for pos in inputs.cycle_order(SEED, cycle, len(wl.ladder)):
+            inp = wl.make(wl.ladder[pos], inputs.op_rng(SEED, 2, cycle, pos))
+            wl.check(inp, wl.run(inp))
+    if name == "fock_bridge":
+        held = exchange._orbit_tables
+        assert any(entry.occupation for entry in held.tables.values())
+        assert held.nbytes == sum(entry.size() for entry in held.tables.values())

@@ -131,7 +131,14 @@ def test_a_table_over_the_budget_is_returned_but_not_kept(monkeypatch, cache):
 def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache):
     keys = [(d, n, sector) for d, n in [(3, 3), (4, 3), (2, 5), (5, 2)] for sector in (SYM, ANTI)]
     sizes = {key: table_bytes(*key) for key in keys}
-    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(sorted(sizes.values())[-3:]))
+    rng = np.random.default_rng(18)
+    states = {key: random_sector_state(rng, *key) for key in keys}
+    for state, (*_, sector) in zip(states.values(), keys):
+        if state is not None:
+            labeled_to_fock(state, sector)
+    full = [entry.size() for entry in cache.tables.values()]
+    # less than the three largest tables with full memos: round trips evict
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(sorted(full)[-3:]) - 1)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     held = exchange._orbit_tables
     errors = []
@@ -139,7 +146,13 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
     def work(offset):
         try:
             for i in range(200):
-                orbit_table(*keys[(offset + i) % len(keys)])
+                key = keys[(offset + i) % len(keys)]
+                state, sector = states[key], key[2]
+                if i % 2 or state is None:
+                    orbit_table(*key)
+                    continue
+                back = fock_to_labeled(labeled_to_fock(state, sector), state.basis)
+                assert abs(np.vdot(state.amplitudes, back.amplitudes)) >= 1 - 1e-12
         except Exception as exc:  # noqa: BLE001 - reported by the main thread
             errors.append(exc)
 
@@ -155,4 +168,10 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert held.nbytes == sum(sizes[k] for k in held.tables) <= exchange.ORBIT_CACHE_BYTES
+    # each held table counts its arrays and its memo, and the memos did grow
+    assert held.nbytes == sum(e.size() for e in held.tables.values()) <= exchange.ORBIT_CACHE_BYTES
+    assert any(e.occupation for e in held.tables.values())
+    for key, entry in held.tables.items():
+        assert sum(a.nbytes for a in entry.tables) == sizes[key]
+        assert len(entry.cls) == len(entry.occupation)
+        assert all(entry.cls[occ] == k for k, occ in entry.occupation.items())

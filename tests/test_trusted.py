@@ -28,8 +28,8 @@ from identicals import (
     states,
 )
 from identicals.errors import MAX_SLOTS, CapExceeded
-from identicals.exchange import _project_raw
-from identicals.states import TAU_NORM
+
+from conftest import edge_state
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
@@ -44,25 +44,6 @@ def assert_public_rebuild(state):
     assert public.amplitudes.dtype == state.amplitudes.dtype == complex
     assert np.array_equal(public.amplitudes, state.amplitudes)
     assert not state.amplitudes.flags.writeable
-
-
-def edge_state(d, n, sector, seed, edge):
-    """A random sector state whose norm sits at 1 + edge * TAU_NORM, edge in {-1, 0, 1}.
-
-    At edge +-1 the amplitudes are scaled to that norm, then stepped back
-    towards 1 by one part in 2^52 at a time until the unit-norm rule admits
-    them: the last scale that LabeledState accepts.  None when the random
-    tensor's projection (nearly) vanishes.
-    """
-    rng = np.random.default_rng(seed)
-    raw = _project_raw(rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n), sector)
-    length = states.norm(raw)
-    if length <= 1e-6:
-        return None
-    amps = raw.reshape(-1) / length * (1 + edge * TAU_NORM)
-    while states.off_unit_norm(states.norm(amps)):
-        amps *= 1 - edge * 2.0 ** -52
-    return LabeledState(n, OneParticleBasis.default(d), amps)
 
 
 @pytest.mark.parametrize("d,n,sector", SIZES, ids=str)
