@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import threading
 from collections import OrderedDict
 
@@ -126,41 +125,27 @@ def symmetrized_product(
 #: returned but not kept
 ORBIT_CACHE_BYTES = 32 * 2 ** 20
 
-#: bytes of a class int held by a memo (an int object of one 30-bit digit)
-_INT_BYTES = 32
-_EMPTY_DICT_BYTES = sys.getsizeof({})
-_TUPLE_BYTES = sys.getsizeof(())
-_TUPLE_ITEM_BYTES = sys.getsizeof((0,)) - _TUPLE_BYTES
+#: bytes charged for an occupation memo's containers, and per class beyond
+#: 8 per mode: a tuple (40 + 8d), its slot in the tuple of tuples (8), a
+#: class int (28) and a dict entry (at most 60 with 2/3 of its slots used)
+_MEMO_BYTES = 1024
+_MEMO_CLASS_BYTES = 144
 
 
 class _OrbitEntry:
     """One (d, N, sector) orbit table and the occupation memo kept with it.
 
-    occupation maps a class to its occupation, a tuple of d Python ints, and
-    cls maps that tuple back to the class.  Both hold only the classes some
-    call asked for, always as a pair, and only _TableCache.remember adds to
-    them; nothing is ever removed, so a class once found stays found.
+    memo is None, or the one pair that _occupation_memo stored, never
+    changed again; nbytes counts the three arrays and the memo's charge.
     """
 
-    __slots__ = ("key", "tables", "occupation", "cls", "nbytes")
+    __slots__ = ("key", "tables", "memo", "nbytes")
 
     def __init__(self, key: tuple, tables: tuple[np.ndarray, ...]):
         self.key = key
         self.tables = tables
-        self.occupation: dict[int, tuple[int, ...]] = {}
-        self.cls: dict[tuple[int, ...], int] = {}
-        self.nbytes = self.size()
-
-    def class_bytes(self) -> int:
-        """Bytes of one remembered class: its occupation tuple of d ints and its class int."""
-        return _TUPLE_BYTES + self.key[0] * _TUPLE_ITEM_BYTES + _INT_BYTES
-
-    def size(self) -> int:
-        """Bytes held: the three arrays, and the memo's two hash tables, tuples and class ints."""
-        arrays = sum(a.nbytes for a in self.tables)
-        # an empty memo counts 0: like an array's nbytes, no object header counts
-        tables = sys.getsizeof(self.occupation) + sys.getsizeof(self.cls) - 2 * _EMPTY_DICT_BYTES
-        return arrays + tables + len(self.occupation) * self.class_bytes()
+        self.memo = None
+        self.nbytes = sum(a.nbytes for a in tables)
 
 
 class _TableCache:
@@ -168,7 +153,7 @@ class _TableCache:
 
     The lock keeps the byte total exact when threads miss on the same key
     at once (each builds the table, only the first one stored is kept) and
-    when they add to a memo at once.
+    when they store a memo at once (each builds it, only the first is kept).
     """
 
     def __init__(self):
@@ -191,28 +176,15 @@ class _TableCache:
             self.nbytes += entry.nbytes
             self._evict()
 
-    def remember(self, entry: _OrbitEntry, occupations: dict[int, tuple[int, ...]]) -> None:
-        """Add class -> occupation pairs to a kept entry's memo, within the budget.
-
-        An entry that is no longer kept takes nothing, and so does one whose
-        new tuples and ints alone would take it past the whole budget.
-        Otherwise the least recently used other tables go first; if the
-        memo's hash tables still carry the entry past the budget, it is
-        dropped too, and the next call builds it afresh.
-        """
+    def put_memo(self, entry: _OrbitEntry, memo: tuple, nbytes: int) -> None:
+        """Store a whole memo of nbytes with a kept entry that has none; LRU tables go first."""
         with self.lock:
-            if self.tables.get(entry.key) is not entry:
+            if self.tables.get(entry.key) is not entry or entry.memo is not None:
                 return
-            new = {k: occ for k, occ in occupations.items() if k not in entry.occupation}
-            if entry.nbytes + len(new) * entry.class_bytes() > ORBIT_CACHE_BYTES:
-                return
+            entry.memo = memo
+            entry.nbytes += nbytes
+            self.nbytes += nbytes
             self.tables.move_to_end(entry.key)
-            for k, occ in new.items():
-                entry.occupation[k] = occ
-                entry.cls[occ] = k
-            size = entry.size()
-            self.nbytes += size - entry.nbytes
-            entry.nbytes = size
             self._evict()
 
     def _evict(self) -> None:
@@ -241,22 +213,20 @@ def orbit_table(
 
     The dense cap (check_dense_dim) is checked before the cache is read.
     Each (d, n, sector) table is built once and kept read-only, so every
-    caller shares the same three arrays.  With each kept table goes the
-    occupation memo of the Fock bridge (_orbit_entry): the occupation tuple
-    of every class a bridge call asked for, and its inverse.  Tables and
-    memos together hold at most ORBIT_CACHE_BYTES; the least recently used
-    tables, with their memos, are dropped first, and a table larger than
-    the whole budget is returned without being kept.
+    caller shares the same three arrays.  The first Fock-bridge call on a
+    kept table adds its occupation memo (_occupation_memo), if it fits.
+    Tables and memos together hold at most ORBIT_CACHE_BYTES; the least
+    recently used tables, with their memos, are dropped first, and a table
+    larger than the whole budget is returned without being kept.
     """
     return _orbit_entry(d, n, sector).tables
 
 
 def _orbit_entry(d: int, n: int, sector: ExchangeSector) -> _OrbitEntry:
-    """orbit_table's cache entry: the three arrays and the occupation memo kept with them.
+    """orbit_table's cache entry: the three arrays and the memo kept with them.
 
     An entry that is not kept (over the budget, or built by a thread that
-    lost the race to store it) still works: its memo takes nothing, so
-    every lookup in it misses.
+    lost the race to store it) still works: it never takes a memo.
     """
     check_dense_dim(d, n)
     key = (d, n, sector)
@@ -268,6 +238,39 @@ def _orbit_entry(d: int, n: int, sector: ExchangeSector) -> _OrbitEntry:
         entry = _OrbitEntry(key, tables)
         _orbit_tables.put(entry)
     return entry
+
+
+def _occupation_rows(first: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The occupation matrix of the classes whose sorted index tuples are first, one row each.
+
+    Row k counts how many of the n slots of flat index first[k] hold each of
+    the d modes.  Over a whole orbit table's first it lists every occupation
+    in the order of counting.enumerate_distributions.
+    """
+    modes = np.stack(np.unravel_index(first, (d,) * n), axis=1)
+    cells = modes + d * np.arange(first.size)[:, None]
+    return np.bincount(cells.ravel(), minlength=first.size * d).reshape(first.size, d)
+
+
+def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
+    """The entry's whole occupation memo, built on the first call: (occupations, classes).
+
+    occupations[k] is the occupation of class k, a tuple of d Python ints,
+    from one _occupation_rows pass over first; classes maps it back to k.
+    Built outside the cache's lock and stored under it, like a table.  None
+    if the entry is no longer kept, or its memo's charge would take it past
+    ORBIT_CACHE_BYTES.
+    """
+    if entry.memo is None:
+        d, n, _ = entry.key
+        first = entry.tables[2]
+        nbytes = _MEMO_BYTES + first.size * (_MEMO_CLASS_BYTES + 8 * d)
+        if entry.nbytes + nbytes > ORBIT_CACHE_BYTES:
+            return None
+        occupations = tuple(map(tuple, _occupation_rows(first, d, n).tolist()))
+        classes = dict(zip(occupations, range(first.size)))
+        _orbit_tables.put_memo(entry, (occupations, classes), nbytes)
+    return entry.memo
 
 
 def _build_orbit_table(

@@ -11,20 +11,18 @@ from the table: labeled_to_fock spreads its Fock coefficients back over it,
 P psi = amp * c, and applies the membership rule of exchange.is_in_sector
 to that, so the bridge runs no coset projector.  The table of each
 (d, N, sector) is built once and then shared, read-only, by every call of
-either direction and by occupation_to_labeled, together with a memo of the
-occupation of each class that a call asked for, both ways (class -> tuple,
-tuple -> class).  A class's occupation is counted off the table once;
-later calls read it with one dict lookup.  See exchange.orbit_table for
-the cache and the byte budget that covers both.
+either direction and by occupation_to_labeled.  The first call of any of
+the three on a kept table builds the table's occupation memo whole: the
+occupation of every class and its inverse, read with one lookup per class
+(exchange._occupation_memo).  A table whose memo would not fit the cache's
+byte budget keeps none, and its calls count what they need off the table.
 
-What the bridge builds is not validated a second time.  labeled_to_fock's
-terms and occupation_to_labeled's vector come from classes of the orbit
-table, so they hold the invariants that FockVector and LabeledState check;
-they are built by the private _trusted constructors, which check nothing,
-and each of the two functions says why its result is valid.  A caller's
-FockVector or LabeledState is always validated, so fock_to_labeled, whose
-input is a caller's Fock vector, builds its state through the public
-constructor.
+What the bridge builds is not validated a second time.  Its results come
+from classes of the orbit table, or from a caller's Fock vector that
+FockVector has validated, so they hold the invariants that FockVector and
+LabeledState check.  They are built by the private _trusted constructors,
+which check nothing, and each of the three functions says why its result
+is valid.  A caller's FockVector or LabeledState is always validated.
 
 Symbols and occupation states need only the standard library: numpy,
 `exchange` and `states` are imported inside the functions that use them,
@@ -37,7 +35,6 @@ trip about 4%.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -54,12 +51,13 @@ VACUUM = "cannot build a labeled state for the vacuum"
 
 @dataclass(frozen=True)
 class OccupationState:
-    """Per-mode occupation numbers in a fixed exchange sector."""
+    """Per-mode occupation numbers, 64-bit integers, in a fixed exchange sector."""
 
     occupations: tuple[int, ...]
     sector: ExchangeSector
 
     def __post_init__(self):
+        _pack_occupations([self.occupations], len(self.occupations))
         if any(n < 0 for n in self.occupations):
             raise ValueError(_NEGATIVE)
         if self.sector is ExchangeSector.ANTISYMMETRIC and any(
@@ -134,18 +132,16 @@ class FockVector:
         return fv
 
 
-def _occupation_matrix(keys: list, width: int) -> np.ndarray:
-    """The occupation keys as one int64 matrix, one row per key, read in one call.
+def _pack_occupations(keys: list, width: int) -> bytes:
+    """The occupation keys packed as 64-bit integers, width per key, in one call.
 
     Every entry must be an integer that fits in 64 bits: an int, a bool or
     anything with __index__.  A float is refused even when it is integral,
     since reading it as an integer would truncate 2.5 to 2 without a word.
     ValueError names the first occupation that breaks this.
     """
-    import numpy as np
-
     try:
-        packed = struct.pack(f"{len(keys) * width}q", *itertools.chain.from_iterable(keys))
+        return struct.pack(f"{len(keys) * width}q", *itertools.chain.from_iterable(keys))
     except struct.error:
         for key in keys:
             try:
@@ -153,7 +149,13 @@ def _occupation_matrix(keys: list, width: int) -> np.ndarray:
             except struct.error:
                 raise ValueError(f"occupation {key} must hold 64-bit integers") from None
         raise
-    return np.frombuffer(packed, np.int64).reshape(len(keys), width)
+
+
+def _occupation_matrix(keys: list, width: int) -> np.ndarray:
+    """The occupation keys as one int64 matrix, one row per key (see _pack_occupations)."""
+    import numpy as np
+
+    return np.frombuffer(_pack_occupations(keys, width), np.int64).reshape(len(keys), width)
 
 
 def symbol_modes(text: str) -> list[int]:
@@ -206,64 +208,48 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 def _class_occupations(entry, classes: list[int]) -> list[tuple[int, ...]]:
-    """The occupation of each sector class, a tuple of d Python ints, from the table's memo.
+    """The occupation of each sector class, a tuple of d Python ints.
 
-    The classes the memo lacks are counted off their sorted index tuples
-    (first[k] of the orbit table) in one pass and remembered.
+    Read from the table's memo, or without one counted off the classes'
+    sorted index tuples (first[k] of the orbit table) in one pass.
     """
-    known = entry.occupation
-    try:
-        return list(map(known.__getitem__, classes))
-    except KeyError:
-        pass
-    import numpy as np
-
     import identicals.exchange as exchange
 
+    memo = exchange._occupation_memo(entry)
+    if memo is not None:
+        return list(map(memo[0].__getitem__, classes))
     d, n, _ = entry.key
-    missing = [k for k in classes if k not in known]
-    modes = np.stack(np.unravel_index(entry.tables[2][missing], (d,) * n), axis=1)
-    # occupation matrix: per class, how many of its n slots hold each mode
-    cells = modes + d * np.arange(len(missing))[:, None]
-    occ = np.bincount(cells.ravel(), minlength=len(missing) * d).reshape(len(missing), d)
-    found = dict(zip(missing, map(tuple, occ.tolist())))
-    exchange._orbit_tables.remember(entry, found)
-    return [found[k] if k in found else known[k] for k in classes]
+    return list(map(tuple, exchange._occupation_rows(entry.tables[2][classes], d, n).tolist()))
 
 
 def _classes(entry, keys: list) -> list[int]:
-    """The sector class of each occupation key, from the table's memo.
+    """The sector class of each occupation key.
 
     Every key must be a valid occupation of the entry's table: d integers
     summing to N, obeying the sector's occupation rule.  A key of bools or
-    numpy ints finds the class of the equal ints.  The keys the memo lacks
-    are read as one integer matrix (_occupation_matrix), their classes read
-    off the table at their sorted index tuples, and each class remembered
-    with its occupation as a tuple of Python ints, never the caller's key.
+    numpy ints finds the class of the equal ints.  Read from the table's
+    memo, or without one read off the table at the keys' sorted index
+    tuples, the keys taken as one integer matrix (_occupation_matrix).
     """
-    known = entry.cls
-    try:
-        return list(map(known.__getitem__, keys))
-    except KeyError:
-        pass
     import identicals.exchange as exchange
 
+    memo = exchange._occupation_memo(entry)
+    if memo is not None:
+        try:
+            return list(map(memo[1].__getitem__, keys))
+        except KeyError:
+            # a key changed after validation fails as it would without a memo
+            pass
     d, n, _ = entry.key
-    missing = [key for key in keys if key not in known]
-    occ = _occupation_matrix(missing, d)
-    classes = entry.tables[0][_sorted_tuple_index(occ, n, d)].tolist()
-    exchange._orbit_tables.remember(entry, dict(zip(classes, map(tuple, occ.tolist()))))
-    found = dict(zip(missing, classes))
-    return [found[key] if key in found else known[key] for key in keys]
+    return entry.tables[0][_sorted_tuple_index(_occupation_matrix(keys, d), n, d)].tolist()
 
 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
     """The sector basis vector with the given occupations.
 
     Its class is one lookup in the orbit table's occupation memo (see
-    labeled_to_fock), after the width and vacuum checks; each occupation is
-    read as an integer first (operator.index), so a float is refused rather
-    than matched to the class of the equal integers.
+    labeled_to_fock), after the width and vacuum checks.  OccupationState
+    has refused a float, so none is matched to the class of the equal ints.
 
     It is built trusted, without a second validation: it is one row of the
     orbit table, a new complex array of d^N amplitudes holding the basis
@@ -277,9 +263,8 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
     import identicals.states as states
 
     _check_modes(occ.n_modes, occ.total, basis)
-    key = tuple(map(operator.index, occ.occupations))
     entry = exchange._orbit_entry(basis.dim, occ.total, occ.sector)
-    (k,) = _classes(entry, [key])
+    (k,) = _classes(entry, [tuple(occ.occupations)])
     cls, amp, _ = entry.tables
     return states.LabeledState._trusted(occ.total, basis, np.where(cls == k, amp, 0j))
 
@@ -294,14 +279,12 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     are kept, in the order of counting.enumerate_distributions.
 
     The occupations come from the memo kept with the orbit table
-    (exchange.orbit_table): the occupation tuple of each class that any
-    bridge call has asked for, and its inverse, which fock_to_labeled and
-    occupation_to_labeled read.  A class it lacks is counted off its sorted
-    index tuple once and remembered.  It holds only the classes asked for,
-    never all classes, and its bytes count against
-    exchange.ORBIT_CACHE_BYTES with the table's own.  Every key is a tuple
-    of Python ints the memo built, shared by every Fock vector that holds
-    the class.
+    (exchange._occupation_memo): the occupation tuple of every class, and
+    its inverse, which fock_to_labeled and occupation_to_labeled read.  The
+    first bridge call on a kept table builds it whole, and its bytes count
+    against exchange.ORBIT_CACHE_BYTES with the table's own; a table whose
+    memo would not fit keeps none, and the occupations are counted off the
+    table instead.  Either way every key is a tuple of Python ints.
 
     The result is built trusted, without a second validation.  Each
     occupation is a tuple of d Python ints counted from a class of the
@@ -344,13 +327,17 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock.
 
     After the width and vacuum checks, each occupation's class is one lookup
-    in the orbit table's occupation memo (see labeled_to_fock); a key it
-    lacks is read and remembered.  The amplitudes are each class's
-    coefficient times its basis amplitude.  A Fock vector that labeled_to_fock
-    made from a state at the edge of the unit-norm rule can give amplitudes
-    whose norm, summed over d^N entries instead of over the classes, lands
-    just past it; only then are they divided by their norm, as
-    labeled_to_fock does with its coefficients.
+    in the orbit table's occupation memo (see labeled_to_fock).  The
+    amplitudes are each class's coefficient times its basis amplitude.  A
+    Fock vector that labeled_to_fock made from a state at the edge of the
+    unit-norm rule can give amplitudes whose norm, summed over d^N entries
+    instead of over the classes, lands just past it; only then are they
+    divided by their norm, as labeled_to_fock does with its coefficients.
+
+    The result is built trusted, without a second validation: its d^N
+    amplitudes come from the table, they are finite because FockVector
+    checked the coefficients, and their norm is within TAU_NORM of 1, or
+    1 within rounding once divided.
     """
     import numpy as np
 
@@ -370,7 +357,7 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     length = states.norm(amps)
     if states.off_unit_norm(length):
         amps = amps / length
-    return states.LabeledState(n, basis, amps)
+    return states.LabeledState._trusted(n, basis, amps)
 
 
 def replace_indistinguishable(occ: OccupationState, mode: int) -> OccupationState:

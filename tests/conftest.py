@@ -7,7 +7,7 @@ from identicals import (
     OneParticleBasis,
     sector_project,
 )
-from identicals import states
+from identicals import counting, exchange, states
 from identicals.exchange import _project_raw
 from identicals.states import TAU_NORM
 
@@ -69,3 +69,28 @@ def edge_state(d, n, sector, seed, edge):
     while states.off_unit_norm(states.norm(amps)):
         amps *= 1 - edge * 2.0 ** -52
     return LabeledState(n, OneParticleBasis.default(d), amps)
+
+
+def memo_charge(d, count):
+    """The bytes charged for a whole memo of count classes over d modes."""
+    return exchange._MEMO_BYTES + count * (exchange._MEMO_CLASS_BYTES + 8 * d)
+
+
+def entry_bytes(entry):
+    """What an orbit-table cache entry counts: its arrays, and its memo's charge once it has one."""
+    arrays = sum(a.nbytes for a in entry.tables)
+    if entry.memo is None:
+        return arrays
+    return arrays + memo_charge(entry.key[0], entry.tables[2].size)
+
+
+def assert_whole_memo(entry):
+    """The entry's memo is one complete pair: each class's occupation, in order, and its inverse."""
+    d, n, sector = entry.key
+    occupations, classes = entry.memo
+    assert type(occupations) is tuple
+    assert list(occupations) == counting.enumerate_distributions(sector.statistics, n, d)
+    assert len(classes) == len(occupations) == entry.tables[2].size
+    for k, occ in enumerate(occupations):
+        assert type(occ) is tuple and all(type(m) is int for m in occ)
+        assert classes[occ] == k

@@ -5,7 +5,8 @@ benchmark's own input generation (`bench/inputs.py`) and output checks
 (`bench/workloads.py`), without the runner, its subprocesses or its timing.
 An operation that the benchmark would count as failed fails here.
 `fock_bridge` runs two cycles from an empty orbit-table cache, so its
-checks see the occupation memo both cold (first cycle) and warm (second).
+checks see the occupation memo both cold (first cycle) and warm (second);
+then every round-trip table of its ladder holds its whole memo.
 """
 
 import pathlib
@@ -14,6 +15,8 @@ import sys
 import pytest
 
 from identicals import exchange
+
+from conftest import assert_whole_memo, entry_bytes
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 SEED = 11
@@ -46,5 +49,8 @@ def test_cycles_pass_the_benchmark_checks(monkeypatch, bench, name):
             wl.check(inp, wl.run(inp))
     if name == "fock_bridge":
         held = exchange._orbit_tables
-        assert any(entry.occupation for entry in held.tables.values())
-        assert held.nbytes == sum(entry.size() for entry in held.tables.values())
+        for kind, d, n, sector, _ in wl.ladder:
+            if kind == "round_trip":
+                assert_whole_memo(held.tables[(d, n, exchange.ExchangeSector(sector))])
+        total = sum(map(entry_bytes, held.tables.values()))
+        assert held.nbytes == total <= exchange.ORBIT_CACHE_BYTES

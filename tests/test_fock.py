@@ -220,6 +220,20 @@ def test_fock_vector_refuses_non_integer_occupations(terms, message):
     assert str(got.value) == message
 
 
+@pytest.mark.parametrize(
+    "occupation", [(1.5, 0.5), (2.5, -0.5), (2.0, 0), (2 ** 64, 2 - 2 ** 64), ("2", 0)]
+)
+def test_occupation_state_refuses_what_fock_vector_refuses(occupation):
+    message = f"occupation {occupation} must hold 64-bit integers"
+    for sector in (SYM, ANTI):
+        with pytest.raises(ValueError) as got:
+            OccupationState(occupation, sector)
+        assert str(got.value) == message
+    with pytest.raises(ValueError) as got:
+        FockVector({occupation: 1.0}, SYM, 2)
+    assert str(got.value) == message
+
+
 def test_fock_vector_reads_integer_types():
     fv = FockVector({(True, np.int64(1), 0): 0.6, (0, 2, False): 0.8}, SYM, 2)
     back = fock_to_labeled(fv, OneParticleBasis.default(3))

@@ -2,15 +2,15 @@
 
 labeled_to_fock reads each class's occupation, and fock_to_labeled and
 occupation_to_labeled each occupation's class, from a memo kept with the
-orbit table (exchange._OrbitEntry).  These tests show that the memo changes
-no result and no error, holds only the classes some call asked for, as
-tuples of Python ints, and keeps the held bytes within
-exchange.ORBIT_CACHE_BYTES.  A round trip of a state at the edge of the
-unit-norm rule never raises.
+orbit table (exchange._OrbitEntry).  The first bridge call on a kept table
+builds the memo whole, if its charge fits exchange.ORBIT_CACHE_BYTES, and
+it never changes again.  These tests show that the memo changes no result
+and no error, whether it is cold, warm or absent, that it holds every class
+as tuples of Python ints, and that the held bytes stay within the budget.
+A round trip of a state at the edge of the unit-norm rule never raises.
 """
 
 import gc
-import sys
 import tracemalloc
 
 import numpy as np
@@ -32,7 +32,13 @@ from identicals import (
 )
 from identicals.fock import VACUUM
 
-from conftest import edge_state, random_sector_state
+from conftest import (
+    assert_whole_memo,
+    edge_state,
+    entry_bytes,
+    memo_charge,
+    random_sector_state,
+)
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
@@ -51,9 +57,18 @@ def entry_of(d, n, sector):
     return exchange._orbit_tables.tables[(d, n, sector)]
 
 
+def table_bytes(d, n, sector):
+    return sum(a.nbytes for a in exchange.orbit_table(d, n, sector))
+
+
+def table_charge(d, n, sector):
+    """The bytes charged for a whole memo of the table."""
+    return memo_charge(d, exchange.orbit_table(d, n, sector)[2].size)
+
+
 def held_bytes(held):
     """The cache's byte total, recounted from its entries."""
-    return sum(entry.size() for entry in held.tables.values())
+    return sum(map(entry_bytes, held.tables.values()))
 
 
 def sparse_state(d, n, sector, rng, k):
@@ -83,27 +98,45 @@ def bridge_bits(d, n, sector, inputs):
 
 
 @pytest.mark.parametrize("d,n,sector", SIZES, ids=str)
-def test_results_are_bit_identical_cold_warm_and_uncached(monkeypatch, cache, d, n, sector):
+def test_results_are_bit_identical_cold_warm_absent_and_uncached(monkeypatch, cache, d, n, sector):
     rng = np.random.default_rng(1800 + 10 * d + n)
     inputs = [
         s
         for s in (sparse_state(d, n, sector, rng, 2), random_sector_state(rng, d, n, sector))
         if s is not None
     ]
-    # the sparse state first: the dense one then finds some classes and misses the rest
+    # an empty sector (more fermions than modes) has no bridge call to make
+    key = [(d, n, sector)] if inputs else []
     cold = bridge_bits(d, n, sector, inputs)
-    if inputs:
-        assert len(entry_of(d, n, sector).occupation) == len(sector_basis(d, n, sector))
+    memos = [entry_of(*k).memo for k in key]
+    for k in key:
+        assert_whole_memo(entry_of(*k))
     warm = bridge_bits(d, n, sector, inputs)
+    # set once, never changed
+    assert all(entry_of(*k).memo is memo for k, memo in zip(key, memos))
+    # the table is kept, its memo does not fit
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", table_bytes(d, n, sector))
+    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+    absent = bridge_bits(d, n, sector, inputs)
+    assert list(exchange._orbit_tables.tables) == key
+    assert all(entry_of(*k).memo is None for k in key)
     monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", 0)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     uncached = bridge_bits(d, n, sector, inputs)
     assert exchange._orbit_tables.tables == {} and exchange._orbit_tables.nbytes == 0
-    assert cold == warm == uncached
+    assert cold == warm == absent == uncached
     for terms, _, _ in cold[: len(inputs)]:
         # kept terms follow the occupation enumeration
         order = enumerate_distributions(sector.statistics, n, d)
         assert terms == sorted(terms, key=order.index)
+
+
+@pytest.mark.parametrize("d,n,sector", SIZES, ids=str)
+def test_occupation_rows_list_the_enumeration(d, n, sector):
+    first = exchange.orbit_table(d, n, sector)[2]
+    rows = exchange._occupation_rows(first, d, n)
+    assert rows.shape == (first.size, d)
+    assert list(map(tuple, rows.tolist())) == enumerate_distributions(sector.statistics, n, d)
 
 
 def bridge_errors():
@@ -135,8 +168,8 @@ def bridge_errors():
 
 def test_errors_are_unchanged_cold_and_warm(cache):
     cold = bridge_errors()
-    # a refused call remembers nothing
-    assert all(not entry.occupation for entry in cache.tables.values())
+    # a refused call builds no memo
+    assert cache.tables and all(entry.memo is None for entry in cache.tables.values())
     for d, n in [(3, 2), (4, 2), (3, 1), (4, 1)]:
         for sector in (SYM, ANTI):
             state = random_sector_state(np.random.default_rng(d), d, n, sector)
@@ -144,14 +177,32 @@ def test_errors_are_unchanged_cold_and_warm(cache):
     assert bridge_errors() == cold
 
 
+def test_a_key_changed_after_validation_fails_as_without_a_memo(monkeypatch, cache):
+    fv = FockVector({(1, 1, 0): 1.0}, SYM, 2)
+    fv.terms[(3, 0, 0)] = 0.5
+    basis = OneParticleBasis.default(3)
+
+    def failure(budget):
+        monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
+        monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+        with pytest.raises(ValueError) as info:
+            fock_to_labeled(fv, basis)
+        return str(info.value)
+
+    with_memo = failure(exchange.ORBIT_CACHE_BYTES)
+    assert entry_of(3, 2, SYM).memo is not None
+    assert failure(0) == with_memo
+
+
 @pytest.mark.parametrize("warm", [False, True])
 def test_a_float_occupation_is_refused_even_when_its_class_is_known(cache, warm):
     basis = OneParticleBasis.default(3)
     if warm:
         occupation_to_labeled(OccupationState((1, 2, 0), SYM), basis)
-        assert (1, 2, 0) in entry_of(3, 3, SYM).cls
-    with pytest.raises(TypeError):
-        occupation_to_labeled(OccupationState((1.0, 2.0, 0.0), SYM), basis)
+        assert (1, 2, 0) in entry_of(3, 3, SYM).memo[1]
+    with pytest.raises(ValueError) as info:
+        OccupationState((1.0, 2.0, 0.0), SYM)
+    assert str(info.value) == "occupation (1.0, 2.0, 0.0) must hold 64-bit integers"
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -172,95 +223,113 @@ def test_bool_and_numpy_keys_find_their_class_but_are_never_stored(cache, warm):
         OccupationState((0, 2, 0, 0), SYM), basis
     ).amplitudes.tobytes()
     assert np.count_nonzero(boolean.amplitudes) == 2
-    entry = entry_of(4, 2, SYM)
-    for key, k in entry.cls.items():
-        assert type(key) is tuple and all(type(m) is int for m in key)
-        assert type(k) is int and entry.occupation[k] is key
+    # every stored key is a tuple of Python ints the memo built
+    assert_whole_memo(entry_of(4, 2, SYM))
     fv = labeled_to_fock(state, SYM)
     assert list(fv.terms) == list(plain.terms)
     assert np.allclose(list(fv.terms.values()), c, rtol=0, atol=1e-15)
     assert all(type(m) is int for key in fv.terms for m in key)
 
 
-@pytest.mark.parametrize("d,n,count", [(256, 2, 32896), (8, 3, 120)])
-def test_a_sparse_state_stores_only_its_classes(cache, d, n, count):
+@pytest.mark.parametrize("d,n,count,memo", [(256, 2, 32896, False), (8, 3, 120, True)])
+def test_a_sparse_state_gets_the_whole_memo_or_none(monkeypatch, cache, d, n, count, memo):
+    built = []
+    rows = exchange._occupation_rows
+
+    def counted(first, *size):
+        built.append(first.size)
+        return rows(first, *size)
+
+    monkeypatch.setattr(exchange, "_occupation_rows", counted)
     zeros = (0,) * (d - 2)
     ends, double, last = (n - 1,) + zeros + (1,), (0, n) + zeros, zeros + (0, n)
     fv = FockVector({ends: 0.6, double: 0.0, last: 0.8j}, SYM, n)
     basis = OneParticleBasis.default(d)
     back = labeled_to_fock(fock_to_labeled(fv, basis), SYM)
+    # the zero term is dropped by labeled_to_fock
+    assert list(back.terms) == [ends, last]
     entry = entry_of(d, n, SYM)
     assert entry.tables[2].size == count
-    assert len(entry.occupation) == len(entry.cls) == 3
-    # the zero term is dropped by labeled_to_fock but its class was asked for
-    assert list(back.terms) == [ends, last]
+    if memo:
+        assert_whole_memo(entry)
+        assert built == [count]
+    else:
+        # the table is kept; its memo's charge is past the budget, so none is built
+        assert table_charge(d, n, SYM) > exchange.ORBIT_CACHE_BYTES
+        assert entry.memo is None and count not in built
+    assert cache.nbytes == held_bytes(cache) == entry_bytes(entry)
 
 
-def test_memo_bytes_bound_what_it_allocates(cache):
-    state = random_sector_state(np.random.default_rng(6), 6, 4, SYM)
-    labeled_to_fock(random_sector_state(np.random.default_rng(5), 5, 4, SYM), SYM)
-    exchange.orbit_table(6, 4, SYM)
-    entry = entry_of(6, 4, SYM)
-    arrays = entry.size()
+def test_a_table_only_sector_basis_touches_gets_no_memo(cache):
+    sector_basis(4, 3, SYM)
+    exchange.orbit_table(4, 3, SYM)
+    entry = entry_of(4, 3, SYM)
+    assert entry.memo is None and cache.nbytes == table_bytes(4, 3, SYM)
+    occupation_to_labeled(OccupationState((1, 2, 0, 0), SYM), OneParticleBasis.default(4))
+    assert_whole_memo(entry)
+    assert cache.nbytes == table_bytes(4, 3, SYM) + table_charge(4, 3, SYM)
+
+
+@pytest.mark.parametrize(
+    "d,n,sector", [(1, 1, SYM), (3, 2, SYM), (4, 3, ANTI), (6, 4, SYM), (32, 2, ANTI)], ids=str
+)
+def test_the_memo_charge_bounds_what_it_allocates(cache, d, n, sector):
+    entry = exchange._orbit_entry(d, n, sector)
+    arrays = entry.nbytes
+    # numpy keeps small freed buffers for reuse, still traced: fill those caches first
+    exchange._occupation_rows(entry.tables[2], d, n)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fv = labeled_to_fock(state, SYM)
-        del fv
+        memo = exchange._occupation_memo(entry)
         gc.collect()
         allocated = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(entry.occupation) == 126
-    memo = entry.size() - arrays
+    assert memo is entry.memo
+    assert_whole_memo(entry)
+    charge = table_charge(d, n, sector)
+    assert entry.nbytes == arrays + charge
     assert cache.nbytes == held_bytes(cache)
-    assert 0 < allocated <= memo
-    # the count itself: two hash tables, one tuple and one class int per class
-    tables = sys.getsizeof(entry.occupation) + sys.getsizeof(entry.cls) - 2 * sys.getsizeof({})
-    assert memo == tables + 126 * (sys.getsizeof((0,) * 6) + 32)
+    assert 0 < allocated <= charge
+    if d > 20:
+        # past the tuple free lists every tuple is a new allocation: the charge is not loose
+        assert charge < 2 * allocated
 
 
-def test_a_growing_memo_evicts_the_least_recently_used_table(monkeypatch, cache):
-    small = (3, 3, SYM)
-    big = (8, 3, SYM)
+def test_a_memo_evicts_the_least_recently_used_tables(monkeypatch, cache):
+    small, other, big = (3, 3, SYM), (4, 3, ANTI), (8, 3, SYM)
     state = random_sector_state(np.random.default_rng(8), 8, 3, SYM)
-    exchange.orbit_table(*small)
-    labeled_to_fock(state, SYM)
-    sizes = {key: cache.tables[key].size() for key in (small, big)}
+    arrays = {key: table_bytes(*key) for key in (small, other, big)}
+    # room for the three tables, or for two with the big table's memo, not for all four
+    budget = sum(arrays.values()) + table_charge(*big) - 1
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     held = exchange._orbit_tables
-    # room for both tables, and for the big table with its memo, not for all three
-    budget = sum(sizes.values()) - 1
-    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
-    exchange.orbit_table(*small)
-    exchange.orbit_table(*big)
-    assert list(held.tables) == [small, big]
+    for key in (small, other, big, small):
+        exchange.orbit_table(*key)
+    assert list(held.tables) == [other, big, small]
     fv = labeled_to_fock(state, SYM)
-    assert list(held.tables) == [big]
-    assert len(held.tables[big].occupation) == len(fv.terms) == 120
+    assert len(fv.terms) == 120
+    assert list(held.tables) == [small, big]
+    assert_whole_memo(held.tables[big])
     assert held.nbytes == held_bytes(held) <= budget
 
 
-def test_an_entry_the_memo_would_take_past_the_budget(monkeypatch, cache):
+def test_a_memo_past_the_budget_is_not_built(monkeypatch, cache):
     key = (8, 3, SYM)
-    arrays = sum(a.nbytes for a in exchange.orbit_table(*key))
-    per_class = exchange._TUPLE_BYTES + 8 * exchange._TUPLE_ITEM_BYTES + exchange._INT_BYTES
     state = random_sector_state(np.random.default_rng(9), 8, 3, SYM)
     expected = labeled_to_fock(state, SYM).terms
-    # the tuples and ints alone do not fit: the table stays, the memo takes nothing
-    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", arrays + 120 * per_class - 1)
-    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
-    held = exchange._orbit_tables
-    assert labeled_to_fock(state, SYM).terms == expected
-    assert list(held.tables) == [key] and not held.tables[key].occupation
-    assert held.nbytes == arrays
-    # they fit, the hash tables do not: the entry is dropped and the cache is empty
-    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", arrays + 120 * per_class)
-    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
-    held = exchange._orbit_tables
-    assert labeled_to_fock(state, SYM).terms == expected
-    assert held.tables == {} and held.nbytes == 0
+    arrays, charge = table_bytes(*key), table_charge(*key)
+    for budget, memo in ((arrays + charge - 1, False), (arrays + charge, True)):
+        monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
+        monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+        held = exchange._orbit_tables
+        assert labeled_to_fock(state, SYM).terms == expected
+        assert list(held.tables) == [key]
+        assert (held.tables[key].memo is not None) is memo
+        assert held.nbytes == held_bytes(held) == (budget if memo else arrays)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -18,7 +18,7 @@ from identicals import (
 from identicals import errors, exchange, fock
 from identicals.exchange import orbit_table
 
-from conftest import random_sector_state
+from conftest import assert_whole_memo, entry_bytes, random_sector_state
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
@@ -136,7 +136,7 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
     for state, (*_, sector) in zip(states.values(), keys):
         if state is not None:
             labeled_to_fock(state, sector)
-    full = [entry.size() for entry in cache.tables.values()]
+    full = [entry_bytes(entry) for entry in cache.tables.values()]
     # less than the three largest tables with full memos: round trips evict
     monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(sorted(full)[-3:]) - 1)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
@@ -168,10 +168,11 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # each held table counts its arrays and its memo, and the memos did grow
-    assert held.nbytes == sum(e.size() for e in held.tables.values()) <= exchange.ORBIT_CACHE_BYTES
-    assert any(e.occupation for e in held.tables.values())
+    # each held table counts its arrays and its memo, and memos were stored
+    held_bytes = sum(map(entry_bytes, held.tables.values()))
+    assert held.nbytes == held_bytes <= exchange.ORBIT_CACHE_BYTES
+    assert any(e.memo is not None for e in held.tables.values())
     for key, entry in held.tables.items():
         assert sum(a.nbytes for a in entry.tables) == sizes[key]
-        assert len(entry.cls) == len(entry.occupation)
-        assert all(entry.cls[occ] == k for k, occ in entry.occupation.items())
+        if entry.memo is not None:
+            assert_whole_memo(entry)

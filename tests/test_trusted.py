@@ -1,11 +1,11 @@
 """States the Fock bridge builds are not validated again.
 
-sector_basis, occupation_to_labeled and labeled_to_fock build their results
-through the private _trusted constructors of LabeledState and FockVector,
-which check nothing.  These tests rebuild every such result through the
-public constructor, show that the three functions run no __post_init__
-while their errors stay as they were, and keep the trusted constructors out
-of every other function of the package.
+sector_basis, occupation_to_labeled, labeled_to_fock and fock_to_labeled
+build their results through the private _trusted constructors of
+LabeledState and FockVector, which check nothing.  These tests rebuild every
+such result through the public constructor, show that the four functions
+run no __post_init__ while their errors stay as they were, and keep the
+trusted constructors out of every other function of the package.
 """
 
 import ast
@@ -22,6 +22,7 @@ from identicals import (
     OccupationState,
     OneParticleBasis,
     enumerate_distributions,
+    fock_to_labeled,
     labeled_to_fock,
     occupation_to_labeled,
     sector_basis,
@@ -80,6 +81,9 @@ def test_every_fock_vector_passes_the_public_constructor(size, sector, seed, edg
     assert list(public.terms) == list(fv.terms)
     assert all(type(k) is tuple and all(type(m) is int for m in k) for k in fv.terms)
     assert all(type(c) is complex for c in fv.terms.values())
+    back = fock_to_labeled(fv, state.basis)
+    assert_public_rebuild(back)
+    assert abs(np.vdot(state.amplitudes, back.amplitudes)) >= 1 - 1e-9
 
 
 # ---------------------------------------------------------------- no second validation
@@ -97,6 +101,12 @@ def test_the_bridge_runs_no_post_init(monkeypatch):
     sym = edge_state(3, 3, SYM, 1, 0)
     anti = edge_state(4, 3, ANTI, 2, 0)
     fermions = LabeledState(3, OneParticleBasis.default(2), np.eye(8)[1])
+    # Fock vectors made before __post_init__ is forbidden: the bridge's, a caller's, the vacuum
+    fv_sym, fv_anti = labeled_to_fock(sym, SYM), labeled_to_fock(anti, ANTI)
+    # this one's amplitudes land past the unit-norm rule and are divided
+    fv_edge = labeled_to_fock(edge_state(3, 3, SYM, 11, -1), SYM)
+    fv_caller = FockVector({(1, 0, 2): 0.6, (0, 3, 0): 0.8j}, SYM, 3)
+    vacuum = FockVector({(0, 0, 0): 1.0}, SYM, 0)
 
     def basis_rows(d, n, sector):
         return np.array([v.amplitudes for v in sector_basis(d, n, sector)])
@@ -119,6 +129,12 @@ def test_the_bridge_runs_no_post_init(monkeypatch):
         "fock_anti": lambda: labeled_to_fock(anti, ANTI).terms,
         "fock_not_in_sector": lambda: labeled_to_fock(sym, ANTI),
         "fock_fermions_past_modes": lambda: labeled_to_fock(fermions, ANTI),
+        "labeled_sym": lambda: fock_to_labeled(fv_sym, basis3).amplitudes,
+        "labeled_anti": lambda: fock_to_labeled(fv_anti, anti.basis).amplitudes,
+        "labeled_edge": lambda: fock_to_labeled(fv_edge, basis3).amplitudes,
+        "labeled_caller": lambda: fock_to_labeled(fv_caller, basis3).amplitudes,
+        "labeled_width": lambda: fock_to_labeled(fv_caller, anti.basis),
+        "labeled_vacuum": lambda: fock_to_labeled(vacuum, basis3),
     }
     expected = {name: outcome(call) for name, call in calls.items()}
 
@@ -143,6 +159,8 @@ def test_the_bridge_runs_no_post_init(monkeypatch):
         "occupation_vacuum": (ValueError, "cannot build a labeled state for the vacuum"),
         "fock_not_in_sector": not_anti,
         "fock_fermions_past_modes": not_anti,
+        "labeled_width": (ValueError, "occupation has 3 modes, basis has 4"),
+        "labeled_vacuum": (ValueError, "cannot build a labeled state for the vacuum"),
     }
     assert {name: expected[name] for name in edges} == edges
     assert expected["basis_cap"] == (CapExceeded, (
@@ -156,6 +174,7 @@ TRUSTED_CALLERS = {
     ("exchange.py", "sector_basis"),
     ("fock.py", "occupation_to_labeled"),
     ("fock.py", "labeled_to_fock"),
+    ("fock.py", "fock_to_labeled"),
 }
 
 
