@@ -131,6 +131,11 @@ ORBIT_CACHE_BYTES = 32 * 2 ** 20
 _MEMO_BYTES = 1024
 _MEMO_CLASS_BYTES = 144
 
+#: no memo whose classes charge more than this many times the table's arrays
+#: is built: at d >> N (27 MB beside 44 kB at d = 1824, N = 1) its build costs
+#: a sparse state's first call far more than its lookups ever save
+_MEMO_TABLE_RATIO = 16
+
 
 class _OrbitEntry:
     """One (d, N, sector) orbit table and the occupation memo kept with it.
@@ -214,7 +219,8 @@ def orbit_table(
     The dense cap (check_dense_dim) is checked before the cache is read.
     Each (d, n, sector) table is built once and kept read-only, so every
     caller shares the same three arrays.  The first Fock-bridge call on a
-    kept table adds its occupation memo (_occupation_memo), if it fits.
+    kept table adds its occupation memo (_occupation_memo), if it fits and
+    is not many times larger than the table.
     Tables and memos together hold at most ORBIT_CACHE_BYTES; the least
     recently used tables, with their memos, are dropped first, and a table
     larger than the whole budget is returned without being kept.
@@ -257,15 +263,22 @@ def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
 
     occupations[k] is the occupation of class k, a tuple of d Python ints,
     from one _occupation_rows pass over first; classes maps it back to k.
-    Built outside the cache's lock and stored under it, like a table.  None
-    if the entry is no longer kept, or its memo's charge would take it past
-    ORBIT_CACHE_BYTES.
+    Built outside the cache's lock and stored under it, like a table.  None,
+    with nothing built, if the entry is not kept, if its classes' charge is
+    more than _MEMO_TABLE_RATIO times its arrays, or if the memo's charge
+    would take it past ORBIT_CACHE_BYTES.
     """
     if entry.memo is None:
         d, n, _ = entry.key
         first = entry.tables[2]
-        nbytes = _MEMO_BYTES + first.size * (_MEMO_CLASS_BYTES + 8 * d)
-        if entry.nbytes + nbytes > ORBIT_CACHE_BYTES:
+        class_bytes = first.size * (_MEMO_CLASS_BYTES + 8 * d)
+        nbytes = _MEMO_BYTES + class_bytes
+        if (
+            class_bytes > _MEMO_TABLE_RATIO * entry.nbytes
+            or entry.nbytes + nbytes > ORBIT_CACHE_BYTES
+            # a read without the lock; put_memo checks again under it
+            or _orbit_tables.tables.get(entry.key) is not entry
+        ):
             return None
         occupations = tuple(map(tuple, _occupation_rows(first, d, n).tolist()))
         classes = dict(zip(occupations, range(first.size)))

@@ -11,11 +11,10 @@ from the table: labeled_to_fock spreads its Fock coefficients back over it,
 P psi = amp * c, and applies the membership rule of exchange.is_in_sector
 to that, so the bridge runs no coset projector.  The table of each
 (d, N, sector) is built once and then shared, read-only, by every call of
-either direction and by occupation_to_labeled.  The first call of any of
-the three on a kept table builds the table's occupation memo whole: the
-occupation of every class and its inverse, read with one lookup per class
-(exchange._occupation_memo).  A table whose memo would not fit the cache's
-byte budget keeps none, and its calls count what they need off the table.
+either direction and by occupation_to_labeled, with the occupation memo
+kept with it (exchange._occupation_memo): every class's occupation and its
+inverse, one lookup per class.  A table that keeps no memo, when it would
+not fit or would outweigh the table, has what each call needs counted off it.
 
 What the bridge builds is not validated a second time.  Its results come
 from classes of the orbit table, or from a caller's Fock vector that
@@ -37,7 +36,9 @@ from __future__ import annotations
 import itertools
 import re
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .counting import ExchangeSector
 
@@ -51,12 +52,13 @@ VACUUM = "cannot build a labeled state for the vacuum"
 
 @dataclass(frozen=True)
 class OccupationState:
-    """Per-mode occupation numbers, 64-bit integers, in a fixed exchange sector."""
+    """Per-mode occupation numbers, a tuple of 64-bit integers, in a fixed exchange sector."""
 
     occupations: tuple[int, ...]
     sector: ExchangeSector
 
     def __post_init__(self):
+        object.__setattr__(self, "occupations", tuple(self.occupations))
         _pack_occupations([self.occupations], len(self.occupations))
         if any(n < 0 for n in self.occupations):
             raise ValueError(_NEGATIVE)
@@ -81,10 +83,11 @@ class FockVector:
     All occupations have the same number of modes and hold integers (see
     _occupation_matrix); the first occupation that does not raises first.
     Then a term that breaks the total number or the sector's occupation rule
-    raises the error of the first such term, checked in that order.
+    raises the error of the first such term, checked in that order.  terms
+    is kept as a read-only view of a copy of the mapping given.
     """
 
-    terms: dict[tuple[int, ...], complex]
+    terms: Mapping[tuple[int, ...], complex]
     sector: ExchangeSector
     total_number: int
 
@@ -93,6 +96,7 @@ class FockVector:
 
         import identicals.states as states
 
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         keys = list(self.terms)
         widths = set(map(len, keys))
         if len(widths) > 1:
@@ -114,6 +118,10 @@ class FockVector:
         values = list(self.terms.values())
         states.check_unit_norm(values, "Fock coefficients", "Fock vector norm {norm} deviates from 1")
 
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled; rebuild through the validating constructor
+        return type(self), (dict(self.terms), self.sector, self.total_number)
+
     @classmethod
     def _trusted(
         cls, terms: dict[tuple[int, ...], complex], sector: ExchangeSector, total_number: int
@@ -125,10 +133,11 @@ class FockVector:
         and the coefficients' norm must obey states.off_unit_norm: what
         __post_init__ checks, the only place the checks are made.  Only a
         function that builds the terms valid by construction calls this, and
-        its docstring says why (tests/test_trusted.py holds the list).
+        its docstring says why (tests/test_trusted.py holds the list).  terms
+        is wrapped without a copy: the caller must keep no other reference.
         """
         fv = object.__new__(cls)
-        vars(fv).update(terms=terms, sector=sector, total_number=total_number)
+        vars(fv).update(terms=MappingProxyType(terms), sector=sector, total_number=total_number)
         return fv
 
 
@@ -235,11 +244,7 @@ def _classes(entry, keys: list) -> list[int]:
 
     memo = exchange._occupation_memo(entry)
     if memo is not None:
-        try:
-            return list(map(memo[1].__getitem__, keys))
-        except KeyError:
-            # a key changed after validation fails as it would without a memo
-            pass
+        return list(map(memo[1].__getitem__, keys))
     d, n, _ = entry.key
     return entry.tables[0][_sorted_tuple_index(_occupation_matrix(keys, d), n, d)].tolist()
 
@@ -264,7 +269,7 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
 
     _check_modes(occ.n_modes, occ.total, basis)
     entry = exchange._orbit_entry(basis.dim, occ.total, occ.sector)
-    (k,) = _classes(entry, [tuple(occ.occupations)])
+    (k,) = _classes(entry, [occ.occupations])
     cls, amp, _ = entry.tables
     return states.LabeledState._trusted(occ.total, basis, np.where(cls == k, amp, 0j))
 
@@ -278,13 +283,9 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     to the rule of exchange.is_in_sector.  Terms with |coefficient| > 1e-12
     are kept, in the order of counting.enumerate_distributions.
 
-    The occupations come from the memo kept with the orbit table
-    (exchange._occupation_memo): the occupation tuple of every class, and
-    its inverse, which fock_to_labeled and occupation_to_labeled read.  The
-    first bridge call on a kept table builds it whole, and its bytes count
-    against exchange.ORBIT_CACHE_BYTES with the table's own; a table whose
-    memo would not fit keeps none, and the occupations are counted off the
-    table instead.  Either way every key is a tuple of Python ints.
+    The occupations are read from the orbit table's occupation memo, or
+    counted off the table when it keeps none (exchange._occupation_memo);
+    either way every key is a tuple of Python ints.
 
     The result is built trusted, without a second validation.  Each
     occupation is a tuple of d Python ints counted from a class of the
@@ -336,8 +337,8 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
 
     The result is built trusted, without a second validation: its d^N
     amplitudes come from the table, they are finite because FockVector
-    checked the coefficients, and their norm is within TAU_NORM of 1, or
-    1 within rounding once divided.
+    checked the coefficients and its terms are read-only, and their norm is
+    within TAU_NORM of 1, or 1 within rounding once divided.
     """
     import numpy as np
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -238,6 +241,35 @@ def test_fock_vector_reads_integer_types():
     fv = FockVector({(True, np.int64(1), 0): 0.6, (0, 2, False): 0.8}, SYM, 2)
     back = fock_to_labeled(fv, OneParticleBasis.default(3))
     assert labeled_to_fock(back, SYM).terms == pytest.approx({(1, 1, 0): 0.6, (0, 2, 0): 0.8})
+
+
+def test_fock_vector_terms_are_a_read_only_copy():
+    given = {(1, 1, 0): 0.6, (0, 2, 0): 0.8}
+    fv = FockVector(given, SYM, 2)
+    # a later change to the caller's dict, or to terms, cannot reach a validated vector
+    given[(1, 1, 0)] = float("nan")
+    given[(3, 0, 0)] = 0.5
+    bridged = labeled_to_fock(fock_to_labeled(fv, OneParticleBasis.default(3)), SYM)
+    for vector in (fv, bridged):
+        with pytest.raises(TypeError):
+            vector.terms[(1, 1, 0)] = float("nan")
+        with pytest.raises(TypeError):
+            del vector.terms[(0, 2, 0)]
+    assert fv.terms == {(1, 1, 0): 0.6, (0, 2, 0): 0.8}
+    assert bridged.terms == pytest.approx(fv.terms)
+    for vector in (fv, bridged):
+        for twin in (pickle.loads(pickle.dumps(vector)), copy.deepcopy(vector),
+                     dataclasses.replace(vector)):
+            assert twin == vector and list(twin.terms) == list(vector.terms)
+            with pytest.raises(TypeError):
+                twin.terms[(2, 0, 0)] = 1.0
+
+
+def test_occupation_state_keeps_a_tuple():
+    given = [1, 2, 0]
+    occ = OccupationState(given, SYM)
+    given[0] = 5
+    assert occ.occupations == (1, 2, 0) and occ == OccupationState((1, 2, 0), SYM)
 
 
 class TestReplacementTheorem:

@@ -177,23 +177,6 @@ def test_errors_are_unchanged_cold_and_warm(cache):
     assert bridge_errors() == cold
 
 
-def test_a_key_changed_after_validation_fails_as_without_a_memo(monkeypatch, cache):
-    fv = FockVector({(1, 1, 0): 1.0}, SYM, 2)
-    fv.terms[(3, 0, 0)] = 0.5
-    basis = OneParticleBasis.default(3)
-
-    def failure(budget):
-        monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
-        monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
-        with pytest.raises(ValueError) as info:
-            fock_to_labeled(fv, basis)
-        return str(info.value)
-
-    with_memo = failure(exchange.ORBIT_CACHE_BYTES)
-    assert entry_of(3, 2, SYM).memo is not None
-    assert failure(0) == with_memo
-
-
 @pytest.mark.parametrize("warm", [False, True])
 def test_a_float_occupation_is_refused_even_when_its_class_is_known(cache, warm):
     basis = OneParticleBasis.default(3)
@@ -231,8 +214,8 @@ def test_bool_and_numpy_keys_find_their_class_but_are_never_stored(cache, warm):
     assert all(type(m) is int for key in fv.terms for m in key)
 
 
-@pytest.mark.parametrize("d,n,count,memo", [(256, 2, 32896, False), (8, 3, 120, True)])
-def test_a_sparse_state_gets_the_whole_memo_or_none(monkeypatch, cache, d, n, count, memo):
+def count_rows(monkeypatch):
+    """The number of classes of each _occupation_rows call, appended as it runs."""
     built = []
     rows = exchange._occupation_rows
 
@@ -241,6 +224,21 @@ def test_a_sparse_state_gets_the_whole_memo_or_none(monkeypatch, cache, d, n, co
         return rows(first, *size)
 
     monkeypatch.setattr(exchange, "_occupation_rows", counted)
+    return built
+
+
+def over_ratio(d, n, sector):
+    """Whether the table's memo would charge more than _MEMO_TABLE_RATIO times its arrays."""
+    classes = table_charge(d, n, sector) - exchange._MEMO_BYTES
+    return classes > exchange._MEMO_TABLE_RATIO * table_bytes(d, n, sector)
+
+
+@pytest.mark.parametrize(
+    "d,n,count,why",
+    [(64, 3, 45760, "budget"), (128, 2, 8256, "ratio"), (8, 3, 120, None)],
+)
+def test_a_sparse_state_gets_the_whole_memo_or_none(monkeypatch, cache, d, n, count, why):
+    built = count_rows(monkeypatch)
     zeros = (0,) * (d - 2)
     ends, double, last = (n - 1,) + zeros + (1,), (0, n) + zeros, zeros + (0, n)
     fv = FockVector({ends: 0.6, double: 0.0, last: 0.8j}, SYM, n)
@@ -250,14 +248,67 @@ def test_a_sparse_state_gets_the_whole_memo_or_none(monkeypatch, cache, d, n, co
     assert list(back.terms) == [ends, last]
     entry = entry_of(d, n, SYM)
     assert entry.tables[2].size == count
-    if memo:
+    over_budget = table_bytes(d, n, SYM) + table_charge(d, n, SYM) > exchange.ORBIT_CACHE_BYTES
+    assert (over_budget, over_ratio(d, n, SYM)) == (why == "budget", why == "ratio")
+    if why is None:
         assert_whole_memo(entry)
         assert built == [count]
     else:
-        # the table is kept; its memo's charge is past the budget, so none is built
-        assert table_charge(d, n, SYM) > exchange.ORBIT_CACHE_BYTES
+        # the table is kept; its memo is refused, so none is built
         assert entry.memo is None and count not in built
     assert cache.nbytes == held_bytes(cache) == entry_bytes(entry)
+
+
+@pytest.mark.parametrize("d,n,sector", [(1824, 1, SYM), (1024, 1, ANTI), (128, 2, SYM)], ids=str)
+def test_a_memo_many_times_its_table_is_never_built(monkeypatch, cache, d, n, sector):
+    built = count_rows(monkeypatch)
+    basis = OneParticleBasis.default(d)
+    occ = OccupationState((0,) * (d - n) + (1,) * n, sector)
+    fv = FockVector({(1,) * n + (0,) * (d - n): 0.6, occ.occupations: 0.8j}, sector, n)
+    assert over_ratio(d, n, sector)
+    assert table_bytes(d, n, sector) + table_charge(d, n, sector) <= exchange.ORBIT_CACHE_BYTES
+
+    def bits():
+        state = fock_to_labeled(fv, basis)
+        back = labeled_to_fock(state, sector)
+        single = occupation_to_labeled(occ, basis)
+        values = np.array(list(back.terms.values()))
+        return list(back.terms), values.tobytes(), state.amplitudes.tobytes(), single.amplitudes.tobytes()
+
+    kept = [bits(), bits()]
+    entry = entry_of(d, n, sector)
+    assert entry.memo is None and cache.nbytes == table_bytes(d, n, sector)
+    # each call counts its two classes' occupations, never the whole table's
+    assert built == [2, 2]
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", 0)
+    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+    assert kept == [bits(), bits()]
+
+
+def test_the_memo_ratio_is_a_sharp_bound(monkeypatch, cache):
+    key = (8, 3, SYM)
+    ratio = (table_charge(*key) - exchange._MEMO_BYTES) / table_bytes(*key)
+    for bound, memo in ((ratio * (1 - 1e-9), False), (ratio * (1 + 1e-9), True)):
+        monkeypatch.setattr(exchange, "_MEMO_TABLE_RATIO", bound)
+        monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+        occupation_to_labeled(OccupationState((1, 2, 0, 0, 0, 0, 0, 0), SYM), OneParticleBasis.default(8))
+        assert (entry_of(*key).memo is not None) is memo
+
+
+def test_an_entry_no_longer_kept_builds_no_memo(monkeypatch, cache):
+    built = count_rows(monkeypatch)
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", 0)
+    # never kept: the budget is smaller than the table
+    assert exchange._occupation_memo(exchange._orbit_entry(4, 3, SYM)) is None
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", table_bytes(4, 3, SYM) + table_charge(4, 3, SYM))
+    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+    entry = exchange._orbit_entry(4, 3, SYM)
+    # evicted by a later table before its first bridge call
+    exchange.orbit_table(4, 3, ANTI)
+    exchange.orbit_table(6, 3, SYM)
+    assert (4, 3, SYM) not in exchange._orbit_tables.tables
+    assert exchange._occupation_memo(entry) is None
+    assert entry.memo is None and built == []
 
 
 def test_a_table_only_sector_basis_touches_gets_no_memo(cache):
