@@ -261,12 +261,11 @@ def _occupation_rows(first: np.ndarray, d: int, n: int) -> np.ndarray:
 def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
     """The entry's whole occupation memo, built on the first call: (occupations, classes).
 
-    occupations[k] is the occupation of class k, a tuple of d Python ints,
-    from one _occupation_rows pass over first; classes maps it back to k.
-    Built outside the cache's lock and stored under it, like a table.  None,
-    with nothing built, if the entry is not kept, if its classes' charge is
-    more than _MEMO_TABLE_RATIO times its arrays, or if the memo's charge
-    would take it past ORBIT_CACHE_BYTES.
+    occupations[k] is class k's occupation, a tuple of d Python ints, from
+    one _occupation_rows pass over first; classes maps it back to k.  Built
+    outside the cache's lock and stored under it, like a table.  None, with
+    nothing built, if the entry is not kept or its memo is refused: classes
+    charged over _MEMO_TABLE_RATIO times its arrays, or past the budget.
     """
     if entry.memo is None:
         d, n, _ = entry.key

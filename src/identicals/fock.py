@@ -26,9 +26,8 @@ is valid.  A caller's FockVector or LabeledState is always validated.
 Symbols and occupation states need only the standard library: numpy,
 `exchange` and `states` are imported inside the functions that use them,
 so parsing a symbol (and the CLI's symbol `analyze`) never imports numpy.
-Those imports name the package absolutely: a relative import inside a
-function resolves the package again on every call, which cost a Fock round
-trip about 4%.
+They name the package absolutely: a relative one resolves it on every call
+(about 4% of a Fock round trip).
 """
 
 from __future__ import annotations
@@ -219,8 +218,7 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
 def _class_occupations(entry, classes: list[int]) -> list[tuple[int, ...]]:
     """The occupation of each sector class, a tuple of d Python ints.
 
-    Read from the table's memo, or without one counted off the classes'
-    sorted index tuples (first[k] of the orbit table) in one pass.
+    From the table's memo, or counted off each class's first[k] in one pass.
     """
     import identicals.exchange as exchange
 
@@ -235,10 +233,9 @@ def _classes(entry, keys: list) -> list[int]:
     """The sector class of each occupation key.
 
     Every key must be a valid occupation of the entry's table: d integers
-    summing to N, obeying the sector's occupation rule.  A key of bools or
-    numpy ints finds the class of the equal ints.  Read from the table's
-    memo, or without one read off the table at the keys' sorted index
-    tuples, the keys taken as one integer matrix (_occupation_matrix).
+    summing to N, obeying the sector's occupation rule; bools or numpy ints
+    find the class of the equal ints.  Read from the table's memo, or off
+    the table at the keys' sorted index tuples (one _occupation_matrix).
     """
     import identicals.exchange as exchange
 
@@ -327,13 +324,12 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock.
 
-    After the width and vacuum checks, each occupation's class is one lookup
-    in the orbit table's occupation memo (see labeled_to_fock).  The
-    amplitudes are each class's coefficient times its basis amplitude.  A
-    Fock vector that labeled_to_fock made from a state at the edge of the
-    unit-norm rule can give amplitudes whose norm, summed over d^N entries
-    instead of over the classes, lands just past it; only then are they
-    divided by their norm, as labeled_to_fock does with its coefficients.
+    After the width and vacuum checks, each occupation's class is read by
+    _classes.  The amplitudes are each class's coefficient times its basis
+    amplitude.  A Fock vector that labeled_to_fock made from a state at the
+    edge of the unit-norm rule can give amplitudes whose norm, summed over
+    d^N entries instead of over the classes, lands just past it; only then
+    are they divided by it, as labeled_to_fock divides its coefficients.
 
     The result is built trusted, without a second validation: its d^N
     amplitudes come from the table, they are finite because FockVector
