@@ -7,9 +7,9 @@ cap exceeded, 4 domain error, 5 I/O error.
 
 Only the numpy-free `counting` and `errors` modules are imported here at
 module level; every other command imports what it uses inside its own
-function, so `identicals count` and a symbol `analyze` (whose report is
-closed form, see emergence.occupation_report) run on the standard library
-alone.
+function, so `identicals count`, a symbol `analyze` (whose report is closed
+form, see emergence.occupation_report) and `basis` (whose rows are closed
+form, see counting.basis_rows) run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -273,15 +273,11 @@ def cmd_count(cfg: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- basis
 
 def cmd_basis(cfg: dict, fmt: str) -> str:
-    import numpy as np
-
-    from . import exchange
-
     parsed = _parse(cfg, _BASIS, "basis")
     d, n, sector = parsed["d"], parsed["n"], parsed["sector"]
     # more fermions than modes is the empty sector, a constant report; any
     # other sector meets the slot and d^N caps, then the report cap, before
-    # sector_basis builds anything
+    # basis_rows builds anything
     if not (sector is counting.ExchangeSector.ANTISYMMETRIC and n > d):
         check_dense_dim(d, n)
         count = counting.count_microstates(sector.statistics, n, d)
@@ -289,26 +285,46 @@ def cmd_basis(cfg: dict, fmt: str) -> str:
             _basis_report_characters(d, n, count, fmt),
             f"the basis report of {count} states over d^N = {d}^{n} amplitudes",
         )
-    states = exchange.sector_basis(d, n, sector)
+    rows = counting.basis_rows(sector, n, d)
     occs = counting.enumerate_distributions(sector.statistics, n, d)
-    # one row per state; + 0.0 turns -0.0 into 0, as _fmt does
-    amps = _interleave(np.array([s.amplitudes for s in states]) + 0.0)
+    # the empty sector's n is unbounded: no d ** n for it
+    dim = d ** n if rows else 0
     if fmt == "json":
-        rows = [
-            {"occupation": list(occ), "amplitudes": row}
-            for occ, row in zip(occs, amps)
+        states = [
+            {"occupation": list(occ), "amplitudes": _basis_vector(row, dim)}
+            for occ, row in zip(occs, rows)
         ]
-        return json.dumps(_round_floats({"states": rows}), indent=2) + "\n"
+        return json.dumps(_round_floats({"states": states}), indent=2) + "\n"
     lines = ["occupation,amplitudes"]
-    if not states:
+    if not rows:
         lines.append("# empty sector")
     else:
-        template = " ".join(["%.12g"] * len(amps[0]))
+        counts = list(map(str, range(n + 1)))
         lines.extend(
-            f"{';'.join(map(str, occ))},{template % tuple(row)}"
-            for occ, row in zip(occs, amps)
+            f"{';'.join(map(counts.__getitem__, occ))},{_basis_text(row, dim)}"
+            for occ, row in zip(occs, rows)
         )
     return "\n".join(lines) + "\n"
+
+
+def _basis_vector(row: list[tuple[int, float]], dim: int) -> list[float]:
+    """A basis row as _interleave writes its vector: (re, im) of each of the dim amplitudes."""
+    vec = [0.0] * (2 * dim)
+    for flat, amp in row:
+        vec[2 * flat] = amp
+    return vec
+
+
+def _basis_text(row: list[tuple[int, float]], dim: int) -> str:
+    """The %.12g text of _basis_vector(row, dim), its values joined by spaces.
+
+    Only the nonzero amplitudes are formatted: every other value is 0.0,
+    which %.12g writes as "0".
+    """
+    parts = ["0"] * (2 * dim)
+    for flat, amp in row:
+        parts[2 * flat] = "%.12g" % amp
+    return " ".join(parts)
 
 
 def _basis_report_characters(d: int, n: int, count: int, fmt: str) -> int:
@@ -371,13 +387,6 @@ def _state_from_config(cfg: dict) -> LabeledState:
     return LabeledState(n_slots, OneParticleBasis.default(d), amps)
 
 
-def _unit_vector(m: int, d: int) -> list[float]:
-    """e_m as _interleave writes it: (re, im) of each of the d modes."""
-    vec = [0.0] * (2 * d)
-    vec[2 * m] = 1.0
-    return vec
-
-
 def cmd_analyze(cfg: dict, fmt: str) -> str:
     from . import emergence
 
@@ -386,7 +395,7 @@ def cmd_analyze(cfg: dict, fmt: str) -> str:
     if "symbol" in cfg:
         occ = _occupation_from_config(cfg)
         report = emergence.occupation_report(occ)
-        states = [_unit_vector(m, occ.n_modes) for m, _ in report.defining_states]
+        states = [_basis_vector([(m, 1.0)], occ.n_modes) for m, _ in report.defining_states]
     else:
         report = emergence.detect_emergent_particles(_state_from_config(cfg), sector)
         states = [_interleave(vec) for vec, _ in report.defining_states]

@@ -5,7 +5,9 @@ sit on N resonators, the symbol strings that realize the stars-and-bars
 argument literally, and the Boltzmann / Bose-Einstein / Fermi-Dirac
 microstate counts for n particles on d modes.  The exchange sectors are
 named here too, with the statistics of each, so that occupation-level code
-needs no linear algebra.
+needs no linear algebra; so is the closed form of each sector basis vector
+over the index tuples of its occupation (basis_rows), from which the CLI
+writes a basis without numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import CapExceeded, check_report_size
+from .errors import CapExceeded, check_dense_dim, check_report_size
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
 
@@ -280,6 +282,55 @@ def enumerate_distributions(kind: StatisticsKind, n: int, d: int) -> list[tuple[
     else:
         tuples = itertools.combinations(range(d), n)
     return [_occupation(modes, d) for modes in tuples]
+
+
+def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, float]]]:
+    """The nonzero (flat index, amplitude) pairs of each sector basis vector, without numpy.
+
+    Row k belongs to occupation k of enumerate_distributions(sector.statistics,
+    n, d) and lists, in ascending flat index, every index tuple of n slots over
+    d modes that sorts to that occupation's ascending tuple; in the
+    antisymmetric sector a tuple with a repeated mode lies in no row.  The
+    amplitudes are the closed forms of exchange.orbit_table with the same float
+    operations, so each has its bits: sqrt(weight / n!), weight the running
+    float product of the sorted tuple's run lengths (symmetric), or the
+    parity of the tuple's inversions times 1 / sqrt(n!) (antisymmetric).
+    One pass over the d^n index tuples, each sorted and looked up by its
+    sorted tuple: O(d^n n) work, no permutation enumerated.  Empty when the
+    sector holds no states; otherwise d^n must pass errors.check_dense_dim.
+    """
+    if count_microstates(sector.statistics, n, d) == 0:
+        return []
+    check_dense_dim(d, n)
+    if sector is ExchangeSector.SYMMETRIC:
+        tuples = itertools.combinations_with_replacement(range(d), n)
+    else:
+        tuples = itertools.combinations(range(d), n)
+    classes = {modes: k for k, modes in enumerate(tuples)}
+    rows: list[list[tuple[int, float]]] = [[] for _ in classes]
+    cells = enumerate(itertools.product(range(d), repeat=n))
+    if sector is ExchangeSector.SYMMETRIC:
+        amps = [_symmetric_amplitude(modes, n) for modes in classes]
+        for flat, modes in cells:
+            k = classes[tuple(sorted(modes))]
+            rows[k].append((flat, amps[k]))
+        return rows
+    amp = 1.0 / math.sqrt(math.factorial(n))
+    for flat, modes in cells:
+        k = classes.get(tuple(sorted(modes)))
+        if k is not None:
+            inversions = sum(a > b for a, b in itertools.combinations(modes, 2))
+            rows[k].append((flat, -amp if inversions % 2 else amp))
+    return rows
+
+
+def _symmetric_amplitude(modes: tuple[int, ...], n: int) -> float:
+    """sqrt(prod n_m! / n!) of an ascending index tuple, as exchange._build_orbit_table rounds it."""
+    run = weight = 1.0
+    for a, b in zip(modes, modes[1:]):
+        run = run + 1 if a == b else 1.0
+        weight *= run
+    return math.sqrt(weight / math.factorial(n))
 
 
 def entropy(count: int, k: float = 1.0) -> float:

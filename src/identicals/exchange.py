@@ -136,6 +136,10 @@ _MEMO_CLASS_BYTES = 144
 #: a sparse state's first call far more than its lookups ever save
 _MEMO_TABLE_RATIO = 16
 
+#: classes whose occupation rows a memo build holds as an int64 matrix and a
+#: list of lists at once; whole, these would briefly double the memo's bytes
+_MEMO_SLICE = 1024
+
 
 class _OrbitEntry:
     """One (d, N, sector) orbit table and the occupation memo kept with it.
@@ -262,10 +266,11 @@ def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
     """The entry's whole occupation memo, built on the first call: (occupations, classes).
 
     occupations[k] is class k's occupation, a tuple of d Python ints, from
-    one _occupation_rows pass over first; classes maps it back to k.  Built
-    outside the cache's lock and stored under it, like a table.  None, with
-    nothing built, if the entry is not kept or its memo is refused: classes
-    charged over _MEMO_TABLE_RATIO times its arrays, or past the budget.
+    _occupation_rows passes over _MEMO_SLICE classes of first at a time;
+    classes maps it back to k.  Built outside the cache's lock and stored
+    under it, like a table.  None, with nothing built, if the entry is not
+    kept or its memo is refused: classes charged over _MEMO_TABLE_RATIO
+    times its arrays, or past the budget.
     """
     if entry.memo is None:
         d, n, _ = entry.key
@@ -279,7 +284,10 @@ def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
             or _orbit_tables.tables.get(entry.key) is not entry
         ):
             return None
-        occupations = tuple(map(tuple, _occupation_rows(first, d, n).tolist()))
+        occupations = tuple(itertools.chain.from_iterable(
+            map(tuple, _occupation_rows(first[i : i + _MEMO_SLICE], d, n).tolist())
+            for i in range(0, first.size, _MEMO_SLICE)
+        ))
         classes = dict(zip(occupations, range(first.size)))
         _orbit_tables.put_memo(entry, (occupations, classes), nbytes)
     return entry.memo
@@ -325,6 +333,11 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     k, the closed-form basis amplitudes of one occupation, so it has the
     right shape and norm 1 within rounding.  Each vector is a read-only view
     of its row; the array is never copied.
+
+    The CLI's `basis` report uses a numpy-free twin, counting.basis_rows,
+    which shares no code with this function;
+    tests/test_structured_kernels.py::test_basis_rows_match_sector_basis_bit_for_bit
+    holds the two to the same amplitude bits.
     """
     if n > MAX_SLOTS:
         if sector is ExchangeSector.ANTISYMMETRIC and n > d:

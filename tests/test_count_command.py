@@ -480,17 +480,29 @@ def test_star_import_and_dir_show_the_same_public_names():
     assert public <= set(dir(identicals))
 
 
+#: the dense modules a `basis` child must not load: its rows come from counting alone
+DENSE_MODULES = ["identicals.exchange", "identicals.fock", "identicals.states"]
+
+
 @pytest.mark.parametrize(
-    "command,config",
+    "command,config,fmt",
     [
-        ("count", "count_planck_figure"),
-        ("analyze", "analyze_condensate"),
-        ("analyze", "analyze_fermion_pair"),
-        ("analyze", {"symbol": "f_{e1e4096}", "sector": "symmetric"}),
+        ("count", "count_planck_figure", "csv"),
+        ("analyze", "analyze_condensate", "csv"),
+        ("analyze", "analyze_fermion_pair", "csv"),
+        ("analyze", {"symbol": "f_{e1e4096}", "sector": "symmetric"}, "csv"),
+        ("basis", "basis_symmetric_2_3", "csv"),
+        ("basis", "basis_antisymmetric_4_2", "csv"),
+        ("basis", {"d": 2, "n": 3, "sector": "antisymmetric"}, "csv"),
+        ("basis", "basis_antisymmetric_4_2", "json"),
     ],
-    ids=["count_planck_figure", "analyze_condensate", "analyze_fermion_pair", "analyze_e1e4096"],
+    ids=[
+        "count_planck_figure", "analyze_condensate", "analyze_fermion_pair", "analyze_e1e4096",
+        "basis_symmetric_2_3", "basis_antisymmetric_4_2", "basis_empty_sector",
+        "basis_antisymmetric_4_2_json",
+    ],
 )
-def test_runs_without_numpy(tmp_path, command, config):
+def test_runs_without_numpy(tmp_path, command, config, fmt):
     if isinstance(config, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -504,13 +516,17 @@ def test_runs_without_numpy(tmp_path, command, config):
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        f"print([m for m in {DENSE_MODULES!r} if m in sys.modules])\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, command, "--config", str(path)],
+        [sys.executable, "-c", code, command, "--config", str(path), "--format", fmt],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    numpy_modules, dense_modules = result.stdout.splitlines()[-2:]
+    assert numpy_modules == "[]"
+    if command == "basis":
+        assert dense_modules == "[]"
 
 
 def test_exchange_sector_is_exported_without_numpy():

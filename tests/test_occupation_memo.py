@@ -349,6 +349,25 @@ def test_the_memo_charge_bounds_what_it_allocates(cache, d, n, sector):
         assert charge < 2 * allocated
 
 
+def test_a_memo_build_holds_little_beyond_its_charge(cache):
+    d, n = 40, 3
+    entry = exchange._orbit_entry(d, n, SYM)
+    charge = table_charge(d, n, SYM)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        memo = exchange._occupation_memo(entry)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # 11480 classes charged 4.8 times the table's arrays: a memo is built
+    assert memo is not None
+    assert_whole_memo(entry)
+    # the occupation rows of every class at once would have peaked 3 MiB past the charge
+    assert peak <= charge + 2 ** 20
+
+
 def test_a_memo_evicts_the_least_recently_used_tables(monkeypatch, cache):
     small, other, big = (3, 3, SYM), (4, 3, ANTI), (8, 3, SYM)
     state = random_sector_state(np.random.default_rng(8), 8, 3, SYM)

@@ -30,7 +30,7 @@ from identicals import (
     occupation_to_labeled,
     sector_basis,
 )
-from identicals import cli, errors, exchange, states
+from identicals import cli, counting, errors, exchange, states
 from identicals.exchange import _project_raw, orbit_table
 
 from conftest import random_sector_state
@@ -262,14 +262,46 @@ def test_cli_basis_csv_matches_one_value_at_a_time(d, n, sector):
     assert cli.cmd_basis(cfg, "csv") == basis_csv_one_value_at_a_time(d, n, sector)
 
 
-def test_cli_basis_csv_prints_negative_zero_as_zero(monkeypatch):
-    vector = np.array([complex(-0.0, -0.0), complex(-1.0, -0.0)])
-    monkeypatch.setattr(
-        exchange, "sector_basis",
-        lambda d, n, sector: [LabeledState(1, OneParticleBasis.default(2), vector)],
-    )
-    monkeypatch.setattr(
-        cli.counting, "enumerate_distributions", lambda kind, n, d: [(0, 1)]
-    )
-    out = cli.cmd_basis({"d": 2, "n": 1, "sector": "symmetric"}, "csv")
-    assert out == "occupation,amplitudes\n0;1,0 0 -1 0\n"
+@pytest.mark.parametrize("sector", [SYM, ANTI])
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 1), (3, 2), (3, 3), (4, 3), (2, 4)])
+def test_cli_basis_csv_prints_negative_zero_as_zero(d, n, sector):
+    rows = counting.basis_rows(sector, n, d)
+    assert not any(amp == 0 and math.copysign(1.0, amp) < 0 for row in rows for _, amp in row)
+    out = cli.cmd_basis({"d": d, "n": n, "sector": sector.value}, "csv")
+    values = [
+        value
+        for line in out.splitlines()[1:]
+        if not line.startswith("#")
+        for value in line.split(",")[1].split(" ")
+    ]
+    assert len(values) == 2 * d ** n * len(rows)
+    assert all(value == "0" for value in values if float(value) == 0)
+
+
+def basis_rows_bits(rows):
+    return [[(flat, amp.hex()) for flat, amp in row] for row in rows]
+
+
+def sector_basis_bits(d, n, sector):
+    """Each sector_basis vector's nonzero amplitudes (+ 0.0), as (flat index, float.hex) pairs."""
+    rows = []
+    for state in sector_basis(d, n, sector):
+        amps = state.amplitudes + 0.0
+        assert not amps.imag.any()
+        (flat,) = np.nonzero(amps)
+        rows.append([(i, amp.hex()) for i, amp in zip(flat.tolist(), amps.real[flat].tolist())])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "d,n,sector",
+    [(d, n, sector) for d in range(1, 7) for n in range(1, 6) for sector in (SYM, ANTI)]
+    + [(1, n, sector) for n in range(6, 64) for sector in (SYM, ANTI)]
+    + [(2, n, SYM) for n in range(6, 18)]
+    + [(2, 64, ANTI), (3, 100, ANTI)],
+    ids=str,
+)
+def test_basis_rows_match_sector_basis_bit_for_bit(d, n, sector):
+    rows = counting.basis_rows(sector, n, d)
+    assert basis_rows_bits(rows) == sector_basis_bits(d, n, sector)
+    assert len(rows) == counting.count_microstates(sector.statistics, n, d)
