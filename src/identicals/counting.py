@@ -296,10 +296,11 @@ def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, f
     float product of the sorted tuple's run lengths (symmetric), or the
     parity of the tuple's inversions times 1 / sqrt(n!) (antisymmetric).
     One pass over the d^n index tuples, each sorted and looked up by its
-    sorted tuple: O(d^n n) work, no permutation enumerated.  Empty when the
-    sector holds no states; otherwise d^n must pass errors.check_dense_dim.
+    sorted tuple; no permutation is enumerated.  Empty for more fermions
+    than modes, before any size is computed; otherwise n and d^n must pass
+    errors.check_dense_dim.
     """
-    if count_microstates(sector.statistics, n, d) == 0:
+    if sector is ExchangeSector.ANTISYMMETRIC and n > d:
         return []
     check_dense_dim(d, n)
     if sector is ExchangeSector.SYMMETRIC:

@@ -305,3 +305,14 @@ def test_basis_rows_match_sector_basis_bit_for_bit(d, n, sector):
     rows = counting.basis_rows(sector, n, d)
     assert basis_rows_bits(rows) == sector_basis_bits(d, n, sector)
     assert len(rows) == counting.count_microstates(sector.statistics, n, d)
+
+
+def test_basis_rows_size_nothing_before_the_empty_sector_and_the_dense_cap():
+    start = time.perf_counter()
+    # neither count has to be computed: one is 0, the other has ~10^6 digits
+    assert counting.basis_rows(ANTI, 10 ** 7, 10 ** 6) == []
+    with pytest.raises(CapExceeded, match="slots"):
+        counting.basis_rows(SYM, 10 ** 7, 10 ** 6)
+    with pytest.raises(CapExceeded, match="dense-storage"):
+        counting.basis_rows(SYM, 25, 2)
+    assert time.perf_counter() - start < 1.0
