@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -295,33 +296,42 @@ def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, f
     operations, so each has its bits: sqrt(weight / n!), weight the running
     float product of the sorted tuple's run lengths (symmetric), or the
     parity of the tuple's inversions times 1 / sqrt(n!) (antisymmetric).
-    One pass over the d^n index tuples, each sorted and looked up by its
-    sorted tuple; no permutation is enumerated.  Empty for more fermions
-    than modes, before any size is computed; otherwise n and d^n must pass
+    Symmetric rows come from one pass over the d^n index tuples, each sorted
+    and looked up by its sorted tuple.  An antisymmetric row lists the
+    permutations of its ascending tuple, which come in lexicographic order,
+    that is in ascending flat index, and which are its only members; no tuple
+    with a repeated mode is visited.  Empty for more fermions than modes,
+    before any size is computed; otherwise n and d^n must pass
     errors.check_dense_dim.
     """
     if sector is ExchangeSector.ANTISYMMETRIC and n > d:
         return []
     check_dense_dim(d, n)
-    if sector is ExchangeSector.SYMMETRIC:
-        tuples = itertools.combinations_with_replacement(range(d), n)
-    else:
-        tuples = itertools.combinations(range(d), n)
-    classes = {modes: k for k, modes in enumerate(tuples)}
+    if sector is ExchangeSector.ANTISYMMETRIC:
+        amp = 1.0 / math.sqrt(math.factorial(n))
+        # permutations of any n distinct items come in the order of those of
+        # range(n), so the sign of each is that of its inversion parity
+        signs = [
+            -amp if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else amp
+            for p in itertools.permutations(range(n))
+        ]
+        strides = [d ** (n - 1 - slot) for slot in range(n)]
+        return [
+            [
+                (sum(map(operator.mul, modes, strides)), sign)
+                for modes, sign in zip(itertools.permutations(ascending), signs)
+            ]
+            for ascending in itertools.combinations(range(d), n)
+        ]
+    classes = {
+        modes: k
+        for k, modes in enumerate(itertools.combinations_with_replacement(range(d), n))
+    }
     rows: list[list[tuple[int, float]]] = [[] for _ in classes]
-    cells = enumerate(itertools.product(range(d), repeat=n))
-    if sector is ExchangeSector.SYMMETRIC:
-        amps = [_symmetric_amplitude(modes, n) for modes in classes]
-        for flat, modes in cells:
-            k = classes[tuple(sorted(modes))]
-            rows[k].append((flat, amps[k]))
-        return rows
-    amp = 1.0 / math.sqrt(math.factorial(n))
-    for flat, modes in cells:
-        k = classes.get(tuple(sorted(modes)))
-        if k is not None:
-            inversions = sum(a > b for a, b in itertools.combinations(modes, 2))
-            rows[k].append((flat, -amp if inversions % 2 else amp))
+    amps = [_symmetric_amplitude(modes, n) for modes in classes]
+    for flat, modes in enumerate(itertools.product(range(d), repeat=n)):
+        k = classes[tuple(sorted(modes))]
+        rows[k].append((flat, amps[k]))
     return rows
 
 

@@ -192,14 +192,6 @@ class DensityGrid:
     cross_term_max: float
 
     @property
-    def x_min(self) -> float:
-        return float(self.x[0])
-
-    @property
-    def x_max(self) -> float:
-        return float(self.x[-1])
-
-    @property
     def n_points(self) -> int:
         return len(self.x)
 
@@ -208,17 +200,59 @@ class DensityGrid:
         return float(np.trapezoid(inner, self.x))
 
     def to_csv(self) -> str:
-        """'x1,x2,rho' rows, x1-major, every number in %.12g."""
+        """'x1,x2,rho' rows, x1-major, every number in %.12g.
+
+        Each cell's float64 bits are formatted at most once per mirror pair
+        (see _cell_texts): a cell below the diagonal whose bits equal those of
+        its mirror across the diagonal takes the mirror's string.  Equal bits
+        format to equal text, so the output is that of formatting every cell
+        on its own, for any grid.  joint_spatial_density builds rho(x1, x2)
+        and rho(x2, x1) with the same float operations, so on its grids every
+        cell below the diagonal shares its mirror's string.
+        """
         # a %.12g coordinate is digits, sign, '.', 'e', 'inf' or 'nan', never '%'
         coords = [f"{v:.12g}" for v in self.x.tolist()]
-        tails = [f",{x2},%.12g\n" for x2 in coords]
-        # x1 + x1.join(tails) is the row template 'x1,x2_j,%.12g\n' over all j
+        tails = [f",{x2},%s\n" for x2 in coords]
+        cells = _cell_texts(self.values)
+        # x1 + x1.join(tails) is the row template 'x1,x2_j,%s\n' over all j
         rows = ["x1,x2,rho\n"]
         rows += [
             (x1 + x1.join(tails)) % tuple(row.tolist())
-            for x1, row in zip(coords, self.values)
+            for x1, row in zip(coords, cells)
         ]
+        del cells  # the cell strings go before the joined text is built
         return "".join(rows)
+
+
+def _cell_texts(values: np.ndarray) -> np.ndarray:
+    """The %.12g text of each cell of a square grid, as an (n, n) object array.
+
+    The upper triangle, diagonal included, is formatted with one template
+    per row.  A cell below the diagonal whose float64 bits equal its
+    mirror's takes the mirror's string, through one gather; every other
+    cell (a +-0.0 pair, two NaN payloads, an asymmetric grid) is formatted
+    itself, with the upper triangle of its row.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = len(values)
+    bits = values.view(np.int64)
+    own = ~np.tri(n, k=-1, dtype=bool)  # formatted itself: on or above the diagonal
+    own |= bits != bits.T  # or unlike its mirror
+    # the rank of each own cell among the own cells, row-major; a cell that is
+    # not its own reads its mirror's, which lies above the diagonal
+    rank = own.cumsum().reshape(n, n) - 1
+    index = np.where(own, rank, rank.T)
+    del rank  # before any string is made
+    picked = values[own]  # row-major
+    texts = np.empty(len(picked), dtype=object)
+    start = 0
+    for count in own.sum(axis=1).tolist():
+        stop = start + count
+        row = tuple(picked[start:stop].tolist())
+        # no %.12g text holds a ','
+        texts[start:stop] = (("%.12g," * count)[:-1] % row).split(",")
+        start = stop
+    return texts.take(index)
 
 
 def joint_spatial_density(

@@ -401,3 +401,57 @@ def test_a_non_finite_splitter_is_one_config_error_line(tmp_path, splitter, reas
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"config error: hom: invalid splitter override: {reason}\n"
+
+
+def run_main(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+def test_hom_json_has_the_csv_numbers_and_is_deterministic(capsys):
+    config = str(CONFIGS / "hom_default.json")
+    text = run_main(capsys, "hom", "--config", config, "--format", "json")
+    assert run_main(capsys, "hom", "--config", config, "--format", "json") == text
+    flat = {}
+    for stage, rows in json.loads(text).items():
+        for name, value in rows.items():
+            if name == "joint_probabilities":
+                flat.update({(stage, f"p({k})"): v for k, v in value.items()})
+            elif name == "correlators":
+                flat.update({(stage, k): v for k, v in value.items()})
+            else:
+                flat[stage, name] = value
+    header, *lines = run_main(capsys, "hom", "--config", config).splitlines()
+    assert header == "stage,quantity,value"
+    from_csv = {}
+    for line in lines:
+        stage, quantity, value = line.split(",")
+        numbers = [float(v) for v in value.split(" ")]
+        from_csv[stage, quantity] = numbers if quantity == "conditional_spin_state" else numbers[0]
+    assert from_csv == flat
+
+
+def test_density_json_has_the_csv_numbers_and_is_deterministic(tmp_path, capsys):
+    config = str(CONFIGS / "density_far.json")
+    grids = [tmp_path / f"{k}.csv" for k in range(3)]
+    texts = [
+        run_main(capsys, "density", "--config", config, "--output", str(path), *fmt)
+        for path, fmt in zip(grids, [["--format", "json"], ["--format", "json"], []])
+    ]
+    assert texts[0] == texts[1]
+    report = json.loads(texts[0])
+    header, *rows = texts[2].splitlines()
+    assert header == "quantity,value"
+    assert {k: float(v) for k, v in (row.split(",") for row in rows)} == report
+    golden = (GOLDEN / "density_far.csv").read_bytes()
+    assert all(path.read_bytes() == golden for path in grids)
+
+
+@pytest.mark.parametrize("command", ["count", "basis", "analyze", "density"])
+def test_a_command_other_than_hom_needs_a_config(command, capsys):
+    assert cli.main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {command}: --config is required\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,7 @@ EDGE_FLOATS = [
     999999999999.5, 999999999999.0, 1e12, 0.0001, 0.00009999999999995,
     1.00000000000049, math.inf, -math.inf, math.nan,
 ]
+NAN_BITS = np.array([math.nan]).view(np.int64)[0]
 
 
 class TestCsvWriter:
@@ -297,6 +299,71 @@ class TestCsvWriter:
             GaussianPacket(-1.0, 0.7, 0.4), GaussianPacket(1.3, 1.1), -7.0, 8.0, 57
         )
         assert_writes_like_per_value_csv(grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+                      min_size=1, max_size=24),
+        seed=st.integers(0, 2 ** 32 - 1),
+        twins=st.lists(st.sampled_from(["signed_zero", "nan_payload", "one_ulp"]),
+                       max_size=6),
+    )
+    def test_mirrored_grid_matches_the_per_value_writer_byte_for_byte(
+        self, n, pool, seed, twins
+    ):
+        # every cell below the diagonal has its mirror's bits, except a few
+        # whose mirror differs in the sign of a zero, the NaN payload or one ulp
+        rng = np.random.default_rng(seed)
+        upper = rng.choice(np.array(pool), (n, n))
+        values = np.where(np.tri(n, dtype=bool), upper.T, upper)
+        bits = values.view(np.int64)
+        for twin in twins:
+            i, j = sorted(rng.choice(n, 2, replace=False), reverse=True)
+            if twin == "signed_zero":
+                values[j, i], values[i, j] = 0.0, -0.0
+            elif twin == "nan_payload":
+                bits[j, i], bits[i, j] = NAN_BITS, NAN_BITS | 1
+            else:  # the last mantissa bit: one ulp off, or inf turned NaN
+                bits[i, j] = bits[j, i] ^ 1
+        grid = DensityGrid(x=rng.choice(np.array(pool), n), values=values, cross_term_max=0.0)
+        assert_writes_like_per_value_csv(grid)
+
+    def test_peak_memory_stays_near_two_texts(self):
+        # the row texts and their join; the cell strings are gone before the join
+        grid = joint_spatial_density(
+            GaussianPacket(-1.0, 0.7, 0.4), GaussianPacket(1.3, 1.1), -7.0, 8.0, 220
+        )
+        tracemalloc.start()
+        try:
+            text = grid.to_csv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * len(text)
+
+
+class TestDensityBits:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        center=st.floats(-3.0, 3.0),
+        gap=st.floats(0.3, 8.0),
+        widths=st.tuples(st.floats(0.6, 1.6), st.floats(0.6, 1.6)),
+        velocities=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        n_points=st.integers(80, 120),
+    )
+    def test_density_is_bitwise_symmetric(self, center, gap, widths, velocities, n_points):
+        # so every physical grid writes each mirror pair from one string
+        packets = [
+            GaussianPacket(c, w, v)
+            for c, w, v in zip((center, center + gap), widths, velocities)
+        ]
+        margin = 7.0 * max(widths)
+        grid = joint_spatial_density(
+            *packets, center - margin, center + gap + margin, n_points
+        )
+        bits = grid.values.view(np.int64)
+        assert np.array_equal(bits, bits.T)
 
 
 class TestDensityGuards:
