@@ -5,6 +5,17 @@ a 50/50 splitter, and are detected with port- and spin-resolving counters.
 The one-particle space is space (x) spin, flattened space-major into four
 modes.  The spatial-density half models two one-dimensional wave packets and
 their antisymmetrization cross term on a grid.
+
+DensityGrid.to_csv writes every number exactly as Python's '%.12g' does
+(correctly rounded binary-to-decimal conversion), but rounds most cells in
+numpy.  For 1e-290 <= |v| < 1, with e = floor(log10|v|) and a correctly
+rounded power of ten, s = |v| * 10**(11 - e) is within 2**-52 * 10**12
+(about 2.3e-4) of the exact scaled value.  Where s lies in
+[10**11 + 1, 10**12 - 1) and more than 2**-10 from a rounding tie, rint(s)
+is therefore the twelve-digit mantissa '%.12g' prints, e its exponent, and
+no rounding can carry.  +-0.0 is written as '0' and '-0'.  Every other cell
+(NaN, +-inf, |v| >= 1, |v| < 1e-290, a near-tie, an exponent edge) is
+formatted by '%.12g' itself.
 """
 
 from __future__ import annotations
@@ -200,59 +211,130 @@ class DensityGrid:
         return float(np.trapezoid(inner, self.x))
 
     def to_csv(self) -> str:
-        """'x1,x2,rho' rows, x1-major, every number in %.12g.
+        """'x1,x2,rho' rows, x1-major, every number exactly as '%.12g' writes it.
 
-        Each cell's float64 bits are formatted at most once per mirror pair
-        (see _cell_texts): a cell below the diagonal whose bits equal those of
-        its mirror across the diagonal takes the mirror's string.  Equal bits
-        format to equal text, so the output is that of formatting every cell
-        on its own, for any grid.  joint_spatial_density builds rho(x1, x2)
-        and rho(x2, x1) with the same float operations, so on its grids every
-        cell below the diagonal shares its mirror's string.
+        The rows are written a block of grid rows at a time, each row in one
+        fixed byte layout (x1, ',', x2, ',', cell, newline) with NUL in every
+        unused byte; deleting the NULs leaves the block's text.  The cells
+        come from _cell_bytes: a cell v with 1e-290 <= |v| < 1 is rounded to
+        twelve digits from s = |v| * 10**(11 - e), e = floor(log10|v|), which
+        is within 2**-52 * 10**12 (about 2.3e-4) of the exact scaled value;
+        where s lies in [10**11 + 1, 10**12 - 1) and more than 2**-10 from a
+        rounding tie, rint(s) is the correctly rounded mantissa '%.12g'
+        prints, with exponent e and no carry.  +-0.0 is written as '0' and
+        '-0'; every other cell (NaN, +-inf, |v| >= 1, |v| < 1e-290, a
+        near-tie, an exponent edge) and every coordinate is formatted by
+        '%.12g' itself.
         """
-        # a %.12g coordinate is digits, sign, '.', 'e', 'inf' or 'nan', never '%'
-        coords = [f"{v:.12g}" for v in self.x.tolist()]
-        tails = [f",{x2},%s\n" for x2 in coords]
-        cells = _cell_texts(self.values)
-        # x1 + x1.join(tails) is the row template 'x1,x2_j,%s\n' over all j
-        rows = ["x1,x2,rho\n"]
-        rows += [
-            (x1 + x1.join(tails)) % tuple(row.tolist())
-            for x1, row in zip(coords, cells)
-        ]
-        del cells  # the cell strings go before the joined text is built
-        return "".join(rows)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        n = len(values)
+        coords = np.array([f"{v:.12g}" for v in self.x.tolist()], dtype=np.bytes_)
+        width = coords.itemsize
+        coords = coords.view(np.uint8).reshape(-1, width)
+        # row layout: x1, ',', x2, ',', cell, '\n'
+        cell = 2 * width + 2
+        rows = max(1, _BLOCK_CELLS // max(n, 1))
+        buf = np.zeros((min(rows, n), n, cell + _CELL_WIDTH + 1), dtype=np.uint8)
+        buf[:, :, width] = buf[:, :, cell - 1] = ord(",")
+        buf[:, :, width + 1 : cell - 1] = coords[:n]
+        buf[:, :, -1] = ord("\n")
+        texts = ["x1,x2,rho\n"]
+        for start in range(0, n, rows):
+            block = buf[: min(rows, n - start)]
+            stop = start + len(block)
+            block[:, :, :width] = coords[start:stop, None]
+            block[:, :, cell:-1] = _cell_bytes(values[start:stop].reshape(-1)).reshape(
+                len(block), n, _CELL_WIDTH
+            )
+            texts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+        del buf  # before the join, whose text is the second copy
+        return "".join(texts)
 
 
-def _cell_texts(values: np.ndarray) -> np.ndarray:
-    """The %.12g text of each cell of a square grid, as an (n, n) object array.
+# A cell is three little-endian 8-byte words, NUL wherever nothing is written:
+#   sign, '0.', up to three leading zeros (e >= -4), d0, '.' (e < -4);
+#   d1 ... d8;
+#   d9, d10, d11, 'e-' and two or three exponent digits (e < -4).
+# The tables below are indexed by x = -e, 1 ... 291; row 0 serves +-0.0 and
+# the cells left to '%.12g'.
+_CELL_WIDTH = 24
+_BLOCK_CELLS = 4096
+_TIE_MARGIN = 2.0 ** -10
+_MAGNITUDE = np.uint64(2 ** 63 - 1)
+_LOWEST = np.float64(1e-290).view(np.uint64)
+_ONE = np.float64(1.0).view(np.uint64)
 
-    The upper triangle, diagonal included, is formatted with one template
-    per row.  A cell below the diagonal whose float64 bits equal its
-    mirror's takes the mirror's string, through one gather; every other
-    cell (a +-0.0 pair, two NaN payloads, an asymmetric grid) is formatted
-    itself, with the upper triangle of its row.
+
+def _words(rows: list[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(row.ljust(8, b"\0") for row in rows), dtype="<u8")
+
+
+# 10**(11 + x), correctly rounded
+_SCALE = np.array([1e11] + [float(f"1e{11 + x}") for x in range(1, 292)])
+_PREFIX = _words(
+    [b""]
+    + [b"\0" + b"0." + b"0" * (x - 1) for x in range(1, 5)]
+    + [b"\0" * 7 + b"." for x in range(5, 292)]
+)
+_SUFFIX = _words(
+    [b""] * 5 + [b"\0\0\0e-" + f"{x:02d}".rjust(3, "\0").encode() for x in range(5, 292)]
+)
+
+
+def _cell_bytes(v: np.ndarray) -> np.ndarray:
+    """The '%.12g' text of each value of a float64 vector, NUL-padded to 24 bytes.
+
+    See DensityGrid.to_csv for why the fast path is exact.  No arithmetic
+    touches a zero, NaN or infinite value, so none can raise a
+    floating-point warning.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = len(values)
-    bits = values.view(np.int64)
-    own = ~np.tri(n, k=-1, dtype=bool)  # formatted itself: on or above the diagonal
-    own |= bits != bits.T  # or unlike its mirror
-    # the rank of each own cell among the own cells, row-major; a cell that is
-    # not its own reads its mirror's, which lies above the diagonal
-    rank = own.cumsum().reshape(n, n) - 1
-    index = np.where(own, rank, rank.T)
-    del rank  # before any string is made
-    picked = values[own]  # row-major
-    texts = np.empty(len(picked), dtype=object)
-    start = 0
-    for count in own.sum(axis=1).tolist():
-        stop = start + count
-        row = tuple(picked[start:stop].tolist())
-        # no %.12g text holds a ','
-        texts[start:stop] = (("%.12g," * count)[:-1] % row).split(",")
-        start = stop
-    return texts.take(index)
+    bits = v.view(np.uint64)
+    sign = (bits >> np.uint64(63)) * np.uint64(ord("-"))
+    bits = bits & _MAGNITUDE
+    fast = (bits >= _LOWEST) & (bits < _ONE)
+    zero = bits == 0
+    a = np.where(fast, bits.view(np.float64), 1.0)
+    x = (-np.floor(np.log10(a))).astype(np.intp)  # 0 off the fast range
+    s = a * _SCALE.take(x)
+    m = np.rint(s)
+    fast &= (s >= 1e11 + 1) & (s < 1e12 - 1) & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
+    m[zero] = 0.0
+
+    # d0, then three groups of four digits: d1..d4, d5..d8, d9 d10 d11 0
+    d0 = np.floor(m / 1e11)
+    m -= d0 * 1e11
+    g = np.empty((len(v), 3), dtype=np.uint32)
+    g[:, 0] = hi = np.floor(m / 1e7)
+    m -= hi * 1e7
+    g[:, 1] = mid = np.floor(m / 1e3)
+    g[:, 2] = (m - mid * 1e3) * 10
+    # each group to two-digit 16-bit lanes, then to one digit a byte, in text order
+    q = (g * np.uint32(5243)) >> np.uint32(19)
+    g = (g << np.uint32(16)) - q * np.uint32(100 * 2 ** 16 - 1)
+    q = ((g * np.uint32(103)) >> np.uint32(10)) & np.uint32(0x000F000F)
+    g = (g << np.uint32(8)) - q * np.uint32(10 * 2 ** 8 - 1)
+    # a digit is written when it or a later one is nonzero: trailing zeros stay NUL
+    t = g | (g >> np.uint32(8))
+    t |= t >> np.uint32(16)
+    t[:, 1] |= (g[:, 2] != 0) * np.uint32(0x01010101)
+    t[:, 0] |= (t[:, 1] != 0) * np.uint32(0x01010101)
+    keep = (t + np.uint32(0x7F7F7F7F)) & np.uint32(0x80808080)
+    g |= (keep >> np.uint32(2)) | (keep >> np.uint32(3))  # 0x20 | 0x10 is '0'
+
+    words = np.zeros((len(v), 3), dtype="<u8")
+    words.view("<u4")[:, 2:5] = g
+    words[:, 2] |= _SUFFIX.take(x)
+    words[:, 0] = (
+        _PREFIX.take(x) | ((d0.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(48)) | sign
+    )
+    out = words.view(np.uint8)
+    slow = np.flatnonzero(~(fast | zero))
+    if len(slow):
+        texts = ("%.12g," * len(slow) % tuple(v[slow].tolist()))[:-1].split(",")
+        out[slow] = np.array(texts, dtype=f"S{_CELL_WIDTH}").view(np.uint8).reshape(
+            -1, _CELL_WIDTH
+        )
+    return out
 
 
 def joint_spatial_density(

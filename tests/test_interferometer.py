@@ -12,7 +12,10 @@ from identicals import (
     ExchangeSector,
     GaussianPacket,
     LabeledState,
+    OneParticleBasis,
+    Verdict,
     build_initial_state,
+    detect_emergent_particles,
     evolve_through_splitter,
     inner_product,
     is_in_sector,
@@ -20,7 +23,9 @@ from identicals import (
     measure_ports_and_spins,
     packet_overlap,
     slater_rank_two_fermions,
+    symmetrized_product,
 )
+from identicals.emergence import TAU_FID
 
 from conftest import random_sector_state
 
@@ -278,6 +283,53 @@ EDGE_FLOATS = [
 NAN_BITS = np.array([math.nan]).view(np.int64)[0]
 
 
+def _scaled(mantissa, offset, exponent, ulps, negative):
+    """(mantissa + offset) * 10**(exponent - 11), moved by ulps, with a sign."""
+    value = float(f"{mantissa}{repr(offset)[1:]}e{exponent - 11}")
+    bits = np.array([value]).view(np.int64) + ulps
+    value = float(bits.view(np.float64)[0])
+    return -value if negative else value
+
+
+# twelve-digit ties whose scaled mantissa, computed with an inexact power of
+# ten, lands on the other side of the tie than the exact value does
+WRONG_SIDE_TIES = [
+    1.151062278075e-123, 1.944804529805e-191, 1.370732794825e-161,
+    1.040528859895e-12, 5.430648846325e-95, 8.560923947265e-219,
+    8.654297496105e-154, 9.525057497555e-204,
+]
+
+# cells at the edges of the writer's fast path: scaled mantissas s on and
+# around a rounding tie (the fast path needs |s - floor(s) - 1/2| > 2**-10),
+# s near 10**11 and 10**12, the %g switch at 1e-4, two- and three-digit
+# exponents, the 1e-290 bound, either sign, and raw float64 bit patterns
+FAST_PATH_EDGES = st.one_of(
+    st.builds(
+        _scaled,
+        mantissa=st.one_of(
+            st.integers(10 ** 11, 10 ** 12 - 1),
+            st.sampled_from([10 ** 11, 10 ** 11 + 1, 10 ** 11 + 2, 10 ** 12 - 2, 10 ** 12 - 1]),
+        ),
+        offset=st.sampled_from([
+            0.0, 0.25, 0.5, 0.75, 0.999,
+            0.5 - 2.0 ** -9, 0.5 - 2.0 ** -10, 0.5 - 2.0 ** -11,
+            0.5 + 2.0 ** -11, 0.5 + 2.0 ** -10, 0.5 + 2.0 ** -9,
+        ]),
+        exponent=st.one_of(
+            st.integers(-300, 101),
+            st.sampled_from([-291, -290, -289, -101, -100, -99, -98,
+                             -6, -5, -4, -3, -1, 0, 98, 99, 100]),
+        ),
+        ulps=st.integers(-2, 2),
+        negative=st.booleans(),
+    ),
+    st.sampled_from(WRONG_SIDE_TIES),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(
+        lambda bits: float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+    ),
+)
+
+
 class TestCsvWriter:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -329,8 +381,36 @@ class TestCsvWriter:
         grid = DensityGrid(x=rng.choice(np.array(pool), n), values=values, cross_term_max=0.0)
         assert_writes_like_per_value_csv(grid)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(FAST_PATH_EDGES, min_size=1, max_size=14),
+        cells=st.lists(FAST_PATH_EDGES, min_size=1, max_size=196),
+    )
+    def test_fast_path_edges_match_the_per_value_writer(self, x, cells):
+        values = np.resize(np.array(cells), (len(x), len(x)))
+        grid = DensityGrid(x=np.array(x), values=values, cross_term_max=0.0)
+        assert_writes_like_per_value_csv(grid)
+
+    def test_near_ties_match_the_per_value_writer(self):
+        # every tie and its neighbours within two ulps, both signs: 80 cells
+        bits = np.array(WRONG_SIDE_TIES).view(np.int64)[:, None] + np.arange(-2, 3)
+        cells = bits.view(np.float64).reshape(-1)
+        grid = DensityGrid(
+            x=np.array(WRONG_SIDE_TIES[:1] * 9),
+            values=np.resize(np.concatenate([cells, -cells]), (9, 9)),
+            cross_term_max=0.0,
+        )
+        assert_writes_like_per_value_csv(grid)
+
+    @pytest.mark.parametrize(
+        "n, text", [(0, "x1,x2,rho\n"), (1, "x1,x2,rho\n0.5,0.5,-0\n")]
+    )
+    def test_empty_and_one_point_grids(self, n, text):
+        grid = DensityGrid(x=np.full(n, 0.5), values=np.full((n, n), -0.0), cross_term_max=0.0)
+        assert grid.to_csv() == text == per_value_csv(grid)
+
     def test_peak_memory_stays_near_two_texts(self):
-        # the row texts and their join; the cell strings are gone before the join
+        # the block texts and their join; each block's bytes go before the next
         grid = joint_spatial_density(
             GaussianPacket(-1.0, 0.7, 0.4), GaussianPacket(1.3, 1.1), -7.0, 8.0, 220
         )
@@ -353,7 +433,7 @@ class TestDensityBits:
         n_points=st.integers(80, 120),
     )
     def test_density_is_bitwise_symmetric(self, center, gap, widths, velocities, n_points):
-        # so every physical grid writes each mirror pair from one string
+        # rho(x1, x2) and rho(x2, x1) are built by the same float operations
         packets = [
             GaussianPacket(c, w, v)
             for c, w, v in zip((center, center + gap), widths, velocities)
@@ -364,6 +444,26 @@ class TestDensityBits:
         )
         bits = grid.values.view(np.int64)
         assert np.array_equal(bits, bits.T)
+
+
+class TestSeparatingFermions:
+    """Two fermions in separating packets are individual particles."""
+
+    @pytest.mark.parametrize("separation", [0.5, 1.0, 3.0, 8.0, 14.0])
+    def test_detector_finds_two_particles(self, separation):
+        x = np.linspace(-8.0, 22.0, 160)
+        basis = OneParticleBasis(tuple(f"x{k}" for k in range(len(x))))
+        packets = (GaussianPacket(0.0, 1.0), GaussianPacket(separation, 1.0))
+        orbitals = [p.amplitudes(x) for p in packets]
+        state = symmetrized_product(
+            [psi / np.linalg.norm(psi) for psi in orbitals], ANTI, basis
+        )
+        report = detect_emergent_particles(state, ANTI)
+        assert report.verdict is Verdict.PARTICLE_DECOMPOSITION
+        assert 1.0 - report.fidelity <= TAU_FID
+        np.testing.assert_allclose(
+            report.natural_spectrum, [0.5, 0.5] + [0.0] * 158, rtol=0, atol=1e-12
+        )
 
 
 class TestDensityGuards:
