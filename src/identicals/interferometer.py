@@ -252,7 +252,8 @@ class DensityGrid:
 
 
 # A cell is three little-endian 8-byte words, NUL wherever nothing is written:
-#   sign, '0.', up to three leading zeros (e >= -4), d0, '.' (e < -4);
+#   sign, '0.', up to three leading zeros (e >= -4), d0, '.' (e < -4 and a
+#   nonzero digit follows);
 #   d1 ... d8;
 #   d9, d10, d11, 'e-' and two or three exponent digits (e < -4).
 # The tables below are indexed by x = -e, 1 ... 291; row 0 serves +-0.0 and
@@ -274,7 +275,7 @@ _SCALE = np.array([1e11] + [float(f"1e{11 + x}") for x in range(1, 292)])
 _PREFIX = _words(
     [b""]
     + [b"\0" + b"0." + b"0" * (x - 1) for x in range(1, 5)]
-    + [b"\0" * 7 + b"." for x in range(5, 292)]
+    + [b""] * 287
 )
 _SUFFIX = _words(
     [b""] * 5 + [b"\0\0\0e-" + f"{x:02d}".rjust(3, "\0").encode() for x in range(5, 292)]
@@ -324,8 +325,13 @@ def _cell_bytes(v: np.ndarray) -> np.ndarray:
     words = np.zeros((len(v), 3), dtype="<u8")
     words.view("<u4")[:, 2:5] = g
     words[:, 2] |= _SUFFIX.take(x)
+    # the point after d0 only where a digit follows it: 2e-05, not 2.e-05
+    point = ((t[:, 0] != 0) & (x >= 5)) * np.uint64(ord(".") << 56)
     words[:, 0] = (
-        _PREFIX.take(x) | ((d0.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(48)) | sign
+        _PREFIX.take(x)
+        | ((d0.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(48))
+        | point
+        | sign
     )
     out = words.view(np.uint8)
     slow = np.flatnonzero(~(fast | zero))

@@ -301,13 +301,20 @@ WRONG_SIDE_TIES = [
 
 # cells at the edges of the writer's fast path: scaled mantissas s on and
 # around a rounding tie (the fast path needs |s - floor(s) - 1/2| > 2**-10),
-# s near 10**11 and 10**12, the %g switch at 1e-4, two- and three-digit
-# exponents, the 1e-290 bound, either sign, and raw float64 bit patterns
+# s near 10**11 and 10**12, mantissas ending in zeros, the %g switch at 1e-4,
+# two- and three-digit exponents, the 1e-290 bound, either sign, and raw
+# float64 bit patterns
 FAST_PATH_EDGES = st.one_of(
     st.builds(
         _scaled,
         mantissa=st.one_of(
             st.integers(10 ** 11, 10 ** 12 - 1),
+            # k significant digits, then 12 - k zeros: short texts like 2e-05
+            st.integers(1, 12).flatmap(
+                lambda k: st.integers(10 ** (k - 1), 10 ** k - 1).map(
+                    lambda d: d * 10 ** (12 - k)
+                )
+            ),
             st.sampled_from([10 ** 11, 10 ** 11 + 1, 10 ** 11 + 2, 10 ** 12 - 2, 10 ** 12 - 1]),
         ),
         offset=st.sampled_from([
@@ -399,6 +406,19 @@ class TestCsvWriter:
             x=np.array(WRONG_SIDE_TIES[:1] * 9),
             values=np.resize(np.concatenate([cells, -cells]), (9, 9)),
             cross_term_max=0.0,
+        )
+        assert_writes_like_per_value_csv(grid)
+
+    def test_one_digit_mantissas_match_the_per_value_writer(self):
+        # d * 10**e for every digit d and every exponent the fast path takes,
+        # both signs, one ulp either side: no point without a digit after it
+        cells = np.array([float(f"{d}e{e}") for e in range(-291, 1) for d in range(1, 10)])
+        bits = cells.view(np.int64)[:, None] + np.arange(-1, 2)
+        cells = bits.view(np.float64).reshape(-1)
+        cells = np.concatenate([cells, -cells, [2e-05, -5e-10, 3e-100, 9e-290, 0.5, 0.05]])
+        n = math.isqrt(len(cells) - 1) + 1  # n * n >= len(cells): every cell is written
+        grid = DensityGrid(
+            x=cells[-n:], values=np.resize(cells, (n, n)), cross_term_max=0.0
         )
         assert_writes_like_per_value_csv(grid)
 
