@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 from collections import OrderedDict
 
@@ -120,9 +121,10 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1))
 
 
-#: bytes of orbit tables, and of the occupation memos kept with them, that
-#: orbit_table keeps for reuse; a table larger than this is built and
-#: returned but not kept
+#: bytes of orbit tables, and of the occupation memos and sector bases kept
+#: with them, that orbit_table keeps for reuse; a table larger than this is
+#: built and returned but not kept, and so is a memo or basis that would not
+#: fit beside its table
 ORBIT_CACHE_BYTES = 32 * 2 ** 20
 
 #: bytes charged for an occupation memo's containers, and per class beyond
@@ -142,27 +144,31 @@ _MEMO_SLICE = 1024
 
 
 class _OrbitEntry:
-    """One (d, N, sector) orbit table and the occupation memo kept with it.
+    """One (d, N, sector) orbit table and the occupation memo and sector basis kept with it.
 
-    memo is None, or the one pair that _occupation_memo stored, never
-    changed again; nbytes counts the three arrays and the memo's charge.
+    memo is None, or the one pair that _occupation_memo stored; basis is
+    None, or the one tuple of states that sector_basis stored.  Neither is
+    changed again once set.  nbytes counts the three arrays and the charges
+    of the memo and the basis.
     """
 
-    __slots__ = ("key", "tables", "memo", "nbytes")
+    __slots__ = ("key", "tables", "memo", "basis", "nbytes")
 
     def __init__(self, key: tuple, tables: tuple[np.ndarray, ...]):
         self.key = key
         self.tables = tables
         self.memo = None
+        self.basis = None
         self.nbytes = sum(a.nbytes for a in tables)
 
 
 class _TableCache:
-    """Least-recently-used orbit tables with their memos and a running byte total.
+    """Least-recently-used orbit tables with their memos and bases and a running byte total.
 
     The lock keeps the byte total exact when threads miss on the same key
     at once (each builds the table, only the first one stored is kept) and
-    when they store a memo at once (each builds it, only the first is kept).
+    when they store a memo or a basis at once (each builds it, only the
+    first is kept).
     """
 
     def __init__(self):
@@ -185,12 +191,21 @@ class _TableCache:
             self.nbytes += entry.nbytes
             self._evict()
 
-    def put_memo(self, entry: _OrbitEntry, memo: tuple, nbytes: int) -> None:
-        """Store a whole memo of nbytes with a kept entry that has none; LRU tables go first."""
+    def attach(self, entry: _OrbitEntry, slot: str, value, nbytes: int) -> None:
+        """Store value of nbytes in the empty slot ("memo" or "basis") of a kept entry.
+
+        Nothing is stored if the entry is no longer kept, the slot is already
+        set, or the entry with value would exceed the budget; otherwise the
+        entry becomes the most recently used and LRU entries go first.
+        """
         with self.lock:
-            if self.tables.get(entry.key) is not entry or entry.memo is not None:
+            if (
+                self.tables.get(entry.key) is not entry
+                or getattr(entry, slot) is not None
+                or entry.nbytes + nbytes > ORBIT_CACHE_BYTES
+            ):
                 return
-            entry.memo = memo
+            setattr(entry, slot, value)
             entry.nbytes += nbytes
             self.nbytes += nbytes
             self.tables.move_to_end(entry.key)
@@ -224,19 +239,21 @@ def orbit_table(
     Each (d, n, sector) table is built once and kept read-only, so every
     caller shares the same three arrays.  The first Fock-bridge call on a
     kept table adds its occupation memo (_occupation_memo), if it fits and
-    is not many times larger than the table.
-    Tables and memos together hold at most ORBIT_CACHE_BYTES; the least
-    recently used tables, with their memos, are dropped first, and a table
-    larger than the whole budget is returned without being kept.
+    is not many times larger than the table, and the first sector_basis
+    call adds its basis, if it fits.
+    Tables, memos and bases together hold at most ORBIT_CACHE_BYTES; the
+    least recently used tables, with their memos and bases, are dropped
+    first, and a table larger than the whole budget is returned without
+    being kept.
     """
     return _orbit_entry(d, n, sector).tables
 
 
 def _orbit_entry(d: int, n: int, sector: ExchangeSector) -> _OrbitEntry:
-    """orbit_table's cache entry: the three arrays and the memo kept with them.
+    """orbit_table's cache entry: the three arrays and the memo and basis kept with them.
 
     An entry that is not kept (over the budget, or built by a thread that
-    lost the race to store it) still works: it never takes a memo.
+    lost the race to store it) still works: it never takes a memo or a basis.
     """
     check_dense_dim(d, n)
     key = (d, n, sector)
@@ -270,7 +287,7 @@ def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
     classes maps it back to k.  Built outside the cache's lock and stored
     under it, like a table.  None, with nothing built, if the entry is not
     kept or its memo is refused: classes charged over _MEMO_TABLE_RATIO
-    times its arrays, or past the budget.
+    times its arrays, or past the budget beside what the entry holds.
     """
     if entry.memo is None:
         d, n, _ = entry.key
@@ -278,9 +295,9 @@ def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
         class_bytes = first.size * (_MEMO_CLASS_BYTES + 8 * d)
         nbytes = _MEMO_BYTES + class_bytes
         if (
-            class_bytes > _MEMO_TABLE_RATIO * entry.nbytes
+            class_bytes > _MEMO_TABLE_RATIO * sum(a.nbytes for a in entry.tables)
             or entry.nbytes + nbytes > ORBIT_CACHE_BYTES
-            # a read without the lock; put_memo checks again under it
+            # reads without the lock; attach checks both again under it
             or _orbit_tables.tables.get(entry.key) is not entry
         ):
             return None
@@ -289,7 +306,7 @@ def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
             for i in range(0, first.size, _MEMO_SLICE)
         ))
         classes = dict(zip(occupations, range(first.size)))
-        _orbit_tables.put_memo(entry, (occupations, classes), nbytes)
+        _orbit_tables.attach(entry, "memo", (occupations, classes), nbytes)
     return entry.memo
 
 
@@ -319,20 +336,42 @@ def _build_orbit_table(
     return position[key], amp, first
 
 
+def _basis_bytes(states: tuple[LabeledState, ...]) -> int:
+    """Bytes charged for a kept sector basis: what sys.getsizeof reports for the objects it holds.
+
+    Those are the tuple; the one (count, d^N) array with its data; the
+    OneParticleBasis with its labels; and each state with its attribute dict
+    and its row view.  Every state has the same attributes and a row of the
+    same shape, so one is measured for all.
+    """
+    one = states[0]
+    rows, modes = one.amplitudes, one.basis
+    shared = (states, rows.base, modes, vars(modes), modes.labels, *modes.labels)
+    each = (one, vars(one), rows)
+    return sum(map(sys.getsizeof, shared)) + len(states) * sum(map(sys.getsizeof, each))
+
+
 def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
-    """Orthonormal sector basis, one vector per occupation vector.
+    """Orthonormal sector basis, one vector per occupation vector, in a new list.
 
     Ordered by the occupation enumeration of the counting module; empty when
     the sector holds no states (e.g. more fermions than modes).  The whole
     basis is one dense array, so its size is capped before anything is built.
     Past the slot cap neither the count nor d^N is computed: more fermions
     than modes give the empty basis, anything else the slot cap's error.
+    All three checks come before the cache is read.
 
     The vectors are built trusted, without a second validation: row k of the
     one (count, d^N) complex array holds the orbit-table amplitudes of class
     k, the closed-form basis amplitudes of one occupation, so it has the
-    right shape and norm 1 within rounding.  Each vector is a read-only view
-    of its row; the array is never copied.
+    right shape and norm 1 within rounding.  The array is made read-only
+    before any row is taken, and each vector is a read-only view of its row;
+    the array is never copied.
+
+    The first call on a kept orbit table keeps its states with the table
+    (_OrbitEntry.basis), charged _basis_bytes against ORBIT_CACHE_BYTES and
+    dropped with it; a basis that would not fit beside the table is returned
+    but not kept.  Later calls return a new list of the same state objects.
 
     The CLI's `basis` report uses a numpy-free twin, counting.basis_rows,
     which shares no code with this function;
@@ -351,12 +390,18 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
         )
     if count == 0:
         return []
-    cls, amp, _ = orbit_table(d, n, sector)
-    (member,) = np.nonzero(cls >= 0)
-    vectors = np.zeros((count, d ** n), dtype=complex)
-    vectors[cls[member], member] = amp[member]
-    basis = OneParticleBasis.default(d)
-    return [LabeledState._trusted(n, basis, v) for v in vectors]
+    entry = _orbit_entry(d, n, sector)
+    states = entry.basis
+    if states is None:
+        cls, amp, _ = entry.tables
+        (member,) = np.nonzero(cls >= 0)
+        vectors = np.zeros((count, d ** n), dtype=complex)
+        vectors[cls[member], member] = amp[member]
+        vectors.setflags(write=False)
+        basis = OneParticleBasis.default(d)
+        states = tuple(LabeledState._trusted(n, basis, v) for v in vectors)
+        _orbit_tables.attach(entry, "basis", states, _basis_bytes(states))
+    return list(states)
 
 
 def _sector_projection(state: LabeledState, sector: ExchangeSector) -> np.ndarray | None:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -76,12 +78,29 @@ def memo_charge(d, count):
     return exchange._MEMO_BYTES + count * (exchange._MEMO_CLASS_BYTES + 8 * d)
 
 
+def basis_charge(states):
+    """The bytes charged for a kept sector basis: sys.getsizeof of each distinct object it holds.
+
+    The tuple, and for every state the state, its attribute dict, its row
+    view, the array behind the rows, its OneParticleBasis, that basis's
+    dict, labels tuple and label strings.
+    """
+    held = {id(states): states}
+    for s in states:
+        modes = s.basis
+        for obj in (s, vars(s), s.amplitudes, s.amplitudes.base, modes, vars(modes), modes.labels, *modes.labels):
+            held[id(obj)] = obj
+    return sum(map(sys.getsizeof, held.values()))
+
+
 def entry_bytes(entry):
-    """What an orbit-table cache entry counts: its arrays, and its memo's charge once it has one."""
-    arrays = sum(a.nbytes for a in entry.tables)
-    if entry.memo is None:
-        return arrays
-    return arrays + memo_charge(entry.key[0], entry.tables[2].size)
+    """What an orbit-table cache entry counts: its arrays, and the charges of its memo and basis once it has them."""
+    total = sum(a.nbytes for a in entry.tables)
+    if entry.memo is not None:
+        total += memo_charge(entry.key[0], entry.tables[2].size)
+    if entry.basis is not None:
+        total += basis_charge(entry.basis)
+    return total
 
 
 def assert_whole_memo(entry):

@@ -152,6 +152,25 @@ class TestDetectEmergentParticles:
         assert a.verdict is b.verdict
         assert a.natural_spectrum == pytest.approx(b.natural_spectrum, abs=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a boson product with a degenerate 1-RDM is judged "
+        "by an arbitrary eigenbasis of the degenerate multiplet",
+    )
+    def test_unitary_equivariance_of_a_boson_product(self):
+        basis = OneParticleBasis.default(4)
+        eye = np.eye(4, dtype=complex)
+        state = symmetrized_product([eye[0], eye[1]], SYM, basis)
+        a = detect_emergent_particles(state, SYM)
+        assert a.verdict is Verdict.PARTICLE_DECOMPOSITION
+        rng = np.random.default_rng(2401)
+        for _ in range(20):
+            rotated = apply_one_particle_unitary(state, random_unitary(rng, 4))
+            b = detect_emergent_particles(rotated, SYM)
+            assert b.verdict is a.verdict
+            assert b.fidelity == pytest.approx(a.fidelity, abs=1e-9)
+            assert b.natural_spectrum == pytest.approx(a.natural_spectrum, abs=1e-9)
+
     def test_fermion_spectrum_is_flat(self, rng):
         for _ in range(5):
             factors = random_orthonormal_set(rng, 4, 3)

@@ -34,6 +34,7 @@ from identicals.fock import VACUUM
 
 from conftest import (
     assert_whole_memo,
+    basis_charge,
     edge_state,
     entry_bytes,
     memo_charge,
@@ -315,10 +316,13 @@ def test_a_table_only_sector_basis_touches_gets_no_memo(cache):
     sector_basis(4, 3, SYM)
     exchange.orbit_table(4, 3, SYM)
     entry = entry_of(4, 3, SYM)
-    assert entry.memo is None and cache.nbytes == table_bytes(4, 3, SYM)
+    # the table keeps its basis, 20 vectors of 4^3 amplitudes, and no memo
+    basis = basis_charge(entry.basis)
+    assert len(entry.basis) == 20 and basis > 20 * 4 ** 3 * 16
+    assert entry.memo is None and cache.nbytes == table_bytes(4, 3, SYM) + basis
     occupation_to_labeled(OccupationState((1, 2, 0, 0), SYM), OneParticleBasis.default(4))
     assert_whole_memo(entry)
-    assert cache.nbytes == table_bytes(4, 3, SYM) + table_charge(4, 3, SYM)
+    assert cache.nbytes == table_bytes(4, 3, SYM) + basis + table_charge(4, 3, SYM)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
-"""exchange.orbit_table's cache: shared read-only tables, the cap, the byte budget."""
+"""exchange.orbit_table's cache: shared read-only tables and bases, the caps, the byte budget."""
 
+import gc
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from identicals import (
 from identicals import errors, exchange, fock
 from identicals.exchange import orbit_table
 
-from conftest import assert_whole_memo, entry_bytes, random_sector_state
+from conftest import assert_whole_memo, basis_charge, entry_bytes, random_sector_state
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
+SIZES = [(d, n, sector) for d in range(1, 7) for n in range(1, 6) for sector in (SYM, ANTI)]
 
 
 @pytest.fixture
@@ -133,11 +136,12 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
     sizes = {key: table_bytes(*key) for key in keys}
     rng = np.random.default_rng(18)
     states = {key: random_sector_state(rng, *key) for key in keys}
+    bases = {key: basis_bits(sector_basis(*key)) for key in keys}
     for state, (*_, sector) in zip(states.values(), keys):
         if state is not None:
             labeled_to_fock(state, sector)
     full = [entry_bytes(entry) for entry in cache.tables.values()]
-    # less than the three largest tables with full memos: round trips evict
+    # less than the three largest tables with full memos and bases: round trips evict
     monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(sorted(full)[-3:]) - 1)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     held = exchange._orbit_tables
@@ -145,10 +149,13 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
 
     def work(offset):
         try:
-            for i in range(200):
+            for i in range(300):
                 key = keys[(offset + i) % len(keys)]
                 state, sector = states[key], key[2]
-                if i % 2 or state is None:
+                if i % 3 == 1:
+                    assert basis_bits(sector_basis(*key)) == bases[key]
+                    continue
+                if i % 3 or state is None:
                     orbit_table(*key)
                     continue
                 back = fock_to_labeled(labeled_to_fock(state, sector), state.basis)
@@ -168,11 +175,222 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # each held table counts its arrays and its memo, and memos were stored
+    # each held table counts its arrays, its memo and its basis, and both were stored
     held_bytes = sum(map(entry_bytes, held.tables.values()))
     assert held.nbytes == held_bytes <= exchange.ORBIT_CACHE_BYTES
     assert any(e.memo is not None for e in held.tables.values())
+    assert any(e.basis is not None for e in held.tables.values())
     for key, entry in held.tables.items():
         assert sum(a.nbytes for a in entry.tables) == sizes[key]
+        assert entry.nbytes == entry_bytes(entry)
         if entry.memo is not None:
             assert_whole_memo(entry)
+        if entry.basis is not None:
+            assert basis_bits(entry.basis) == bases[key]
+
+
+# ---------------------------------------------------------------- the kept sector basis
+
+
+def basis_bits(vectors):
+    """Each basis vector's fields, with its amplitudes as exact bits."""
+    return [(v.n_slots, v.basis, v.amplitudes.dtype, v.amplitudes.tobytes()) for v in vectors]
+
+
+def fresh_cache(monkeypatch, budget):
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
+    monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
+    return exchange._orbit_tables
+
+
+@pytest.mark.parametrize("sector", [SYM, ANTI])
+def test_a_warm_call_returns_the_same_states_in_a_new_list(cache, sector):
+    cold = sector_basis(5, 3, sector)
+    warm = sector_basis(5, 3, sector)
+    assert warm is not cold and warm == cold
+    assert all(a is b for a, b in zip(cold, warm))
+    assert cache.tables[(5, 3, sector)].basis == tuple(cold)
+    kept = list(warm)
+    warm.reverse()
+    warm.append(warm[0])
+    cold.clear()
+    again = sector_basis(5, 3, sector)
+    assert len(again) == len(kept) and all(a is b for a, b in zip(again, kept))
+
+
+@pytest.mark.parametrize("d,n,sector", SIZES, ids=str)
+def test_bases_are_bit_identical_cold_warm_evicted_and_uncached(monkeypatch, cache, d, n, sector):
+    key = (d, n, sector)
+    cold = sector_basis(*key)
+    if not cold:
+        # an empty sector reads no table
+        assert d < n and sector is ANTI and cache.tables == {}
+        return
+    warm = sector_basis(*key)
+    entry = cache.tables[key]
+    assert entry.basis is not None and all(a is b for a, b in zip(cold, warm))
+    # room for the entry as it stands: one more table evicts it, basis and all
+    held = fresh_cache(monkeypatch, entry.nbytes)
+    sector_basis(*key)
+    orbit_table(1, 1, SYM)
+    assert list(held.tables) == [(1, 1, SYM)]
+    evicted = sector_basis(*key)
+    assert not any(a is b for a, b in zip(evicted, cold))
+    # the table is kept, its basis does not fit beside it
+    held = fresh_cache(monkeypatch, table_bytes(*key))
+    no_room = sector_basis(*key)
+    assert held.tables[key].basis is None and held.nbytes == table_bytes(*key)
+    # nothing is kept
+    held = fresh_cache(monkeypatch, 0)
+    uncached = sector_basis(*key)
+    assert held.tables == {} and held.nbytes == 0
+    bits = basis_bits(cold)
+    for other in (warm, evicted, no_room, uncached):
+        assert basis_bits(other) == bits
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("budget", ["kept", "uncached"])
+def test_the_array_behind_a_basis_is_read_only(monkeypatch, cache, warm, budget):
+    if budget == "uncached":
+        monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", 0)
+    if warm:
+        sector_basis(3, 2, SYM)
+    vectors = sector_basis(3, 2, SYM)
+    rows = vectors[0].amplitudes.base
+    assert rows.shape == (6, 9) and not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        rows += 1
+    for v in vectors:
+        assert v.amplitudes.base is rows and not v.amplitudes.flags.writeable
+    assert basis_bits(sector_basis(3, 2, SYM)) == basis_bits(vectors)
+
+
+def test_charged_bytes_are_exact_within_the_budget_and_lru_drops_a_basis(monkeypatch, cache):
+    keys = [(4, 3, SYM), (4, 3, ANTI), (5, 3, SYM)]
+    for key in keys:
+        sector_basis(*key)
+    full = {key: entry_bytes(cache.tables[key]) for key in keys}
+    for key, entry in list(cache.tables.items()):
+        assert entry.nbytes == full[key] == table_bytes(*key) + basis_charge(entry.basis)
+    assert cache.nbytes == sum(full.values())
+    # room for the first two entries with their bases, not for all three
+    budget = full[keys[0]] + full[keys[1]] + full[keys[2]] - 1
+    held = fresh_cache(monkeypatch, budget)
+    first = sector_basis(*keys[0])
+    sector_basis(*keys[1])
+    sector_basis(*keys[0])  # keys[1] is now the least recently used
+    assert held.nbytes == full[keys[0]] + full[keys[1]] <= budget
+    sector_basis(*keys[2])
+    assert list(held.tables) == [keys[0], keys[2]]
+    assert held.nbytes == full[keys[0]] + full[keys[2]] <= budget
+    assert all(a is b for a, b in zip(sector_basis(*keys[0]), first))
+    # the basis left with its entry: the next call builds a new one and keeps it
+    for key in keys + keys[::-1]:
+        vectors = sector_basis(*key)
+        entry = held.tables[key]
+        assert entry.basis == tuple(vectors)
+        assert held.nbytes == sum(map(entry_bytes, held.tables.values())) <= budget
+
+
+@pytest.mark.parametrize("sector", [SYM, ANTI])
+def test_a_basis_that_does_not_fit_is_returned_but_not_kept(monkeypatch, cache, sector):
+    key = (5, 3, sector)
+    charge = basis_charge(tuple(sector_basis(*key)))
+    held = fresh_cache(monkeypatch, table_bytes(*key) + charge - 1)
+    vectors = sector_basis(*key)
+    assert len(vectors) == len(exchange.orbit_table(*key)[2])
+    assert held.tables[key].basis is None and held.nbytes == table_bytes(*key)
+    assert not any(a is b for a, b in zip(sector_basis(*key), vectors))
+    # one byte more and it is kept
+    held = fresh_cache(monkeypatch, table_bytes(*key) + charge)
+    vectors = sector_basis(*key)
+    assert held.tables[key].basis == tuple(vectors)
+    assert held.nbytes == table_bytes(*key) + charge == exchange.ORBIT_CACHE_BYTES
+
+
+def test_an_entry_no_longer_kept_takes_no_basis(monkeypatch, cache):
+    # never kept: the budget is smaller than the table
+    held = fresh_cache(monkeypatch, 0)
+    entry = exchange._orbit_entry(4, 3, SYM)
+    vectors = tuple(sector_basis(4, 3, SYM))
+    held.attach(entry, "basis", vectors, 0)
+    assert entry.basis is None and held.tables == {} and held.nbytes == 0
+    # kept, then evicted by a later table before its basis is stored
+    held = fresh_cache(monkeypatch, table_bytes(4, 3, SYM) + table_bytes(6, 3, SYM) - 1)
+    entry = exchange._orbit_entry(4, 3, SYM)
+    orbit_table(6, 3, SYM)
+    assert list(held.tables) == [(6, 3, SYM)]
+    held.attach(entry, "basis", vectors, 0)
+    assert entry.basis is None and held.nbytes == table_bytes(6, 3, SYM)
+
+
+def outcome(call):
+    """('ok', bits) or (exception type, message) of a sector_basis call."""
+    try:
+        return "ok", basis_bits(call())
+    except Exception as exc:  # noqa: BLE001 - the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_cap_and_empty_sector_outcomes_are_the_same_cold_and_warm(monkeypatch, cache):
+    calls = {
+        "fermions_past_modes": lambda: sector_basis(3, 5, ANTI),
+        "fermions_past_the_slot_cap": lambda: sector_basis(3, exchange.MAX_SLOTS + 1, ANTI),
+        "slot_cap": lambda: sector_basis(2, exchange.MAX_SLOTS + 1, SYM),
+        "dense_cap": lambda: sector_basis(2, 23, SYM),
+        # an empty sector is empty however large d^N is
+        "fermions_past_modes_past_d_power_n": lambda: sector_basis(2, 25, ANTI),
+        "basis": lambda: sector_basis(4, 3, ANTI),
+    }
+    cold = {name: outcome(call) for name, call in calls.items()}
+    for d, n, sector in SIZES:
+        sector_basis(d, n, sector)
+    warm = {name: outcome(call) for name, call in calls.items()}
+    assert warm == cold
+    assert cold["fermions_past_modes"] == cold["fermions_past_the_slot_cap"] == ("ok", [])
+    assert cold["fermions_past_modes_past_d_power_n"] == ("ok", [])
+    assert cold["slot_cap"][0] is CapExceeded and "slot" in cold["slot_cap"][1]
+    assert cold["dense_cap"][0] is CapExceeded and "24 basis vectors" in cold["dense_cap"][1]
+
+
+def test_a_kept_basis_still_checks_both_caps_first(monkeypatch, cache):
+    vectors = sector_basis(3, 3, SYM)
+    assert cache.tables[(3, 3, SYM)].basis == tuple(vectors)
+    # 10 vectors of 27 amplitudes: one amplitude over the count * d^N cap
+    monkeypatch.setattr(exchange, "MAX_DIM", 10 * 27 - 1)
+    with pytest.raises(CapExceeded, match="10 basis vectors of d\\^N = 3\\^3"):
+        sector_basis(3, 3, SYM)
+    monkeypatch.setattr(exchange, "MAX_DIM", 10 * 27)
+    assert sector_basis(3, 3, SYM) == vectors
+    # past a lowered slot cap: the slot cap's error, or the empty basis for fermions past the modes
+    monkeypatch.setattr(exchange, "MAX_SLOTS", 2)
+    monkeypatch.setattr(errors, "MAX_SLOTS", 2)
+    with pytest.raises(CapExceeded, match="N = 3 slots exceed the dense-tensor cap of 2"):
+        sector_basis(3, 3, SYM)
+    assert sector_basis(2, 3, ANTI) == []
+
+
+@pytest.mark.parametrize("d,n,sector", [(1, 1, SYM), (3, 2, SYM), (10, 3, ANTI), (4, 5, SYM), (60, 1, SYM)], ids=str)
+def test_the_basis_charge_is_what_a_kept_basis_holds(cache, d, n, sector):
+    # numpy and Python keep small freed buffers for reuse: a first build fills those caches
+    sector_basis(d, n, sector)
+    cache.tables.clear()
+    cache.nbytes = 0
+    entry = exchange._orbit_entry(d, n, sector)
+    tables = entry.nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sector_basis(d, n, sector)
+        gc.collect()
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    charge = basis_charge(entry.basis)
+    assert entry.nbytes == tables + charge == entry_bytes(entry)
+    assert charge == exchange._basis_bytes(entry.basis)
+    assert abs(allocated - charge) <= 1024 + charge // 100
