@@ -13,8 +13,17 @@ to that, so the bridge runs no coset projector.  The table of each
 (d, N, sector) is built once and then shared, read-only, by every call of
 either direction and by occupation_to_labeled, with the occupation memo
 kept with it (exchange._occupation_memo): every class's occupation and its
-inverse, one lookup per class.  A table that keeps no memo, when it would
-not fit or would outweigh the table, has what each call needs counted off it.
+inverse, read with one itemgetter call per batch of classes.  A table that
+keeps no memo, when it would not fit or would outweigh the table, has what
+each call needs counted off it.
+
+A Fock vector that labeled_to_fock built remembers its coordinates on the
+table: the table's (d, N, sector) key, each term's class and each term's
+coefficient, as read-only arrays.  fock_to_labeled reads those instead of
+looking up every occupation again.  A class depends on the key alone, so
+they stay valid when the table or its memo is dropped from the cache.  They
+are no field of the vector, so ==, repr and pickling ignore them; a pickled
+copy and a caller's vector have none, and take the lookup, with the same bits.
 
 What the bridge builds is not validated a second time.  Its results come
 from classes of the orbit table, or from a caller's Fock vector that
@@ -33,9 +42,10 @@ They name the package absolutely: a relative one resolves it on every call
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -90,6 +100,10 @@ class FockVector:
     sector: ExchangeSector
     total_number: int
 
+    #: (table key, class indices, coefficients) of the terms on a vector that
+    #: labeled_to_fock built, None on any other; not a field (see _trusted)
+    _coordinates = None
+
     def __post_init__(self):
         import numpy as np
 
@@ -123,7 +137,11 @@ class FockVector:
 
     @classmethod
     def _trusted(
-        cls, terms: dict[tuple[int, ...], complex], sector: ExchangeSector, total_number: int
+        cls,
+        terms: dict[tuple[int, ...], complex],
+        sector: ExchangeSector,
+        total_number: int,
+        coordinates: tuple,
     ) -> "FockVector":
         """A Fock vector from terms the package built valid; checks nothing.
 
@@ -134,9 +152,23 @@ class FockVector:
         function that builds the terms valid by construction calls this, and
         its docstring says why (tests/test_trusted.py holds the list).  terms
         is wrapped without a copy: the caller must keep no other reference.
+
+        coordinates are the terms' remembered orbit-table coordinates:
+        (key, index, values), the (d, N, sector) key of the table they were
+        read from, each term's class on it and each term's coefficient, as
+        read-only arrays in the order of terms, with values bit-equal to
+        terms' values.  A class depends on the key alone, so they stay valid
+        after the table is dropped from the cache.  They are no field: ==,
+        repr and pickling ignore them, and a pickled copy, rebuilt through
+        the constructor, has none.
         """
         fv = object.__new__(cls)
-        vars(fv).update(terms=MappingProxyType(terms), sector=sector, total_number=total_number)
+        vars(fv).update(
+            terms=MappingProxyType(terms),
+            sector=sector,
+            total_number=total_number,
+            _coordinates=coordinates,
+        )
         return fv
 
 
@@ -215,7 +247,18 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(modes.T), (d,) * n)
 
 
-def _class_occupations(entry, classes: list[int]) -> list[tuple[int, ...]]:
+def _read(table, keys: list) -> Sequence:
+    """table[key] for each key, in one itemgetter call.
+
+    itemgetter of a single key returns the bare item, and of none raises
+    TypeError, so those two cases read each key in turn.
+    """
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)(table)
+    return [table[key] for key in keys]
+
+
+def _class_occupations(entry, classes: list[int]) -> Sequence[tuple[int, ...]]:
     """The occupation of each sector class, a tuple of d Python ints.
 
     From the table's memo, or counted off each class's first[k] in one pass.
@@ -224,12 +267,12 @@ def _class_occupations(entry, classes: list[int]) -> list[tuple[int, ...]]:
 
     memo = exchange._occupation_memo(entry)
     if memo is not None:
-        return list(map(memo[0].__getitem__, classes))
+        return _read(memo[0], classes)
     d, n, _ = entry.key
     return list(map(tuple, exchange._occupation_rows(entry.tables[2][classes], d, n).tolist()))
 
 
-def _classes(entry, keys: list) -> list[int]:
+def _classes(entry, keys: list) -> Sequence[int]:
     """The sector class of each occupation key.
 
     Every key must be a valid occupation of the entry's table: d integers
@@ -241,9 +284,43 @@ def _classes(entry, keys: list) -> list[int]:
 
     memo = exchange._occupation_memo(entry)
     if memo is not None:
-        return list(map(memo[1].__getitem__, keys))
+        return _read(memo[1], keys)
     d, n, _ = entry.key
     return entry.tables[0][_sorted_tuple_index(_occupation_matrix(keys, d), n, d)].tolist()
+
+
+def _term_coordinates(fv: FockVector, entry) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's class on the entry's table and its coefficient, in term order.
+
+    The coordinates fv remembers (FockVector._trusted) when their key is the
+    table's; otherwise each occupation's class is read by _classes and the
+    coefficients are read off terms.  Both give the same bits.
+    """
+    import numpy as np
+
+    remembered = fv._coordinates
+    if remembered is not None and remembered[0] == entry.key:
+        return remembered[1], remembered[2]
+    keys = list(fv.terms)
+    index = np.fromiter(_classes(entry, keys), np.intp, len(keys))
+    return index, np.fromiter(fv.terms.values(), complex, len(keys))
+
+
+def _bin_sums(bins: np.ndarray, amp: np.ndarray, psi: np.ndarray, size: int) -> np.ndarray:
+    """The sum of amp * psi over each of size bins, as one complex array.
+
+    One contiguous bincount each for the real and the imaginary part.
+    """
+    import numpy as np
+
+    # the bits of bincount(bins, w.real) + 1j * bincount(bins, w.imag), w = amp * psi:
+    # bincount starts each bin at +0.0, so no sum is -0.0, and that assembly
+    # only adds +-0 to the sums; w's parts differ from these weights only in
+    # the sign of zero terms, which no bin's sum depends on
+    sums = np.empty(size, complex)
+    sums.real = np.bincount(bins, amp * psi.real, size)
+    sums.imag = np.bincount(bins, amp * psi.imag, size)
+    return sums
 
 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
@@ -282,7 +359,9 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
 
     The occupations are read from the orbit table's occupation memo, or
     counted off the table when it keeps none (exchange._occupation_memo);
-    either way every key is a tuple of Python ints.
+    either way every key is a tuple of Python ints.  The result remembers
+    the kept classes and coefficients, read-only, with the table's key, for
+    fock_to_labeled (FockVector._trusted).
 
     The result is built trusted, without a second validation.  Each
     occupation is a tuple of d Python ints counted from a class of the
@@ -303,11 +382,9 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     entry = exchange._orbit_entry(d, n, sector)
     cls, amp, first = entry.tables
     psi = state.amplitudes
-    weights = amp * psi
     # class -1 (outside the sector, zero weight) goes to bin 0
     bins = cls + 1
-    size = first.size + 1
-    coeffs = np.bincount(bins, weights.real, size) + 1j * np.bincount(bins, weights.imag, size)
+    coeffs = _bin_sums(bins, amp, psi, first.size + 1)
     # P psi: each amplitude's basis amplitude times its class's coefficient
     if not exchange._near_projection(amp * coeffs[bins], psi):
         raise ValueError(f"state is not in the {sector.value} sector")
@@ -318,18 +395,25 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     if states.off_unit_norm(length):
         values = values / length
     terms = dict(zip(_class_occupations(entry, keep.tolist()), values.tolist()))
-    return FockVector._trusted(terms, sector, n)
+    keep.setflags(write=False)
+    values.setflags(write=False)
+    return FockVector._trusted(terms, sector, n, (entry.key, keep, values))
 
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock.
 
-    After the width and vacuum checks, each occupation's class is read by
-    _classes.  The amplitudes are each class's coefficient times its basis
-    amplitude.  A Fock vector that labeled_to_fock made from a state at the
-    edge of the unit-norm rule can give amplitudes whose norm, summed over
-    d^N entries instead of over the classes, lands just past it; only then
-    are they divided by it, as labeled_to_fock divides its coefficients.
+    After the width and vacuum checks, each term's class and coefficient
+    come from _term_coordinates: the coordinates a vector of labeled_to_fock
+    remembers, valid for its table's key even after the table has left the
+    cache, or else each occupation's class read by _classes and each
+    coefficient read off terms, with the same bits.  A caller's vector or a
+    pickled copy remembers none.  The amplitudes are each class's
+    coefficient times its basis amplitude.  A Fock vector that
+    labeled_to_fock made from a state at the edge of the unit-norm rule can
+    give amplitudes whose norm, summed over d^N entries instead of over the
+    classes, lands just past it; only then are they divided by it, as
+    labeled_to_fock divides its coefficients.
 
     The result is built trusted, without a second validation: its d^N
     amplitudes come from the table, they are finite because FockVector
@@ -341,15 +425,14 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     import identicals.exchange as exchange
     import identicals.states as states
 
-    keys = list(fv.terms)
     n = fv.total_number
-    _check_modes(len(keys[0]), n, basis)
+    _check_modes(len(next(iter(fv.terms))), n, basis)
     entry = exchange._orbit_entry(basis.dim, n, fv.sector)
     cls, amp, classes = entry.tables
     # one coefficient per class, plus a last 0 that class -1 reads
     coeffs = np.zeros(classes.size + 1, dtype=complex)
-    index = np.fromiter(_classes(entry, keys), np.intp, len(keys))
-    coeffs[index] = np.fromiter(fv.terms.values(), complex, len(keys))
+    index, values = _term_coordinates(fv, entry)
+    coeffs[index] = values
     amps = coeffs[cls] * amp
     length = states.norm(amps)
     if states.off_unit_norm(length):
