@@ -9,7 +9,10 @@ Only the numpy-free `counting` and `errors` modules are imported here at
 module level; every other command imports what it uses inside its own
 function, so `identicals count`, a symbol `analyze` (whose report is closed
 form, see emergence.occupation_report) and `basis` (whose rows are closed
-form, see counting.basis_rows) run on the standard library alone.
+form, see counting.basis_rows) run on the standard library alone.  `count`
+and `basis` load neither numpy nor dataclasses: counting's two value classes
+are written out, so those processes import no more than argparse and json
+besides the package.
 """
 
 from __future__ import annotations

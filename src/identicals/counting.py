@@ -7,7 +7,17 @@ microstate counts for n particles on d modes.  The exchange sectors are
 named here too, with the statistics of each, so that occupation-level code
 needs no linear algebra; so is the closed form of each sector basis vector
 over the index tuples of its occupation (basis_rows), from which the CLI
-writes a basis without numpy.
+writes a basis without numpy, and the package's one rule for the parity of
+a permutation (parity).
+
+The module imports neither numpy nor dataclasses, so `identicals count` and
+`basis` run on the standard library's lightest modules.  That is why
+CountingProblem and SymbolString are written out as classes with __slots__
+rather than declared with @dataclass(frozen=True): importing dataclasses
+imports inspect, ast, dis and tokenize, about a tenth of what a small
+`count` process spends.  They keep a frozen dataclass's constructor,
+equality, hash, repr, pattern matching and pickling; assigning or deleting
+a field raises AttributeError.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import CapExceeded, check_dense_dim, check_report_size
 
@@ -45,18 +54,60 @@ def enumeration_characters(
     return size
 
 
-@dataclass(frozen=True)
-class CountingProblem:
+#: sets a field of a frozen value, past its __setattr__
+_set = object.__setattr__
+
+
+class _Value:
+    """A frozen value: fields named by __match_args__, kept in __slots__, read by _fields().
+
+    What @dataclass(frozen=True) gives, written out: a value equals only a
+    value of its own class with equal fields, hashes as its field tuple, and
+    prints as Class(field=value, ...).  Assignment and deletion raise
+    AttributeError; pickle and copy rebuild a value through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class CountingProblem(_Value):
     """Distribute n_quanta indivisible energy units over n_resonators."""
 
+    __slots__ = __match_args__ = ("n_resonators", "n_quanta")
     n_resonators: int
     n_quanta: int
 
-    def __post_init__(self):
-        if self.n_resonators < 1:
+    def __init__(self, n_resonators: int, n_quanta: int):
+        if n_resonators < 1:
             raise ValueError("need at least one resonator")
-        if self.n_quanta < 0:
+        if n_quanta < 0:
             raise ValueError("quantum count must be non-negative")
+        _set(self, "n_resonators", n_resonators)
+        _set(self, "n_quanta", n_quanta)
+
+    def _fields(self) -> tuple[int, int]:
+        return self.n_resonators, self.n_quanta
 
 
 class Mark(enum.IntEnum):
@@ -68,11 +119,17 @@ _MARK_TEXT = bytes.maketrans(bytes([Mark.SEPARATOR, Mark.QUANTUM]), b"oe")
 _TEXT_MARK = {"o": Mark.SEPARATOR, "e": Mark.QUANTUM}
 
 
-@dataclass(frozen=True)
-class SymbolString:
+class SymbolString(_Value):
     """A distribution symbol: P quantum marks split into N bins by N-1 separators."""
 
+    __slots__ = __match_args__ = ("marks",)
     marks: tuple[Mark, ...]
+
+    def __init__(self, marks: tuple[Mark, ...]):
+        _set(self, "marks", marks)
+
+    def _fields(self) -> tuple[tuple[Mark, ...]]:
+        return (self.marks,)
 
     def energies(self) -> tuple[int, ...]:
         """Per-resonator quantum counts, left to right."""
@@ -285,6 +342,15 @@ def enumerate_distributions(kind: StatisticsKind, n: int, d: int) -> list[tuple[
     return [_occupation(modes, d) for modes in tuples]
 
 
+def parity(mapping: tuple[int, ...]) -> int:
+    """+1 or -1 as the sequence of distinct values has an even or odd number of inversions.
+
+    For a permutation tuple (the images of 0, ..., n-1) that is its sign.
+    """
+    inversions = sum(a > b for a, b in itertools.combinations(mapping, 2))
+    return -1 if inversions % 2 else 1
+
+
 def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, float]]]:
     """The nonzero (flat index, amplitude) pairs of each sector basis vector, without numpy.
 
@@ -311,10 +377,7 @@ def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, f
         amp = 1.0 / math.sqrt(math.factorial(n))
         # permutations of any n distinct items come in the order of those of
         # range(n), so the sign of each is that of its inversion parity
-        signs = [
-            -amp if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else amp
-            for p in itertools.permutations(range(n))
-        ]
+        signs = [parity(p) * amp for p in itertools.permutations(range(n))]
         strides = [d ** (n - 1 - slot) for slot in range(n)]
         return [
             [

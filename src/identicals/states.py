@@ -7,12 +7,12 @@ base-d digit, so flat index = sum_k i_k * d^(N-1-k).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import counting
 # the dense caps, re-exported for the modules and callers that read them here
 from .errors import MAX_DIM, MAX_SLOTS, check_dense_dim
 
@@ -30,10 +30,10 @@ def norm(amps: np.ndarray, rows: bool = False) -> float | np.ndarray:
     The one rule by which the package measures a state.  The float64 view of
     the array (re, im of each complex entry) is cut into blocks of at most
     _NORM_BLOCK floats, per row in the row form.  One BLAS dot sums each
-    block's squares, and numpy's pairwise np.sum adds the block sums.  A dot
-    over n floats loses up to ~sqrt(n) eps, ~1e-13 on 2^20 amplitudes; the
-    pairwise sum of the blocks keeps the error near eps at every size
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
+    block's squares (np.vecdot over the blocks), and numpy's pairwise np.sum
+    adds the block sums.  A dot over n floats loses up to ~sqrt(n) eps,
+    ~1e-13 on 2^20 amplitudes; the pairwise sum of the blocks keeps the
+    error near eps at every size (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
     A vector of one block is one dot, and rows of one block are one batched dot.
     Nothing state-sized is allocated: the blocks are views, and one float per
     block is kept.  A finite array whose squared norm overflows gives inf,
@@ -52,14 +52,10 @@ def norm(amps: np.ndarray, rows: bool = False) -> float | np.ndarray:
         if length <= _NORM_BLOCK:
             return (floats[:, np.newaxis, :] @ floats[:, :, np.newaxis]).ravel()
         full = length - length % _NORM_BLOCK
-        blocks = floats[:, :full].reshape(count, -1, 1, _NORM_BLOCK)
-        tail = floats[:, np.newaxis, full:]
+        blocks = floats[:, :full].reshape(count, -1, _NORM_BLOCK)
+        tail = floats[:, full:]
         sums = np.concatenate(
-            [
-                (blocks @ blocks.swapaxes(2, 3)).reshape(count, -1),
-                (tail @ tail.swapaxes(1, 2)).reshape(count, 1),
-            ],
-            axis=1,
+            [np.vecdot(blocks, blocks), np.vecdot(tail, tail)[:, np.newaxis]], axis=1
         ).sum(axis=1)
     return sums if rows else math.sqrt(sums[0])
 
@@ -126,11 +122,7 @@ class Permutation:
 
     @property
     def parity(self) -> int:
-        m = self.mapping
-        inversions = sum(
-            1 for i, j in itertools.combinations(range(len(m)), 2) if m[i] > m[j]
-        )
-        return -1 if inversions % 2 else 1
+        return counting.parity(self.mapping)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

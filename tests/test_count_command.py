@@ -482,6 +482,8 @@ def test_star_import_and_dir_show_the_same_public_names():
 
 #: the dense modules a `basis` child must not load: its rows come from counting alone
 DENSE_MODULES = ["identicals.exchange", "identicals.fock", "identicals.states"]
+#: standard modules a `count` or `basis` child must not load: counting declares no dataclass
+HEAVY_STDLIB = ["dataclasses", "inspect"]
 
 
 @pytest.mark.parametrize(
@@ -509,7 +511,10 @@ def test_runs_without_numpy(tmp_path, command, config, fmt):
     else:
         path = CONFIGS / f"{config}.json"
     code = (
-        "import runpy, sys\n"
+        "import sys\n"
+        # an interpreter whose site already loaded one of these is not held to it
+        f"absent = [m for m in {HEAVY_STDLIB!r} if m not in sys.modules]\n"
+        "import runpy\n"
         "sys.argv = ['identicals', *sys.argv[1:]]\n"
         "try:\n"
         "    runpy.run_module('identicals', run_name='__main__', alter_sys=True)\n"
@@ -517,16 +522,19 @@ def test_runs_without_numpy(tmp_path, command, config, fmt):
         "    assert exc.code == 0, exc.code\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         f"print([m for m in {DENSE_MODULES!r} if m in sys.modules])\n"
+        "print([m for m in absent if m in sys.modules])\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, command, "--config", str(path), "--format", fmt],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    numpy_modules, dense_modules = result.stdout.splitlines()[-2:]
+    numpy_modules, dense_modules, heavy_modules = result.stdout.splitlines()[-3:]
     assert numpy_modules == "[]"
     if command == "basis":
         assert dense_modules == "[]"
+    if command in ("count", "basis"):
+        assert heavy_modules == "[]"
 
 
 def test_exchange_sector_is_exported_without_numpy():

@@ -1,4 +1,7 @@
+import copy
+import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +17,7 @@ from identicals import (
     enumerate_symbols,
     planck_count,
 )
-from identicals.counting import Mark
+from identicals.counting import Mark, parity
 
 BE = StatisticsKind.BOSE_EINSTEIN
 FD = StatisticsKind.FERMI_DIRAC
@@ -154,10 +157,33 @@ def test_enumeration_cap():
 
 
 def test_invalid_problems():
-    with pytest.raises(ValueError):
+    # the resonators are checked first
+    with pytest.raises(ValueError, match="^need at least one resonator$"):
         CountingProblem(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one resonator$"):
+        CountingProblem(0, -1)
+    with pytest.raises(ValueError, match="^quantum count must be non-negative$"):
         CountingProblem(2, -1)
+    with pytest.raises(ValueError, match="^quantum count must be non-negative$"):
+        CountingProblem(n_quanta=-1, n_resonators=1)
+
+
+def cycle_count(mapping):
+    seen, cycles = set(), 0
+    for start in mapping:
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = mapping[start]
+    return cycles
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parity_is_the_sign_given_by_the_cycle_count(n):
+    # a permutation of n items with c cycles is a product of n - c transpositions
+    for mapping in itertools.permutations(range(n)):
+        assert parity(mapping) == (-1) ** (n - cycle_count(mapping)), mapping
 
 
 def reference_compositions(n, d):
@@ -182,3 +208,105 @@ def test_bose_einstein_enumeration_has_no_depth_limit():
     assert len(occs) == 1500
     assert occs[0] == (1,) + (0,) * 1499
     assert occs[-1] == (0,) * 1499 + (1,)
+
+
+# ---------------------------------------------- value semantics of the two classes
+# CountingProblem and SymbolString compare, hash, print, copy and match by
+# their field tuples, as frozen dataclasses do, and are never changed in place.
+
+SEP, QUANTUM = Mark.SEPARATOR, Mark.QUANTUM
+MARKS = (QUANTUM, QUANTUM, SEP, SEP, QUANTUM)
+
+#: (value, an equal value built apart, a value of other fields, its field tuple)
+VALUES = [
+    (CountingProblem(2, 3), CountingProblem(2, 3), CountingProblem(3, 2), (2, 3)),
+    (SymbolString(MARKS), SymbolString.from_energies((2, 0, 1)), SymbolString(MARKS[::-1]), (MARKS,)),
+]
+VALUE_IDS = ["CountingProblem", "SymbolString"]
+
+
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_are_equal_only_to_their_class_with_equal_fields(value, twin, other, fields):
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert value != other and not value == other
+    # a tuple of the same fields is not the value, in either order
+    assert value != fields and fields != value
+    assert not value == fields
+    assert value.__eq__(fields) is NotImplemented
+    assert CountingProblem(1, 0) != SymbolString(())
+
+
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_hash_as_their_field_tuple(value, twin, other, fields):
+    assert hash(value) == hash(twin) == hash(fields)
+    assert len({value, twin, other}) == 2
+
+
+def test_the_symbols_of_a_problem_are_distinct_in_a_set():
+    symbols = enumerate_symbols(CountingProblem(4, 7))
+    assert len(set(symbols)) == len(symbols) == 120
+    assert len(set(symbols + enumerate_symbols(CountingProblem(4, 7)))) == 120
+
+
+def test_values_print_as_their_constructor_call():
+    assert repr(CountingProblem(2, 3)) == "CountingProblem(n_resonators=2, n_quanta=3)"
+    assert repr(SymbolString((QUANTUM, SEP))) == (
+        "SymbolString(marks=(<Mark.QUANTUM: 1>, <Mark.SEPARATOR: 0>))"
+    )
+    assert repr(SymbolString(())) == "SymbolString(marks=())"
+
+
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_refuse_assignment_and_deletion(value, twin, other, fields):
+    name = type(value).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, fields[0])
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
+    assert not hasattr(value, "no_such_field")
+    assert value == twin
+
+
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_survive_pickle_and_copies(value, twin, other, fields):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value, protocol
+    for back in (copy.copy(value), copy.deepcopy(value)):
+        assert type(back) is type(value) and back == value
+        assert hash(back) == hash(value)
+
+
+def test_values_take_their_fields_by_keyword():
+    assert CountingProblem(n_resonators=2, n_quanta=3) == CountingProblem(2, 3)
+    assert CountingProblem(2, n_quanta=3) == CountingProblem(2, 3)
+    assert SymbolString(marks=MARKS) == SymbolString(MARKS)
+    with pytest.raises(TypeError):
+        CountingProblem(2)
+    with pytest.raises(TypeError):
+        CountingProblem(2, 3, 4)
+    with pytest.raises(TypeError):
+        CountingProblem(2, n_resonators=3)
+    with pytest.raises(TypeError):
+        SymbolString(marks=MARKS, quanta=3)
+
+
+def test_values_match_their_fields_by_position():
+    assert CountingProblem.__match_args__ == ("n_resonators", "n_quanta")
+    assert SymbolString.__match_args__ == ("marks",)
+    match CountingProblem(2, 3):
+        case CountingProblem(k, p):
+            assert (k, p) == (2, 3)
+        case _:
+            pytest.fail("CountingProblem did not match its two fields")
+    match SymbolString(MARKS):
+        case CountingProblem():
+            pytest.fail("a SymbolString matched CountingProblem")
+        case SymbolString(marks):
+            assert marks == MARKS
+        case _:
+            pytest.fail("SymbolString did not match its field")
+

@@ -78,6 +78,40 @@ def test_nan_gives_nan(size):
     assert np.isnan(norm(np.stack([floats, np.ones(size)]), rows=True)).tolist() == [True, False]
 
 
+def batched_matmul_squares(floats):
+    """The squared norm of each row of a float64 matrix wider than one block, by batched matmul.
+
+    The form norm used before np.vecdot: each block, and the tail, multiplied by
+    its own transpose.  Kept as the reference for the bits of the np.vecdot form.
+    """
+    count, length = floats.shape
+    full = length - length % B
+    blocks = floats[:, :full].reshape(count, -1, 1, B)
+    tail = floats[:, np.newaxis, full:]
+    return np.concatenate(
+        [
+            (blocks @ blocks.swapaxes(2, 3)).reshape(count, -1),
+            (tail @ tail.swapaxes(1, 2)).reshape(count, 1),
+        ],
+        axis=1,
+    ).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "length", [B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 3 * B, 3 * B + 1, 40001]
+)
+def test_the_blocked_sums_keep_the_bits_of_the_batched_matmul_form(length):
+    rng = np.random.default_rng(length)
+    floats = rng.normal(size=(3, length)) * rng.choice([1e-3, 1.0, 1e3], size=(3, length))
+    want = batched_matmul_squares(floats)
+    assert norm(floats, rows=True).tobytes() == want.tobytes()
+    for row, squares in zip(floats, want):
+        assert norm(row) == math.sqrt(squares)
+    if length % 2 == 0:
+        assert norm(complex_of(floats[0])) == math.sqrt(want[0])
+        assert norm(floats[:, 0::2] + 1j * floats[:, 1::2], rows=True).tobytes() == want.tobytes()
+
+
 def test_a_state_of_2_20_amplitudes_is_measured_in_under_a_megabyte():
     rng = np.random.default_rng(20)
     amps = rng.normal(size=2 ** 20) + 1j * rng.normal(size=2 ** 20)
@@ -94,7 +128,7 @@ def test_a_state_of_2_20_amplitudes_is_measured_in_under_a_megabyte():
 # ---------------------------------------------------------------- one norm rule
 
 def self_norms(tree: ast.AST) -> list[str]:
-    """Each linalg.norm, and each vdot, dot or inner of an array with itself."""
+    """Each linalg.norm, and each vdot, vecdot, dot or inner of an array with itself."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "norm" and (
@@ -106,7 +140,7 @@ def self_norms(tree: ast.AST) -> list[str]:
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             # f(x, x), or the method form x.f(x)
             pair = node.args if len(node.args) == 2 else [getattr(func, "value", None), *node.args]
-            if name in ("vdot", "dot", "inner") and len(pair) == 2 and (
+            if name in ("vdot", "vecdot", "dot", "inner") and len(pair) == 2 and (
                 ast.dump(pair[0]) == ast.dump(pair[1])
             ):
                 found.append(f"line {node.lineno}: {name}(x, x)")
@@ -114,8 +148,11 @@ def self_norms(tree: ast.AST) -> list[str]:
 
 
 def test_the_scan_sees_every_way_to_measure_a_state():
-    code = "np.linalg.norm(a); np.vdot(v, v); v.dot(v); np.inner(a[0], a[0]); np.vdot(a, b)"
-    assert len(self_norms(ast.parse(code))) == 4
+    code = (
+        "np.linalg.norm(a); np.vdot(v, v); v.dot(v); np.inner(a[0], a[0]); np.vdot(a, b);"
+        " np.vecdot(t, t)"
+    )
+    assert len(self_norms(ast.parse(code))) == 5
     assert self_norms(ast.parse("np.vdot(x, y); x.dot(y); np.dot(x)")) == []
 
 
