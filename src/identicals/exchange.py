@@ -121,54 +121,35 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1))
 
 
-#: bytes of orbit tables, and of the occupation memos and sector bases kept
-#: with them, that orbit_table keeps for reuse; a table larger than this is
-#: built and returned but not kept, and so is a memo or basis that would not
-#: fit beside its table
+#: bytes of orbit tables, and of the sector bases kept with them, that
+#: orbit_table keeps for reuse; a table larger than this is built and
+#: returned but not kept, and so is a basis that would not fit beside its table
 ORBIT_CACHE_BYTES = 32 * 2 ** 20
-
-#: bytes charged for an occupation memo's containers, and per class beyond
-#: 8 per mode: a tuple (40 + 8d), its slot in the tuple of tuples (8), a
-#: class int (28) and a dict entry (at most 60 with 2/3 of its slots used)
-_MEMO_BYTES = 1024
-_MEMO_CLASS_BYTES = 144
-
-#: no memo whose classes charge more than this many times the table's arrays
-#: is built: at d >> N (27 MB beside 44 kB at d = 1824, N = 1) its build costs
-#: a sparse state's first call far more than its lookups ever save
-_MEMO_TABLE_RATIO = 16
-
-#: classes whose occupation rows a memo build holds as an int64 matrix and a
-#: list of lists at once; whole, these would briefly double the memo's bytes
-_MEMO_SLICE = 1024
 
 
 class _OrbitEntry:
-    """One (d, N, sector) orbit table and the occupation memo and sector basis kept with it.
+    """One (d, N, sector) orbit table and the sector basis kept with it.
 
-    memo is None, or the one pair that _occupation_memo stored; basis is
-    None, or the one tuple of states that sector_basis stored.  Neither is
-    changed again once set.  nbytes counts the three arrays and the charges
-    of the memo and the basis.
+    basis is None, or the one tuple of states that sector_basis stored; it
+    is not changed again once set.  nbytes counts the three arrays and the
+    charge of the basis.
     """
 
-    __slots__ = ("key", "tables", "memo", "basis", "nbytes")
+    __slots__ = ("key", "tables", "basis", "nbytes")
 
     def __init__(self, key: tuple, tables: tuple[np.ndarray, ...]):
         self.key = key
         self.tables = tables
-        self.memo = None
         self.basis = None
         self.nbytes = sum(a.nbytes for a in tables)
 
 
 class _TableCache:
-    """Least-recently-used orbit tables with their memos and bases and a running byte total.
+    """Least-recently-used orbit tables with their bases and a running byte total.
 
     The lock keeps the byte total exact when threads miss on the same key
     at once (each builds the table, only the first one stored is kept) and
-    when they store a memo or a basis at once (each builds it, only the
-    first is kept).
+    when they store a basis at once (each builds it, only the first is kept).
     """
 
     def __init__(self):
@@ -191,21 +172,21 @@ class _TableCache:
             self.nbytes += entry.nbytes
             self._evict()
 
-    def attach(self, entry: _OrbitEntry, slot: str, value, nbytes: int) -> None:
-        """Store value of nbytes in the empty slot ("memo" or "basis") of a kept entry.
+    def attach(self, entry: _OrbitEntry, basis: tuple, nbytes: int) -> None:
+        """Store a basis of nbytes with a kept entry that holds none.
 
-        Nothing is stored if the entry is no longer kept, the slot is already
-        set, or the entry with value would exceed the budget; otherwise the
-        entry becomes the most recently used and LRU entries go first.
+        Nothing is stored if the entry is no longer kept, already holds a
+        basis, or with it would exceed the budget; otherwise the entry
+        becomes the most recently used and LRU entries go first.
         """
         with self.lock:
             if (
                 self.tables.get(entry.key) is not entry
-                or getattr(entry, slot) is not None
+                or entry.basis is not None
                 or entry.nbytes + nbytes > ORBIT_CACHE_BYTES
             ):
                 return
-            setattr(entry, slot, value)
+            entry.basis = basis
             entry.nbytes += nbytes
             self.nbytes += nbytes
             self.tables.move_to_end(entry.key)
@@ -237,23 +218,20 @@ def orbit_table(
 
     The dense cap (check_dense_dim) is checked before the cache is read.
     Each (d, n, sector) table is built once and kept read-only, so every
-    caller shares the same three arrays.  The first Fock-bridge call on a
-    kept table adds its occupation memo (_occupation_memo), if it fits and
-    is not many times larger than the table, and the first sector_basis
-    call adds its basis, if it fits.
-    Tables, memos and bases together hold at most ORBIT_CACHE_BYTES; the
-    least recently used tables, with their memos and bases, are dropped
-    first, and a table larger than the whole budget is returned without
-    being kept.
+    caller shares the same three arrays.  The first sector_basis call on a
+    kept table adds its basis, if it fits.  Tables and bases together hold
+    at most ORBIT_CACHE_BYTES; the least recently used tables, with their
+    bases, are dropped first, and a table larger than the whole budget is
+    returned without being kept.
     """
     return _orbit_entry(d, n, sector).tables
 
 
 def _orbit_entry(d: int, n: int, sector: ExchangeSector) -> _OrbitEntry:
-    """orbit_table's cache entry: the three arrays and the memo and basis kept with them.
+    """orbit_table's cache entry: the three arrays and the basis kept with them.
 
     An entry that is not kept (over the budget, or built by a thread that
-    lost the race to store it) still works: it never takes a memo or a basis.
+    lost the race to store it) still works: it never takes a basis.
     """
     check_dense_dim(d, n)
     key = (d, n, sector)
@@ -277,37 +255,6 @@ def _occupation_rows(first: np.ndarray, d: int, n: int) -> np.ndarray:
     modes = np.stack(np.unravel_index(first, (d,) * n), axis=1)
     cells = modes + d * np.arange(first.size)[:, None]
     return np.bincount(cells.ravel(), minlength=first.size * d).reshape(first.size, d)
-
-
-def _occupation_memo(entry: _OrbitEntry) -> tuple | None:
-    """The entry's whole occupation memo, built on the first call: (occupations, classes).
-
-    occupations[k] is class k's occupation, a tuple of d Python ints, from
-    _occupation_rows passes over _MEMO_SLICE classes of first at a time;
-    classes maps it back to k.  Built outside the cache's lock and stored
-    under it, like a table.  None, with nothing built, if the entry is not
-    kept or its memo is refused: classes charged over _MEMO_TABLE_RATIO
-    times its arrays, or past the budget beside what the entry holds.
-    """
-    if entry.memo is None:
-        d, n, _ = entry.key
-        first = entry.tables[2]
-        class_bytes = first.size * (_MEMO_CLASS_BYTES + 8 * d)
-        nbytes = _MEMO_BYTES + class_bytes
-        if (
-            class_bytes > _MEMO_TABLE_RATIO * sum(a.nbytes for a in entry.tables)
-            or entry.nbytes + nbytes > ORBIT_CACHE_BYTES
-            # reads without the lock; attach checks both again under it
-            or _orbit_tables.tables.get(entry.key) is not entry
-        ):
-            return None
-        occupations = tuple(itertools.chain.from_iterable(
-            map(tuple, _occupation_rows(first[i : i + _MEMO_SLICE], d, n).tolist())
-            for i in range(0, first.size, _MEMO_SLICE)
-        ))
-        classes = dict(zip(occupations, range(first.size)))
-        _orbit_tables.attach(entry, "memo", (occupations, classes), nbytes)
-    return entry.memo
 
 
 def _build_orbit_table(
@@ -400,7 +347,7 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
         vectors.setflags(write=False)
         basis = OneParticleBasis.default(d)
         states = tuple(LabeledState._trusted(n, basis, v) for v in vectors)
-        _orbit_tables.attach(entry, "basis", states, _basis_bytes(states))
+        _orbit_tables.attach(entry, states, _basis_bytes(states))
     return list(states)
 
 

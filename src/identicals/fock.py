@@ -11,19 +11,18 @@ from the table: labeled_to_fock spreads its Fock coefficients back over it,
 P psi = amp * c, and applies the membership rule of exchange.is_in_sector
 to that, so the bridge runs no coset projector.  The table of each
 (d, N, sector) is built once and then shared, read-only, by every call of
-either direction and by occupation_to_labeled, with the occupation memo
-kept with it (exchange._occupation_memo): every class's occupation and its
-inverse, read with one itemgetter call per batch of classes.  A table that
-keeps no memo, when it would not fit or would outweigh the table, has what
-each call needs counted off it.
+either direction and by occupation_to_labeled.
 
-A Fock vector that labeled_to_fock built remembers its coordinates on the
-table: the table's (d, N, sector) key, each term's class and each term's
-coefficient, as read-only arrays.  fock_to_labeled reads those instead of
-looking up every occupation again.  A class depends on the key alone, so
-they stay valid when the table or its memo is dropped from the cache.  They
-are no field of the vector, so ==, repr and pickling ignore them; a pickled
-copy and a caller's vector have none, and take the lookup, with the same bits.
+A FockVector is held as read-only arrays beside its fields: its mode count,
+its coefficients, and each term's occupation either as an int64 row or as
+the flat index of its sorted index tuple, which is where the term's class
+sits in the table.  labeled_to_fock keeps the indices it found, and
+fock_to_labeled reads each class at an index, so a round trip builds no
+tuple.  The occupation rows, and the public terms mapping of Python int
+tuples, are derived from the indices the first time they are read, and a
+caller's vector gets its indices from its rows the same way (see
+FockVector.__getattr__).  ==, repr and pickling read terms, so they behave
+as on any vector the constructor built.
 
 What the bridge builds is not validated a second time.  Its results come
 from classes of the orbit table, or from a caller's Fock vector that
@@ -42,10 +41,9 @@ They name the package absolutely: a relative one resolves it on every call
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -94,15 +92,19 @@ class FockVector:
     Then a term that breaks the total number or the sector's occupation rule
     raises the error of the first such term, checked in that order.  terms
     is kept as a read-only view of a copy of the mapping given.
+
+    The vector is also held as read-only arrays, which are no fields: _modes,
+    the mode count; _values, the coefficients in term order; and each term's
+    occupation as _occ, one int64 row per term, or as _flat, the flat index
+    of its mode-ascending index tuple in d^N amplitudes.  __getattr__ derives
+    whichever of _occ, _flat, _values and terms a vector lacks on its first
+    read and keeps it: the constructor keeps terms and _occ, labeled_to_fock
+    _flat and _values (see _trusted).
     """
 
     terms: Mapping[tuple[int, ...], complex]
     sector: ExchangeSector
     total_number: int
-
-    #: (table key, class indices, coefficients) of the terms on a vector that
-    #: labeled_to_fock built, None on any other; not a field (see _trusted)
-    _coordinates = None
 
     def __post_init__(self):
         import numpy as np
@@ -114,7 +116,8 @@ class FockVector:
         widths = set(map(len, keys))
         if len(widths) > 1:
             raise ValueError(f"occupations have different mode counts {sorted(widths)}")
-        occ = _occupation_matrix(keys, max(widths, default=0))
+        width = max(widths, default=0)
+        occ = _occupation_matrix(keys, width)
         failed = np.stack(
             [
                 occ.sum(axis=1) != self.total_number,
@@ -130,6 +133,29 @@ class FockVector:
             raise ValueError((total_error, _NEGATIVE, _PAULI)[check])
         values = list(self.terms.values())
         states.check_unit_norm(values, "Fock coefficients", "Fock vector norm {norm} deviates from 1")
+        vars(self).update(_modes=width, _occ=occ)
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the vector does not hold: derive a form once
+        import numpy as np
+
+        import identicals.exchange as exchange
+
+        if name == "terms":
+            # tolist gives Python ints and complexes, so every key is a tuple of ints
+            value = MappingProxyType(dict(zip(map(tuple, self._occ.tolist()), self._values.tolist())))
+        else:
+            if name == "_occ":
+                value = exchange._occupation_rows(self._flat, self._modes, self.total_number)
+            elif name == "_flat":
+                value = _sorted_tuple_index(self._occ, self.total_number, self._modes)
+            elif name == "_values":
+                value = np.fromiter(self.terms.values(), complex, len(self.terms))
+            else:
+                raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            value.setflags(write=False)
+        # the first value kept wins, so threads that race here all read one object
+        return vars(self).setdefault(name, value)
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled; rebuild through the validating constructor
@@ -138,36 +164,27 @@ class FockVector:
     @classmethod
     def _trusted(
         cls,
-        terms: dict[tuple[int, ...], complex],
+        flat: np.ndarray,
+        values: np.ndarray,
+        modes: int,
         sector: ExchangeSector,
         total_number: int,
-        coordinates: tuple,
     ) -> "FockVector":
         """A Fock vector from terms the package built valid; checks nothing.
 
-        The occupations must be tuples of ints of one width, non-negative,
-        summing to total_number and obeying the sector's occupation rule,
-        and the coefficients' norm must obey states.off_unit_norm: what
-        __post_init__ checks, the only place the checks are made.  Only a
-        function that builds the terms valid by construction calls this, and
-        its docstring says why (tests/test_trusted.py holds the list).  terms
-        is wrapped without a copy: the caller must keep no other reference.
-
-        coordinates are the terms' remembered orbit-table coordinates:
-        (key, index, values), the (d, N, sector) key of the table they were
-        read from, each term's class on it and each term's coefficient, as
-        read-only arrays in the order of terms, with values bit-equal to
-        terms' values.  A class depends on the key alone, so they stay valid
-        after the table is dropped from the cache.  They are no field: ==,
-        repr and pickling ignore them, and a pickled copy, rebuilt through
-        the constructor, has none.
+        flat holds each term's flat index of its mode-ascending index tuple
+        in modes^total_number amplitudes, and values its coefficient, as
+        read-only arrays in term order.  Each index must be the sorted tuple
+        of an occupation that is valid in the sector, no two alike, and the
+        coefficients' norm must obey states.off_unit_norm: what __post_init__
+        checks, the only place the checks are made.  Only a function that
+        builds the terms valid by construction calls this, and its docstring
+        says why (tests/test_trusted.py holds the list).  The occupations and
+        terms are derived from the arrays on first read (see __getattr__).
         """
         fv = object.__new__(cls)
         vars(fv).update(
-            terms=MappingProxyType(terms),
-            sector=sector,
-            total_number=total_number,
-            _coordinates=coordinates,
+            sector=sector, total_number=total_number, _modes=modes, _flat=flat, _values=values
         )
         return fv
 
@@ -247,65 +264,6 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(modes.T), (d,) * n)
 
 
-def _read(table, keys: list) -> Sequence:
-    """table[key] for each key, in one itemgetter call.
-
-    itemgetter of a single key returns the bare item, and of none raises
-    TypeError, so those two cases read each key in turn.
-    """
-    if len(keys) > 1:
-        return operator.itemgetter(*keys)(table)
-    return [table[key] for key in keys]
-
-
-def _class_occupations(entry, classes: list[int]) -> Sequence[tuple[int, ...]]:
-    """The occupation of each sector class, a tuple of d Python ints.
-
-    From the table's memo, or counted off each class's first[k] in one pass.
-    """
-    import identicals.exchange as exchange
-
-    memo = exchange._occupation_memo(entry)
-    if memo is not None:
-        return _read(memo[0], classes)
-    d, n, _ = entry.key
-    return list(map(tuple, exchange._occupation_rows(entry.tables[2][classes], d, n).tolist()))
-
-
-def _classes(entry, keys: list) -> Sequence[int]:
-    """The sector class of each occupation key.
-
-    Every key must be a valid occupation of the entry's table: d integers
-    summing to N, obeying the sector's occupation rule; bools or numpy ints
-    find the class of the equal ints.  Read from the table's memo, or off
-    the table at the keys' sorted index tuples (one _occupation_matrix).
-    """
-    import identicals.exchange as exchange
-
-    memo = exchange._occupation_memo(entry)
-    if memo is not None:
-        return _read(memo[1], keys)
-    d, n, _ = entry.key
-    return entry.tables[0][_sorted_tuple_index(_occupation_matrix(keys, d), n, d)].tolist()
-
-
-def _term_coordinates(fv: FockVector, entry) -> tuple[np.ndarray, np.ndarray]:
-    """Each term's class on the entry's table and its coefficient, in term order.
-
-    The coordinates fv remembers (FockVector._trusted) when their key is the
-    table's; otherwise each occupation's class is read by _classes and the
-    coefficients are read off terms.  Both give the same bits.
-    """
-    import numpy as np
-
-    remembered = fv._coordinates
-    if remembered is not None and remembered[0] == entry.key:
-        return remembered[1], remembered[2]
-    keys = list(fv.terms)
-    index = np.fromiter(_classes(entry, keys), np.intp, len(keys))
-    return index, np.fromiter(fv.terms.values(), complex, len(keys))
-
-
 def _bin_sums(bins: np.ndarray, amp: np.ndarray, psi: np.ndarray, size: int) -> np.ndarray:
     """The sum of amp * psi over each of size bins, as one complex array.
 
@@ -326,9 +284,10 @@ def _bin_sums(bins: np.ndarray, amp: np.ndarray, psi: np.ndarray, size: int) -> 
 def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> LabeledState:
     """The sector basis vector with the given occupations.
 
-    Its class is one lookup in the orbit table's occupation memo (see
-    labeled_to_fock), after the width and vacuum checks.  OccupationState
-    has refused a float, so none is matched to the class of the equal ints.
+    After the width and vacuum checks, its class is read off the orbit table
+    at the flat index of its mode-ascending index tuple (_sorted_tuple_index
+    of its _occupation_matrix row).  OccupationState has refused a float,
+    and bools or numpy ints find the class of the equal ints.
 
     It is built trusted, without a second validation: it is one row of the
     orbit table, a new complex array of d^N amplitudes holding the basis
@@ -341,11 +300,11 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
     import identicals.exchange as exchange
     import identicals.states as states
 
-    _check_modes(occ.n_modes, occ.total, basis)
-    entry = exchange._orbit_entry(basis.dim, occ.total, occ.sector)
-    (k,) = _classes(entry, [occ.occupations])
-    cls, amp, _ = entry.tables
-    return states.LabeledState._trusted(occ.total, basis, np.where(cls == k, amp, 0j))
+    n, d = occ.total, basis.dim
+    _check_modes(occ.n_modes, n, basis)
+    cls, amp, _ = exchange._orbit_entry(d, n, occ.sector).tables
+    (k,) = cls[_sorted_tuple_index(_occupation_matrix([occ.occupations], d), n, d)]
+    return states.LabeledState._trusted(n, basis, np.where(cls == k, amp, 0j))
 
 
 def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
@@ -357,21 +316,19 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     to the rule of exchange.is_in_sector.  Terms with |coefficient| > 1e-12
     are kept, in the order of counting.enumerate_distributions.
 
-    The occupations are read from the orbit table's occupation memo, or
-    counted off the table when it keeps none (exchange._occupation_memo);
-    either way every key is a tuple of Python ints.  The result remembers
-    the kept classes and coefficients, read-only, with the table's key, for
-    fock_to_labeled (FockVector._trusted).
+    The result holds each kept class's first[k], the flat index of its
+    sorted index tuple, and its coefficient, as read-only arrays; no tuple
+    is built.  Its occupations and terms are counted off those indices when
+    first read (FockVector.__getattr__), every key a tuple of Python ints.
 
-    The result is built trusted, without a second validation.  Each
-    occupation is a tuple of d Python ints counted from a class of the
-    sector, so it is non-negative, sums to N and obeys Pauli in the
-    antisymmetric sector.  The coefficients' norm is that of P psi less the
-    terms dropped below 1e-12; the membership rule puts it within ~1e-18
-    (TAU_SECTOR^2 / 2) of |psi|, and |psi| is within TAU_NORM of 1.  Where
-    psi sits at the edge of TAU_NORM and rounding carries the coefficients'
-    norm past it, they are divided by that norm, so every result obeys the
-    unit-norm rule.
+    The result is built trusted, without a second validation.  Each index
+    is the sorted tuple of a distinct class of the sector, whose occupation
+    is non-negative, sums to N and obeys Pauli in the antisymmetric sector.
+    The coefficients' norm is that of P psi less the terms dropped below
+    1e-12; the membership rule puts it within ~1e-18 (TAU_SECTOR^2 / 2) of
+    |psi|, and |psi| is within TAU_NORM of 1.  Where psi sits at the edge of
+    TAU_NORM and rounding carries the coefficients' norm past it, they are
+    divided by that norm, so every result obeys the unit-norm rule.
     """
     import numpy as np
 
@@ -379,8 +336,7 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     import identicals.states as states
 
     n, d = state.n_slots, state.basis.dim
-    entry = exchange._orbit_entry(d, n, sector)
-    cls, amp, first = entry.tables
+    cls, amp, first = exchange._orbit_entry(d, n, sector).tables
     psi = state.amplitudes
     # class -1 (outside the sector, zero weight) goes to bin 0
     bins = cls + 1
@@ -394,21 +350,20 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     length = states.norm(values)
     if states.off_unit_norm(length):
         values = values / length
-    terms = dict(zip(_class_occupations(entry, keep.tolist()), values.tolist()))
-    keep.setflags(write=False)
+    flat = first[keep]
+    flat.setflags(write=False)
     values.setflags(write=False)
-    return FockVector._trusted(terms, sector, n, (entry.key, keep, values))
+    return FockVector._trusted(flat, values, d, sector, n)
 
 
 def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """Inverse of labeled_to_fock.
 
-    After the width and vacuum checks, each term's class and coefficient
-    come from _term_coordinates: the coordinates a vector of labeled_to_fock
-    remembers, valid for its table's key even after the table has left the
-    cache, or else each occupation's class read by _classes and each
-    coefficient read off terms, with the same bits.  A caller's vector or a
-    pickled copy remembers none.  The amplitudes are each class's
+    After the width and vacuum checks, each term's class is read off the
+    orbit table at its flat index (fv._flat: kept by labeled_to_fock, or
+    derived from the occupation rows of a caller's vector), so neither
+    direction builds a tuple.  A class depends on d and N alone, so an index
+    stays valid whatever the cache holds.  The amplitudes are each class's
     coefficient times its basis amplitude.  A Fock vector that
     labeled_to_fock made from a state at the edge of the unit-norm rule can
     give amplitudes whose norm, summed over d^N entries instead of over the
@@ -417,7 +372,7 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
 
     The result is built trusted, without a second validation: its d^N
     amplitudes come from the table, they are finite because FockVector
-    checked the coefficients and its terms are read-only, and their norm is
+    checked the coefficients and its arrays are read-only, and their norm is
     within TAU_NORM of 1, or 1 within rounding once divided.
     """
     import numpy as np
@@ -426,13 +381,11 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     import identicals.states as states
 
     n = fv.total_number
-    _check_modes(len(next(iter(fv.terms))), n, basis)
-    entry = exchange._orbit_entry(basis.dim, n, fv.sector)
-    cls, amp, classes = entry.tables
+    _check_modes(fv._modes, n, basis)
+    cls, amp, classes = exchange._orbit_entry(basis.dim, n, fv.sector).tables
     # one coefficient per class, plus a last 0 that class -1 reads
     coeffs = np.zeros(classes.size + 1, dtype=complex)
-    index, values = _term_coordinates(fv, entry)
-    coeffs[index] = values
+    coeffs[cls[fv._flat]] = fv._values
     amps = coeffs[cls] * amp
     length = states.norm(amps)
     if states.off_unit_norm(length):

@@ -9,7 +9,7 @@ from identicals import (
     OneParticleBasis,
     sector_project,
 )
-from identicals import counting, exchange, states
+from identicals import states
 from identicals.exchange import _project_raw
 from identicals.states import TAU_NORM
 
@@ -73,11 +73,6 @@ def edge_state(d, n, sector, seed, edge):
     return LabeledState(n, OneParticleBasis.default(d), amps)
 
 
-def memo_charge(d, count):
-    """The bytes charged for a whole memo of count classes over d modes."""
-    return exchange._MEMO_BYTES + count * (exchange._MEMO_CLASS_BYTES + 8 * d)
-
-
 def basis_charge(states):
     """The bytes charged for a kept sector basis: sys.getsizeof of each distinct object it holds.
 
@@ -94,22 +89,8 @@ def basis_charge(states):
 
 
 def entry_bytes(entry):
-    """What an orbit-table cache entry counts: its arrays, and the charges of its memo and basis once it has them."""
+    """What an orbit-table cache entry counts: its arrays, and the charge of its basis once it has one."""
     total = sum(a.nbytes for a in entry.tables)
-    if entry.memo is not None:
-        total += memo_charge(entry.key[0], entry.tables[2].size)
     if entry.basis is not None:
         total += basis_charge(entry.basis)
     return total
-
-
-def assert_whole_memo(entry):
-    """The entry's memo is one complete pair: each class's occupation, in order, and its inverse."""
-    d, n, sector = entry.key
-    occupations, classes = entry.memo
-    assert type(occupations) is tuple
-    assert list(occupations) == counting.enumerate_distributions(sector.statistics, n, d)
-    assert len(classes) == len(occupations) == entry.tables[2].size
-    for k, occ in enumerate(occupations):
-        assert type(occ) is tuple and all(type(m) is int for m in occ)
-        assert classes[occ] == k

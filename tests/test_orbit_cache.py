@@ -12,6 +12,7 @@ from identicals import (
     CapExceeded,
     ExchangeSector,
     OneParticleBasis,
+    enumerate_distributions,
     fock_to_labeled,
     labeled_to_fock,
     occupation_to_labeled,
@@ -20,7 +21,7 @@ from identicals import (
 from identicals import errors, exchange, fock
 from identicals.exchange import orbit_table
 
-from conftest import assert_whole_memo, basis_charge, entry_bytes, random_sector_state
+from conftest import basis_charge, entry_bytes, random_sector_state
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
@@ -137,11 +138,8 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
     rng = np.random.default_rng(18)
     states = {key: random_sector_state(rng, *key) for key in keys}
     bases = {key: basis_bits(sector_basis(*key)) for key in keys}
-    for state, (*_, sector) in zip(states.values(), keys):
-        if state is not None:
-            labeled_to_fock(state, sector)
     full = [entry_bytes(entry) for entry in cache.tables.values()]
-    # less than the three largest tables with full memos and bases: round trips evict
+    # less than the three largest tables with their bases: round trips evict
     monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(sorted(full)[-3:]) - 1)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     held = exchange._orbit_tables
@@ -175,16 +173,13 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # each held table counts its arrays, its memo and its basis, and both were stored
+    # each held table counts its arrays and its basis, and a basis was stored
     held_bytes = sum(map(entry_bytes, held.tables.values()))
     assert held.nbytes == held_bytes <= exchange.ORBIT_CACHE_BYTES
-    assert any(e.memo is not None for e in held.tables.values())
     assert any(e.basis is not None for e in held.tables.values())
     for key, entry in held.tables.items():
         assert sum(a.nbytes for a in entry.tables) == sizes[key]
         assert entry.nbytes == entry_bytes(entry)
-        if entry.memo is not None:
-            assert_whole_memo(entry)
         if entry.basis is not None:
             assert basis_bits(entry.basis) == bases[key]
 
@@ -316,15 +311,87 @@ def test_an_entry_no_longer_kept_takes_no_basis(monkeypatch, cache):
     held = fresh_cache(monkeypatch, 0)
     entry = exchange._orbit_entry(4, 3, SYM)
     vectors = tuple(sector_basis(4, 3, SYM))
-    held.attach(entry, "basis", vectors, 0)
+    held.attach(entry, vectors, 0)
     assert entry.basis is None and held.tables == {} and held.nbytes == 0
     # kept, then evicted by a later table before its basis is stored
     held = fresh_cache(monkeypatch, table_bytes(4, 3, SYM) + table_bytes(6, 3, SYM) - 1)
     entry = exchange._orbit_entry(4, 3, SYM)
     orbit_table(6, 3, SYM)
     assert list(held.tables) == [(6, 3, SYM)]
-    held.attach(entry, "basis", vectors, 0)
+    held.attach(entry, vectors, 0)
     assert entry.basis is None and held.nbytes == table_bytes(6, 3, SYM)
+
+
+# ---------------------------------------------------------------- the bridge beside the cache
+
+
+@pytest.mark.parametrize(
+    "d,n,sector", [(1, 1, SYM), (3, 2, SYM), (4, 3, ANTI), (6, 4, SYM), (32, 2, ANTI)], ids=str
+)
+def test_the_bridge_charges_the_cache_its_table_alone(cache, d, n, sector):
+    state = random_sector_state(np.random.default_rng(10 * d + n), d, n, sector)
+    entry = exchange._orbit_entry(d, n, sector)
+    arrays = table_bytes(d, n, sector)
+    fv = labeled_to_fock(state, sector)
+    fock_to_labeled(fv, state.basis)
+    occupation_to_labeled(fock.OccupationState(next(iter(fv.terms)), sector), state.basis)
+    # a caller's vector derives its flat indices off the vector, not the cache
+    twin = fock.FockVector(dict(fv.terms), sector, n)
+    assert fock_to_labeled(twin, state.basis).amplitudes.tobytes() == fock_to_labeled(
+        fv, state.basis
+    ).amplitudes.tobytes()
+    assert list(cache.tables) == [(d, n, sector)] and cache.tables[(d, n, sector)] is entry
+    assert entry.basis is None
+    assert entry.nbytes == entry_bytes(entry) == arrays == cache.nbytes
+
+
+def test_a_round_trip_keeps_every_table_that_fits(monkeypatch, cache):
+    small, other, big = (3, 3, SYM), (4, 3, ANTI), (8, 3, SYM)
+    state = random_sector_state(np.random.default_rng(8), 8, 3, SYM)
+    # room for the three tables and nothing more
+    budget = sum(table_bytes(*key) for key in (small, other, big))
+    held = fresh_cache(monkeypatch, budget)
+    for key in (small, other, big, small):
+        orbit_table(*key)
+    assert list(held.tables) == [other, big, small]
+    fv = labeled_to_fock(state, SYM)
+    fock_to_labeled(fv, state.basis)
+    assert len(fv.terms) == 120
+    # the round trip only makes its own table the most recently used
+    assert list(held.tables) == [other, small, big]
+    assert held.nbytes == sum(map(entry_bytes, held.tables.values())) == budget
+
+
+def test_the_bridge_leaves_a_kept_basis_and_its_charge_alone(cache):
+    vectors = sector_basis(4, 3, SYM)
+    entry = cache.tables[(4, 3, SYM)]
+    kept = entry.basis
+    charged = table_bytes(4, 3, SYM) + basis_charge(kept)
+    assert len(kept) == 20 and cache.nbytes == charged
+    basis = OneParticleBasis.default(4)
+    # each occupation's basis vector is the kept one, bit for bit, in the enumeration order
+    for occ, vector in zip(enumerate_distributions(SYM.statistics, 3, 4), vectors, strict=True):
+        single = occupation_to_labeled(fock.OccupationState(occ, SYM), basis)
+        assert single.amplitudes.tobytes() == vector.amplitudes.tobytes()
+    state = random_sector_state(np.random.default_rng(4), 4, 3, SYM)
+    fv = labeled_to_fock(state, SYM)
+    fock_to_labeled(fv, basis)
+    assert len(fv.terms) == 20
+    # the charge stays the one recorded when the basis was stored
+    assert cache.tables[(4, 3, SYM)] is entry and entry.basis is kept
+    assert cache.nbytes == entry.nbytes == charged
+
+
+def test_a_bridge_vector_outlives_the_table_it_was_read_from(monkeypatch, cache):
+    state = random_sector_state(np.random.default_rng(6), 4, 3, ANTI)
+    fv = labeled_to_fock(state, ANTI)
+    expected = fock_to_labeled(fv, state.basis).amplitudes.tobytes()
+    # its flat indices name classes of (d, N) alone: a table rebuilt, or never kept, reads them alike
+    for budget in (exchange.ORBIT_CACHE_BYTES, 0):
+        held = fresh_cache(monkeypatch, budget)
+        assert fock_to_labeled(fv, state.basis).amplitudes.tobytes() == expected
+        assert list(held.tables) == ([(4, 3, ANTI)] if budget else [])
+    assert "terms" not in vars(fv)
 
 
 def outcome(call):
