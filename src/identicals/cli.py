@@ -9,10 +9,13 @@ Only the numpy-free `counting` and `errors` modules are imported here at
 module level; every other command imports what it uses inside its own
 function, so `identicals count`, a symbol `analyze` (whose report is closed
 form, see emergence.occupation_report) and `basis` (whose rows are closed
-form, see counting.basis_rows) run on the standard library alone.  `count`
-and `basis` load neither numpy nor dataclasses: counting's two value classes
-are written out, so those processes import no more than argparse and json
-besides the package.
+form, see counting.basis_rows) run on the standard library alone.  No
+command loads dataclasses: every value class is written on counting's
+frozen-value base.  Besides `counting` and `errors`, `count` and `basis`
+import no more than argparse and json; a symbol `analyze` adds `fock` and
+`emergence`; an amplitude `analyze` numpy, `states`, `exchange` and
+`emergence`; `hom` and `density` numpy, `states`, `exchange` and
+`interferometer`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import sys
 
 from . import counting
-from .errors import CapExceeded, check_dense_dim, check_report_size
+from .errors import VACUUM, CapExceeded, check_dense_dim, check_report_size
 
 
 class ConfigError(Exception):
@@ -357,7 +360,7 @@ def _occupation_from_config(cfg: dict) -> fock.OccupationState:
     d = parsed.get("d", max([1, *modes]))
     check_dense_dim(d, len(modes))
     if not modes:
-        raise ValueError(fock.VACUUM)  # before parse_symbol allocates d counters
+        raise ValueError(VACUUM)  # before parse_symbol allocates d counters
     defining = len(set(modes))
     check_report_size(
         _symbol_report_characters(d, defining),

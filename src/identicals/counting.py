@@ -11,13 +11,16 @@ writes a basis without numpy, and the package's one rule for the parity of
 a permutation (parity).
 
 The module imports neither numpy nor dataclasses, so `identicals count` and
-`basis` run on the standard library's lightest modules.  That is why
-CountingProblem and SymbolString are written out as classes with __slots__
-rather than declared with @dataclass(frozen=True): importing dataclasses
-imports inspect, ast, dis and tokenize, about a tenth of what a small
-`count` process spends.  They keep a frozen dataclass's constructor,
-equality, hash, repr, pattern matching and pickling; assigning or deleting
-a field raises AttributeError.
+`basis` run on the standard library's lightest modules.  It also holds the
+package's one frozen-value base, _Value: every value class of the package
+(CountingProblem and SymbolString here, and those of states, fock,
+emergence and interferometer) is written on it rather than declared with
+@dataclass(frozen=True).  Importing dataclasses imports inspect, ast, dis
+and tokenize, about a tenth of what a small `count` or symbol `analyze`
+process spends, and each @dataclass generates its methods' code at import.
+The values keep a frozen dataclass's constructor, equality, hash, repr,
+pattern matching and pickling; assigning or deleting a field raises
+AttributeError.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ class _Value:
     What @dataclass(frozen=True) gives, written out: a value equals only a
     value of its own class with equal fields, hashes as its field tuple, and
     prints as Class(field=value, ...).  Assignment and deletion raise
-    AttributeError; pickle and copy rebuild a value through its constructor.
+    AttributeError; pickle, copy and __replace__ (copy.replace from Python
+    3.13) rebuild a value through its constructor.  A subclass's __init__
+    checks its arguments and sets each field with _set.
     """
 
     __slots__ = ()
@@ -89,6 +94,9 @@ class _Value:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+    def __replace__(self, **changes):
+        return type(self)(**dict(zip(self.__match_args__, self._fields()), **changes))
 
 
 class CountingProblem(_Value):

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
-from .counting import ExchangeSector
-from .fock import VACUUM
+from .counting import ExchangeSector, _set, _Value
+from .errors import VACUUM
 
 #: |N*lambda_i - round(N*lambda_i)| must stay below this for a decomposition
 DELTA_OCC = 0.05
@@ -58,18 +57,34 @@ class Verdict(enum.Enum):
     NO_PARTICLE_DECOMPOSITION = "NO_PARTICLE_DECOMPOSITION"
 
 
-@dataclass(frozen=True)
-class EmergenceReport:
+class EmergenceReport(_Value):
     """A verdict, the defining one-particle states with their occupations, and evidence.
 
     A defining state is a vector over the modes, or, in occupation_report,
-    the 0-based index m of the mode's unit vector e_m.
+    the 0-based index m of the mode's unit vector e_m.  A list left out is a
+    new empty list.
     """
 
+    __slots__ = __match_args__ = ("verdict", "defining_states", "fidelity", "natural_spectrum")
     verdict: Verdict
-    defining_states: list[tuple[np.ndarray | int, int]] = field(default_factory=list)
-    fidelity: float = 0.0
-    natural_spectrum: list[float] = field(default_factory=list)
+    defining_states: list[tuple[np.ndarray | int, int]]
+    fidelity: float
+    natural_spectrum: list[float]
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        defining_states: list[tuple[np.ndarray | int, int]] = list,
+        fidelity: float = 0.0,
+        natural_spectrum: list[float] = list,
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "defining_states", [] if defining_states is list else defining_states)
+        _set(self, "fidelity", fidelity)
+        _set(self, "natural_spectrum", [] if natural_spectrum is list else natural_spectrum)
+
+    def _fields(self) -> tuple:
+        return self.verdict, self.defining_states, self.fidelity, self.natural_spectrum
 
 
 def _decomposed(occupations) -> Verdict:

@@ -1,8 +1,9 @@
-"""Shared exception types, the dense-tensor caps and the report cap.
+"""Shared exception types, messages, the dense-tensor caps and the report cap.
 
 The caps live here, beside CapExceeded, so that numpy-free code (the CLI's
 symbol checks, `counting`) applies the same limits as the dense modules that
-re-export them (`states`, `exchange`).
+re-export them (`states`, `exchange`).  So does a message that more than one
+module raises, so that none imports another for its text.
 """
 
 #: dense storage only; anything bigger is out of desk scale
@@ -11,6 +12,8 @@ MAX_DIM = 2 ** 24
 MAX_SLOTS = 63
 #: characters a report may hold: only check_report_size reads it
 MAX_REPORT_CHARS = 2 * 10 ** 7
+#: the vacuum has no labeled state and no particles (fock, emergence, the CLI)
+VACUUM = "cannot build a labeled state for the vacuum"
 
 
 class CapExceeded(Exception):

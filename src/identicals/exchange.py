@@ -287,14 +287,15 @@ def _basis_bytes(states: tuple[LabeledState, ...]) -> int:
     """Bytes charged for a kept sector basis: what sys.getsizeof reports for the objects it holds.
 
     Those are the tuple; the one (count, d^N) array with its data; the
-    OneParticleBasis with its labels; and each state with its attribute dict
-    and its row view.  Every state has the same attributes and a row of the
-    same shape, so one is measured for all.
+    OneParticleBasis with its labels; and each state and its row view.  The
+    states and the basis keep their fields in __slots__, so their sizes are
+    fixed by their classes.  Every state has a row of the same shape, so one
+    is measured for all.
     """
     one = states[0]
     rows, modes = one.amplitudes, one.basis
-    shared = (states, rows.base, modes, vars(modes), modes.labels, *modes.labels)
-    each = (one, vars(one), rows)
+    shared = (states, rows.base, modes, modes.labels, *modes.labels)
+    each = (one, rows)
     return sum(map(sys.getsizeof, shared)) + len(states) * sum(map(sys.getsizeof, each))
 
 

@@ -44,35 +44,37 @@ import itertools
 import re
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .counting import ExchangeSector
+from .counting import ExchangeSector, _set, _Value
+from .errors import VACUUM
 
 _SYMBOL_RE = re.compile(r"^f_\{((?:e[0-9]+)*)\}$")
 _TOKEN_RE = re.compile(r"e([0-9]+)")
 _SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
 _NEGATIVE = "occupations must be non-negative"
 _PAULI = "antisymmetric occupations cannot exceed 1"
-VACUUM = "cannot build a labeled state for the vacuum"
 
 
-@dataclass(frozen=True)
-class OccupationState:
+class OccupationState(_Value):
     """Per-mode occupation numbers, a tuple of 64-bit integers, in a fixed exchange sector."""
 
+    __slots__ = __match_args__ = ("occupations", "sector")
     occupations: tuple[int, ...]
     sector: ExchangeSector
 
-    def __post_init__(self):
-        object.__setattr__(self, "occupations", tuple(self.occupations))
-        _pack_occupations([self.occupations], len(self.occupations))
-        if any(n < 0 for n in self.occupations):
+    def __init__(self, occupations: tuple[int, ...], sector: ExchangeSector):
+        occupations = tuple(occupations)
+        _pack_occupations([occupations], len(occupations))
+        if any(n < 0 for n in occupations):
             raise ValueError(_NEGATIVE)
-        if self.sector is ExchangeSector.ANTISYMMETRIC and any(
-            n > 1 for n in self.occupations
-        ):
+        if sector is ExchangeSector.ANTISYMMETRIC and any(n > 1 for n in occupations):
             raise ValueError(_PAULI)
+        _set(self, "occupations", occupations)
+        _set(self, "sector", sector)
+
+    def _fields(self) -> tuple:
+        return self.occupations, self.sector
 
     @property
     def total(self) -> int:
@@ -83,8 +85,7 @@ class OccupationState:
         return len(self.occupations)
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(_Value):
     """Superposition of occupation states with a common sector and total number.
 
     All occupations have the same number of modes and hold integers (see
@@ -99,19 +100,27 @@ class FockVector:
     of its mode-ascending index tuple in d^N amplitudes.  __getattr__ derives
     whichever of _occ, _flat, _values and terms a vector lacks on its first
     read and keeps it: the constructor keeps terms and _occ, labeled_to_fock
-    _flat and _values (see _trusted).
+    _flat and _values (see _trusted).  So a vector has no __slots__: it keeps
+    its fields and these forms in its instance dict.
     """
 
+    __match_args__ = ("terms", "sector", "total_number")
     terms: Mapping[tuple[int, ...], complex]
     sector: ExchangeSector
     total_number: int
+
+    def __init__(
+        self, terms: Mapping[tuple[int, ...], complex], sector: ExchangeSector, total_number: int
+    ):
+        vars(self).update(terms=terms, sector=sector, total_number=total_number)
+        self.__post_init__()
 
     def __post_init__(self):
         import numpy as np
 
         import identicals.states as states
 
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        _set(self, "terms", MappingProxyType(dict(self.terms)))
         keys = list(self.terms)
         widths = set(map(len, keys))
         if len(widths) > 1:
@@ -134,6 +143,9 @@ class FockVector:
         values = list(self.terms.values())
         states.check_unit_norm(values, "Fock coefficients", "Fock vector norm {norm} deviates from 1")
         vars(self).update(_modes=width, _occ=occ)
+
+    def _fields(self) -> tuple:
+        return self.terms, self.sector, self.total_number
 
     def __getattr__(self, name: str):
         # reached only for an attribute the vector does not hold: derive a form once

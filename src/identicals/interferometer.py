@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exchange
+from .counting import _set, _Value
 from .exchange import ExchangeSector
 from .states import (
     LabeledState,
@@ -48,15 +48,31 @@ def _default_splitter() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class BeamSplitterScenario:
-    spatial_in: tuple[str, str] = ("L", "R")
-    spatial_out: tuple[str, str] = ("L'", "R'")
-    spins: tuple[str, str] = ("up", "down")
-    splitter: np.ndarray = field(default_factory=_default_splitter)
+class BeamSplitterScenario(_Value):
+    """Port and spin names, and the 2x2 splitter: a new 50/50 one when it is left out."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "splitter", check_unitary(self.splitter, 2))
+    __slots__ = __match_args__ = ("spatial_in", "spatial_out", "spins", "splitter")
+    spatial_in: tuple[str, str]
+    spatial_out: tuple[str, str]
+    spins: tuple[str, str]
+    splitter: np.ndarray
+
+    def __init__(
+        self,
+        spatial_in: tuple[str, str] = ("L", "R"),
+        spatial_out: tuple[str, str] = ("L'", "R'"),
+        spins: tuple[str, str] = ("up", "down"),
+        splitter: np.ndarray = _default_splitter,
+    ):
+        if splitter is _default_splitter:
+            splitter = _default_splitter()
+        _set(self, "spatial_in", spatial_in)
+        _set(self, "spatial_out", spatial_out)
+        _set(self, "spins", spins)
+        _set(self, "splitter", check_unitary(splitter, 2))
+
+    def _fields(self) -> tuple:
+        return self.spatial_in, self.spatial_out, self.spins, self.splitter
 
     def basis_in(self) -> OneParticleBasis:
         return self._basis(self.spatial_in)
@@ -70,14 +86,39 @@ class BeamSplitterScenario:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(_Value):
+    __slots__ = __match_args__ = (
+        "joint_probabilities", "p_both_left", "p_both_right", "p_coincidence",
+        "conditional_coincidence_spin_state", "correlators",
+    )
     joint_probabilities: dict[tuple[tuple[str, str], tuple[str, str]], float]
     p_both_left: float
     p_both_right: float
     p_coincidence: float
     conditional_coincidence_spin_state: np.ndarray
     correlators: dict[str, float]
+
+    def __init__(
+        self,
+        joint_probabilities: dict[tuple[tuple[str, str], tuple[str, str]], float],
+        p_both_left: float,
+        p_both_right: float,
+        p_coincidence: float,
+        conditional_coincidence_spin_state: np.ndarray,
+        correlators: dict[str, float],
+    ):
+        _set(self, "joint_probabilities", joint_probabilities)
+        _set(self, "p_both_left", p_both_left)
+        _set(self, "p_both_right", p_both_right)
+        _set(self, "p_coincidence", p_coincidence)
+        _set(self, "conditional_coincidence_spin_state", conditional_coincidence_spin_state)
+        _set(self, "correlators", correlators)
+
+    def _fields(self) -> tuple:
+        return (
+            self.joint_probabilities, self.p_both_left, self.p_both_right, self.p_coincidence,
+            self.conditional_coincidence_spin_state, self.correlators,
+        )
 
 
 def build_initial_state(scenario: BeamSplitterScenario) -> LabeledState:
@@ -148,17 +189,23 @@ def measure_ports_and_spins(
     )
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
+class GaussianPacket(_Value):
     """Normalized one-dimensional Gaussian wave packet."""
 
+    __slots__ = __match_args__ = ("center", "width", "phase_velocity")
     center: float
     width: float
-    phase_velocity: float = 0.0
+    phase_velocity: float
 
-    def __post_init__(self):
-        if self.width <= 0:
+    def __init__(self, center: float, width: float, phase_velocity: float = 0.0):
+        if width <= 0:
             raise ValueError("width must be positive")
+        _set(self, "center", center)
+        _set(self, "width", width)
+        _set(self, "phase_velocity", phase_velocity)
+
+    def _fields(self) -> tuple[float, float, float]:
+        return self.center, self.width, self.phase_velocity
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         """psi(x) on the points x; ValueError when any value leaves the float range."""
@@ -194,13 +241,21 @@ def packet_overlap(p1: GaussianPacket, p2: GaussianPacket) -> complex:
         ) from exc
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(_Value):
     """Joint density rho(x1, x2) sampled on a square grid."""
 
+    __slots__ = __match_args__ = ("x", "values", "cross_term_max")
     x: np.ndarray
     values: np.ndarray
     cross_term_max: float
+
+    def __init__(self, x: np.ndarray, values: np.ndarray, cross_term_max: float):
+        _set(self, "x", x)
+        _set(self, "values", values)
+        _set(self, "cross_term_max", cross_term_max)
+
+    def _fields(self) -> tuple:
+        return self.x, self.values, self.cross_term_max
 
     @property
     def n_points(self) -> int:

@@ -8,11 +8,11 @@ base-d digit, so flat index = sum_k i_k * d^(N-1-k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import counting
+from .counting import _set, _Value
 # the dense caps, re-exported for the modules and callers that read them here
 from .errors import MAX_DIM, MAX_SLOTS, check_dense_dim
 
@@ -82,20 +82,25 @@ def check_unit_norm(values, what: str, message: str) -> None:
         raise ValueError(message.format(norm=length))
 
 
-@dataclass(frozen=True)
-class OneParticleBasis:
+class OneParticleBasis(_Value):
     """Ordered mode names, optionally with per-mode energies (units of epsilon)."""
 
+    __slots__ = __match_args__ = ("labels", "energies")
     labels: tuple[str, ...]
-    energies: tuple[float, ...] | None = None
+    energies: tuple[float, ...] | None
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"mode labels must be distinct: {self.labels}")
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...], energies: tuple[float, ...] | None = None):
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"mode labels must be distinct: {labels}")
+        if not labels:
             raise ValueError("basis needs at least one mode")
-        if self.energies is not None and len(self.energies) != len(self.labels):
+        if energies is not None and len(energies) != len(labels):
             raise ValueError("energies must match the number of modes")
+        _set(self, "labels", labels)
+        _set(self, "energies", energies)
+
+    def _fields(self) -> tuple:
+        return self.labels, self.energies
 
     @property
     def dim(self) -> int:
@@ -106,15 +111,19 @@ class OneParticleBasis:
         return cls(tuple(f"m{i + 1}" for i in range(d)))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A bijection on slot indices {0, ..., n-1}."""
 
+    __slots__ = __match_args__ = ("mapping",)
     mapping: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError(f"not a bijection on 0..{len(self.mapping) - 1}: {self.mapping}")
+    def __init__(self, mapping: tuple[int, ...]):
+        if sorted(mapping) != list(range(len(mapping))):
+            raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
+        _set(self, "mapping", mapping)
+
+    def _fields(self) -> tuple[tuple[int, ...]]:
+        return (self.mapping,)
 
     @property
     def size(self) -> int:
@@ -142,13 +151,22 @@ def compose(q: Permutation, p: Permutation) -> Permutation:
     return Permutation(tuple(q.mapping[p.mapping[k]] for k in range(p.size)))
 
 
-@dataclass(frozen=True)
-class LabeledState:
-    """Unit vector in the N-fold tensor power of a d-dimensional one-particle space."""
+class LabeledState(_Value):
+    """Unit vector in the N-fold tensor power of a d-dimensional one-particle space.
 
+    Its repr leaves the amplitudes out.
+    """
+
+    __slots__ = __match_args__ = ("n_slots", "basis", "amplitudes")
     n_slots: int
     basis: OneParticleBasis
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray
+
+    def __init__(self, n_slots: int, basis: OneParticleBasis, amplitudes: np.ndarray):
+        _set(self, "n_slots", n_slots)
+        _set(self, "basis", basis)
+        _set(self, "amplitudes", amplitudes)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n_slots < 1:
@@ -159,7 +177,13 @@ class LabeledState:
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
         check_unit_norm(amps, "amplitudes", "state norm {norm} deviates from 1")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _set(self, "amplitudes", amps)
+
+    def _fields(self) -> tuple:
+        return self.n_slots, self.basis, self.amplitudes
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n_slots={self.n_slots!r}, basis={self.basis!r})"
 
     @classmethod
     def _trusted(
@@ -175,7 +199,9 @@ class LabeledState:
         """
         state = object.__new__(cls)
         amplitudes.setflags(write=False)
-        vars(state).update(n_slots=n_slots, basis=basis, amplitudes=amplitudes)
+        _set(state, "n_slots", n_slots)
+        _set(state, "basis", basis)
+        _set(state, "amplitudes", amplitudes)
         return state
 
     @property

@@ -76,14 +76,14 @@ def edge_state(d, n, sector, seed, edge):
 def basis_charge(states):
     """The bytes charged for a kept sector basis: sys.getsizeof of each distinct object it holds.
 
-    The tuple, and for every state the state, its attribute dict, its row
-    view, the array behind the rows, its OneParticleBasis, that basis's
-    dict, labels tuple and label strings.
+    The tuple, and for every state the state, its row view, the array
+    behind the rows, its OneParticleBasis, that basis's labels tuple and
+    label strings.
     """
     held = {id(states): states}
     for s in states:
         modes = s.basis
-        for obj in (s, vars(s), s.amplitudes, s.amplitudes.base, modes, vars(modes), modes.labels, *modes.labels):
+        for obj in (s, s.amplitudes, s.amplitudes.base, modes, modes.labels, *modes.labels):
             held[id(obj)] = obj
     return sum(map(sys.getsizeof, held.values()))
 

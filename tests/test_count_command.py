@@ -2,6 +2,7 @@
 digit and enumeration size bounds, and a package that imports each public
 name on first use."""
 
+import ast
 import importlib
 import itertools
 import json
@@ -482,8 +483,11 @@ def test_star_import_and_dir_show_the_same_public_names():
 
 #: the dense modules a `basis` child must not load: its rows come from counting alone
 DENSE_MODULES = ["identicals.exchange", "identicals.fock", "identicals.states"]
-#: standard modules a `count` or `basis` child must not load: counting declares no dataclass
-HEAVY_STDLIB = ["dataclasses", "inspect"]
+#: standard modules a `count`, `basis` or symbol `analyze` child must not load: the
+#: package declares no dataclass, and dataclasses imports the rest
+HEAVY_STDLIB = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy"]
+#: the package's modules that the benchmark's in-process workers import
+SEVEN_MODULES = ["counting", "states", "exchange", "fock", "emergence", "interferometer", "cli"]
 
 
 @pytest.mark.parametrize(
@@ -505,6 +509,56 @@ HEAVY_STDLIB = ["dataclasses", "inspect"]
     ],
 )
 def test_runs_without_numpy(tmp_path, command, config, fmt):
+    numpy_modules, dense_modules, heavy_modules = child_modules(
+        tmp_path, command, config, "--format", fmt
+    )
+    assert numpy_modules == []
+    if command == "basis":
+        assert dense_modules == []
+    assert heavy_modules == []
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("hom", "hom_default"),
+        ("density", "density_far"),
+        ("analyze", {
+            "sector": "antisymmetric", "d": 2, "n_slots": 2,
+            "amplitudes": [[0, 0], [0.5 ** 0.5, 0], [-(0.5 ** 0.5), 0], [0, 0]],
+        }),
+    ],
+    ids=["hom_default", "density_far", "analyze_amplitudes"],
+)
+def test_numpy_commands_load_no_dataclasses(tmp_path, command, config):
+    # numpy imports inspect, ast, dis and tokenize itself: only dataclasses is the package's
+    numpy_modules, _, heavy_modules = child_modules(
+        tmp_path, command, config, "--output", str(tmp_path / "report")
+    )
+    assert numpy_modules
+    assert "dataclasses" not in heavy_modules
+
+
+def test_the_seven_modules_load_no_dataclasses_and_emergence_no_fock():
+    code = (
+        "import sys\n"
+        "absent = 'dataclasses' not in sys.modules\n"
+        "import identicals.emergence\n"
+        "print('identicals.fock' in sys.modules)\n"
+        f"for name in {SEVEN_MODULES!r}:\n"
+        "    __import__('identicals.' + name)\n"
+        "print(absent and 'dataclasses' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["False", "False"]
+
+
+def child_modules(tmp_path, command, config, *args):
+    """The numpy, dense package and HEAVY_STDLIB modules a CLI child loaded, as three lists.
+
+    config names a file of configs/ or is written to a file; the child must exit 0.
+    """
     if isinstance(config, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -525,16 +579,11 @@ def test_runs_without_numpy(tmp_path, command, config, fmt):
         "print([m for m in absent if m in sys.modules])\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, command, "--config", str(path), "--format", fmt],
+        [sys.executable, "-c", code, command, "--config", str(path), *args],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    numpy_modules, dense_modules, heavy_modules = result.stdout.splitlines()[-3:]
-    assert numpy_modules == "[]"
-    if command == "basis":
-        assert dense_modules == "[]"
-    if command in ("count", "basis"):
-        assert heavy_modules == "[]"
+    return [ast.literal_eval(line) for line in result.stdout.splitlines()[-3:]]
 
 
 def test_exchange_sector_is_exported_without_numpy():

@@ -2,22 +2,38 @@ import copy
 import itertools
 import math
 import pickle
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from identicals import (
+    BeamSplitterScenario,
     CapExceeded,
     CountingProblem,
+    DensityGrid,
+    EmergenceReport,
+    ExchangeSector,
+    ExperimentResult,
+    FockVector,
+    GaussianPacket,
+    LabeledState,
+    OccupationState,
+    OneParticleBasis,
+    Permutation,
     StatisticsKind,
     SymbolString,
+    Verdict,
     count_microstates,
     entropy,
     enumerate_distributions,
     enumerate_symbols,
+    parse_symbol,
     planck_count,
 )
 from identicals.counting import Mark, parity
+from identicals.emergence import occupation_report
 
 BE = StatisticsKind.BOSE_EINSTEIN
 FD = StatisticsKind.FERMI_DIRAC
@@ -210,19 +226,133 @@ def test_bose_einstein_enumeration_has_no_depth_limit():
     assert occs[-1] == (0,) * 1499 + (1,)
 
 
-# ---------------------------------------------- value semantics of the two classes
-# CountingProblem and SymbolString compare, hash, print, copy and match by
-# their field tuples, as frozen dataclasses do, and are never changed in place.
+# ------------------------------------------- value semantics of the twelve classes
+# Every value class of the package compares, hashes, prints, copies and
+# matches by its field tuple, as a frozen dataclass does, and is never
+# changed in place.  An array, dict, list or mapping field makes hash raise,
+# and == compares arrays as a tuple comparison does.
 
 SEP, QUANTUM = Mark.SEPARATOR, Mark.QUANTUM
 MARKS = (QUANTUM, QUANTUM, SEP, SEP, QUANTUM)
+SYM = ExchangeSector.SYMMETRIC
+AB = OneParticleBasis(("a", "b"))
+AMPS = np.array([0.6, 0.8j])
+SCENARIO = BeamSplitterScenario()
+SPLITTER = SCENARIO.splitter
+JOINT = {(("L", "up"), ("R", "down")): 1.0}
+CHI = np.array([0.0, 1.0, 0.0, 0.0])
+X = np.array([0.0, 1.0])
+RHO = np.array([[0.5, 0.0], [0.0, 0.5]])
+TERMS = {(1, 1): 0.6, (2, 0): 0.8j}
+SPINS = ("up", "down")
 
 #: (value, an equal value built apart, a value of other fields, its field tuple)
 VALUES = [
     (CountingProblem(2, 3), CountingProblem(2, 3), CountingProblem(3, 2), (2, 3)),
     (SymbolString(MARKS), SymbolString.from_energies((2, 0, 1)), SymbolString(MARKS[::-1]), (MARKS,)),
+    (AB, OneParticleBasis(labels=("a", "b")), OneParticleBasis(("a", "b"), (0.0, 1.5)), (("a", "b"), None)),
+    (Permutation((1, 0, 2)), Permutation.swap(3, 0, 1), Permutation.identity(3), ((1, 0, 2),)),
+    (LabeledState(1, AB, AMPS), LabeledState(1, OneParticleBasis(("a", "b")), AMPS),
+     LabeledState(1, OneParticleBasis(("a", "c")), AMPS), (1, AB, AMPS)),
+    (OccupationState((2, 0, 1), SYM), OccupationState([2, 0, 1], SYM),
+     OccupationState((1, 1, 1), SYM), ((2, 0, 1), SYM)),
+    (FockVector(TERMS, SYM, 2), FockVector(dict(TERMS), SYM, 2),
+     FockVector({(1, 1): 0.8, (2, 0): 0.6}, SYM, 2), (MappingProxyType(TERMS), SYM, 2)),
+    (EmergenceReport(Verdict.CONDENSED_OBJECT, [(0, 2)], 1.0, [1.0, 0.0]),
+     occupation_report(parse_symbol("f_{e1e1}", 2)), EmergenceReport(Verdict.NO_PARTICLE_DECOMPOSITION),
+     (Verdict.CONDENSED_OBJECT, [(0, 2)], 1.0, [1.0, 0.0])),
+    (SCENARIO, BeamSplitterScenario(("L", "R"), splitter=SPLITTER),
+     BeamSplitterScenario(spins=("down", "up"), splitter=SPLITTER),
+     (("L", "R"), ("L'", "R'"), SPINS, SPLITTER)),
+    (ExperimentResult(JOINT, 0.0, 0.0, 1.0, CHI, {"sz_sz": -1.0}),
+     ExperimentResult(JOINT, 0.0, 0.0, 1.0, CHI, {"sz_sz": -1.0}),
+     ExperimentResult(JOINT, 0.5, 0.0, 0.5, CHI, {"sz_sz": -1.0}),
+     (JOINT, 0.0, 0.0, 1.0, CHI, {"sz_sz": -1.0})),
+    (GaussianPacket(0.0, 1.0), GaussianPacket(center=0.0, width=1.0, phase_velocity=0.0),
+     GaussianPacket(0.0, 1.0, 2.0), (0.0, 1.0, 0.0)),
+    (DensityGrid(X, RHO, 0.25), DensityGrid(X, RHO, 0.25), DensityGrid(X, RHO, 0.5), (X, RHO, 0.25)),
 ]
-VALUE_IDS = ["CountingProblem", "SymbolString"]
+VALUE_IDS = [type(value).__name__ for value, *_ in VALUES]
+
+#: the field names each class matches by position, as @dataclass named them
+MATCH_ARGS = {
+    "CountingProblem": ("n_resonators", "n_quanta"),
+    "SymbolString": ("marks",),
+    "OneParticleBasis": ("labels", "energies"),
+    "Permutation": ("mapping",),
+    "LabeledState": ("n_slots", "basis", "amplitudes"),
+    "OccupationState": ("occupations", "sector"),
+    "FockVector": ("terms", "sector", "total_number"),
+    "EmergenceReport": ("verdict", "defining_states", "fidelity", "natural_spectrum"),
+    "BeamSplitterScenario": ("spatial_in", "spatial_out", "spins", "splitter"),
+    "ExperimentResult": (
+        "joint_probabilities", "p_both_left", "p_both_right", "p_coincidence",
+        "conditional_coincidence_spin_state", "correlators",
+    ),
+    "GaussianPacket": ("center", "width", "phase_velocity"),
+    "DensityGrid": ("x", "values", "cross_term_max"),
+}
+
+#: the type whose instances make hash raise, for the classes with such a field
+UNHASHABLE = {
+    "LabeledState": "numpy.ndarray",
+    "FockVector": "mappingproxy",
+    "EmergenceReport": "list",
+    "BeamSplitterScenario": "numpy.ndarray",
+    "ExperimentResult": "dict",
+    "DensityGrid": "numpy.ndarray",
+}
+
+#: repr of each value of VALUES, as the frozen dataclasses printed them
+REPRS = {
+    "CountingProblem": "CountingProblem(n_resonators=2, n_quanta=3)",
+    "SymbolString": (
+        "SymbolString(marks=(<Mark.QUANTUM: 1>, <Mark.QUANTUM: 1>, <Mark.SEPARATOR: 0>, "
+        "<Mark.SEPARATOR: 0>, <Mark.QUANTUM: 1>))"
+    ),
+    "OneParticleBasis": "OneParticleBasis(labels=('a', 'b'), energies=None)",
+    "Permutation": "Permutation(mapping=(1, 0, 2))",
+    # the amplitudes are left out
+    "LabeledState": "LabeledState(n_slots=1, basis=OneParticleBasis(labels=('a', 'b'), energies=None))",
+    "OccupationState": (
+        "OccupationState(occupations=(2, 0, 1), sector=<ExchangeSector.SYMMETRIC: 'symmetric'>)"
+    ),
+    "FockVector": (
+        "FockVector(terms=mappingproxy({(1, 1): 0.6, (2, 0): 0.8j}), "
+        "sector=<ExchangeSector.SYMMETRIC: 'symmetric'>, total_number=2)"
+    ),
+    "EmergenceReport": (
+        "EmergenceReport(verdict=<Verdict.CONDENSED_OBJECT: 'CONDENSED_OBJECT'>, "
+        "defining_states=[(0, 2)], fidelity=1.0, natural_spectrum=[1.0, 0.0])"
+    ),
+    "BeamSplitterScenario": (
+        "BeamSplitterScenario(spatial_in=('L', 'R'), spatial_out=(\"L'\", \"R'\"), "
+        "spins=('up', 'down'), splitter=array([[ 0.70710678+0.j,  0.70710678+0.j],\n"
+        "       [ 0.70710678+0.j, -0.70710678+0.j]]))"
+    ),
+    "ExperimentResult": (
+        "ExperimentResult(joint_probabilities={(('L', 'up'), ('R', 'down')): 1.0}, "
+        "p_both_left=0.0, p_both_right=0.0, p_coincidence=1.0, "
+        "conditional_coincidence_spin_state=array([0., 1., 0., 0.]), correlators={'sz_sz': -1.0})"
+    ),
+    "GaussianPacket": "GaussianPacket(center=0.0, width=1.0, phase_velocity=0.0)",
+    "DensityGrid": (
+        "DensityGrid(x=array([0., 1.]), values=array([[0.5, 0. ],\n"
+        "       [0. , 0.5]]), cross_term_max=0.25)"
+    ),
+}
+
+
+def fields_of(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+def same(a, b) -> bool:
+    """Whether a and b are values of one class with equal fields, arrays compared entry by entry."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(fields_of(a), fields_of(b), strict=True)
+    )
 
 
 @pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
@@ -237,10 +367,32 @@ def test_values_are_equal_only_to_their_class_with_equal_fields(value, twin, oth
     assert CountingProblem(1, 0) != SymbolString(())
 
 
+#: (value, its field tuple) of the classes with an array field
+ARRAY_VALUES = [
+    (value, fields) for value, _, _, fields in VALUES if any(isinstance(f, np.ndarray) for f in fields)
+]
+
+
+@pytest.mark.parametrize("value,fields", ARRAY_VALUES, ids=[type(v).__name__ for v, _ in ARRAY_VALUES])
+def test_array_fields_compare_as_in_a_tuple(value, fields):
+    copies = [f.copy() if isinstance(f, np.ndarray) else f for f in fields]
+    # equal arrays that are not one object: == asks the truth of an array
+    with pytest.raises(ValueError, match="truth value of an array"):
+        value == type(value)(*copies)  # noqa: B015 - the comparison is what raises
+    with pytest.raises(ValueError, match="truth value of an array"):
+        fields == tuple(copies)  # noqa: B015
+
+
 @pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
 def test_values_hash_as_their_field_tuple(value, twin, other, fields):
-    assert hash(value) == hash(twin) == hash(fields)
-    assert len({value, twin, other}) == 2
+    unhashable = UNHASHABLE.get(type(value).__name__)
+    if unhashable is None:
+        assert hash(value) == hash(twin) == hash(fields)
+        assert len({value, twin, other}) == 2
+        return
+    for item in (value, twin, fields):
+        with pytest.raises(TypeError, match=f"^unhashable type: '{unhashable}'$"):
+            hash(item)
 
 
 def test_the_symbols_of_a_problem_are_distinct_in_a_set():
@@ -249,64 +401,85 @@ def test_the_symbols_of_a_problem_are_distinct_in_a_set():
     assert len(set(symbols + enumerate_symbols(CountingProblem(4, 7)))) == 120
 
 
-def test_values_print_as_their_constructor_call():
-    assert repr(CountingProblem(2, 3)) == "CountingProblem(n_resonators=2, n_quanta=3)"
-    assert repr(SymbolString((QUANTUM, SEP))) == (
-        "SymbolString(marks=(<Mark.QUANTUM: 1>, <Mark.SEPARATOR: 0>))"
-    )
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_print_as_their_constructor_call(value, twin, other, fields):
+    assert repr(value) == repr(twin) == REPRS[type(value).__name__]
     assert repr(SymbolString(())) == "SymbolString(marks=())"
 
 
 @pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
 def test_values_refuse_assignment_and_deletion(value, twin, other, fields):
-    name = type(value).__match_args__[0]
-    with pytest.raises(AttributeError):
-        setattr(value, name, fields[0])
-    with pytest.raises(AttributeError):
-        delattr(value, name)
+    for name, field in zip(type(value).__match_args__, fields):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
     with pytest.raises(AttributeError):
         value.no_such_field = 1
     assert not hasattr(value, "no_such_field")
-    assert value == twin
+    assert same(value, twin)
 
 
 @pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
 def test_values_survive_pickle_and_copies(value, twin, other, fields):
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(value, protocol))
-        assert type(back) is type(value) and back == value, protocol
-    for back in (copy.copy(value), copy.deepcopy(value)):
-        assert type(back) is type(value) and back == value
-        assert hash(back) == hash(value)
+    backs = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    backs += [copy.copy(value), copy.deepcopy(value), value.__replace__()]
+    if hasattr(copy, "replace"):  # Python 3.13 on
+        backs.append(copy.replace(value))
+    for back in backs:
+        assert back is not value and same(back, value)
+        if type(value).__name__ not in UNHASHABLE:
+            assert hash(back) == hash(value)
+    names = type(value).__match_args__
+    # each field replaced by the other value's: the other value, built through the constructor
+    assert same(value.__replace__(**dict(zip(names, fields_of(other)))), other)
+    assert same(value.__replace__(**{names[0]: fields[0]}), value)
+    with pytest.raises(TypeError):
+        value.__replace__(no_such_field=1)
 
 
-def test_values_take_their_fields_by_keyword():
-    assert CountingProblem(n_resonators=2, n_quanta=3) == CountingProblem(2, 3)
-    assert CountingProblem(2, n_quanta=3) == CountingProblem(2, 3)
-    assert SymbolString(marks=MARKS) == SymbolString(MARKS)
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_take_their_fields_by_keyword(value, twin, other, fields):
+    names = type(value).__match_args__
+    assert same(type(value)(**dict(zip(names, fields))), value)
+    assert same(type(value)(*fields[:1], **dict(zip(names[1:], fields[1:]))), value)
+    with pytest.raises(TypeError):
+        type(value)(*fields, no_such_field=1)
+    with pytest.raises(TypeError):
+        type(value)(*fields, *fields)
+    with pytest.raises(TypeError):
+        type(value)(*fields, **{names[0]: fields[0]})
+
+
+def test_values_keep_their_defaults():
     with pytest.raises(TypeError):
         CountingProblem(2)
-    with pytest.raises(TypeError):
-        CountingProblem(2, 3, 4)
-    with pytest.raises(TypeError):
-        CountingProblem(2, n_resonators=3)
-    with pytest.raises(TypeError):
-        SymbolString(marks=MARKS, quanta=3)
+    assert OneParticleBasis(("a",)).energies is None
+    assert GaussianPacket(1.0, 2.0).phase_velocity == 0.0
+    assert fields_of(BeamSplitterScenario())[:3] == (("L", "R"), ("L'", "R'"), SPINS)
+    # a new splitter, and new empty lists, on every call
+    first, second = BeamSplitterScenario(), BeamSplitterScenario()
+    assert first.splitter is not second.splitter
+    assert np.array_equal(first.splitter, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    first, second = EmergenceReport(Verdict.CONDENSED_OBJECT), EmergenceReport(Verdict.CONDENSED_OBJECT)
+    assert fields_of(first)[1:] == ([], 0.0, [])
+    assert first.defining_states is not second.defining_states
+    assert first.natural_spectrum is not second.natural_spectrum
 
 
-def test_values_match_their_fields_by_position():
-    assert CountingProblem.__match_args__ == ("n_resonators", "n_quanta")
-    assert SymbolString.__match_args__ == ("marks",)
+@pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)
+def test_values_match_their_fields_by_position(value, twin, other, fields):
+    cls = type(value)
+    assert cls.__match_args__ == MATCH_ARGS[cls.__name__]
+    match value:
+        case CountingProblem() if cls is not CountingProblem:
+            pytest.fail(f"a {cls.__name__} matched CountingProblem")
+        case cls(first):
+            assert first is getattr(value, cls.__match_args__[0])
+        case _:
+            pytest.fail(f"{cls.__name__} did not match its first field")
     match CountingProblem(2, 3):
         case CountingProblem(k, p):
             assert (k, p) == (2, 3)
         case _:
             pytest.fail("CountingProblem did not match its two fields")
-    match SymbolString(MARKS):
-        case CountingProblem():
-            pytest.fail("a SymbolString matched CountingProblem")
-        case SymbolString(marks):
-            assert marks == MARKS
-        case _:
-            pytest.fail("SymbolString did not match its field")
-

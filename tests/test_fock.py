@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 import sys
@@ -272,7 +271,7 @@ def test_fock_vector_terms_are_a_read_only_copy():
     assert bridged.terms == pytest.approx(fv.terms)
     for vector in (fv, bridged):
         for twin in (pickle.loads(pickle.dumps(vector)), copy.deepcopy(vector),
-                     dataclasses.replace(vector)):
+                     vector.__replace__()):
             assert twin == vector and list(twin.terms) == list(vector.terms)
             with pytest.raises(TypeError):
                 twin.terms[(2, 0, 0)] = 1.0
@@ -389,7 +388,7 @@ class TestArrayForms:
         assert fv == public and public == fv
         assert repr(fv) == repr(public)
         assert pickle.dumps(fv) == pickle.dumps(public)
-        for twin in (pickle.loads(pickle.dumps(fv)), copy.deepcopy(fv), dataclasses.replace(fv)):
+        for twin in (pickle.loads(pickle.dumps(fv)), copy.deepcopy(fv), fv.__replace__()):
             assert twin == public and repr(twin) == repr(public)
             assert list(twin.terms) == list(public.terms)
         # each derived form equals the one the other constructor holds

@@ -11,7 +11,6 @@ bits are held to them, with a warm orbit-table cache and with none.
 
 import cmath
 import copy
-import dataclasses
 import itertools
 import pickle
 
@@ -154,7 +153,7 @@ def test_bridge_copied_and_caller_vectors_give_the_same_bits(size, sector, n_ter
     twins = [
         pickle.loads(pickle.dumps(fv)),
         copy.deepcopy(fv),
-        dataclasses.replace(fv),
+        fv.__replace__(),
         FockVector(dict(fv.terms), sector, n),
     ]
     assert all(twin == fv for twin in twins)

@@ -382,6 +382,14 @@ def test_the_bridge_leaves_a_kept_basis_and_its_charge_alone(cache):
     assert cache.nbytes == entry.nbytes == charged
 
 
+def test_a_recount_of_a_kept_basis_ignores_later_bases(cache):
+    # states and bases keep their fields in __slots__: no instance dict whose size can move
+    sector_basis(4, 3, SYM)
+    entry = cache.tables[(4, 3, SYM)]
+    OneParticleBasis.default(4)
+    assert entry.nbytes == entry_bytes(entry)
+
+
 def test_a_bridge_vector_outlives_the_table_it_was_read_from(monkeypatch, cache):
     state = random_sector_state(np.random.default_rng(6), 4, 3, ANTI)
     fv = labeled_to_fock(state, ANTI)
