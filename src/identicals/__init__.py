@@ -7,9 +7,10 @@ experiment.
 
 Every public name is imported on first use: `identicals.X` and
 `from identicals import X` import only the submodule that defines X, so
-the numpy-free `counting` module (and the `count` command) never pays for
-numpy.  `__all__` lists every name and submodule, so `from identicals
-import *` and `dir()` show the whole package.
+the numpy-free `counting` module (and with it occupation states, symbols
+and their closed-form report) never pays for numpy.  `__all__` lists
+every name and submodule, so `from identicals import *` and `dir()` show
+the whole package.
 """
 
 import importlib
@@ -19,18 +20,22 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "counting": (
         "CountingProblem",
+        "EmergenceReport",
         "ExchangeSector",
+        "OccupationState",
         "StatisticsKind",
         "SymbolString",
+        "Verdict",
         "count_microstates",
         "entropy",
         "enumerate_distributions",
         "enumerate_symbols",
+        "format_symbol",
+        "parse_symbol",
         "planck_count",
+        "replace_indistinguishable",
     ),
     "emergence": (
-        "EmergenceReport",
-        "Verdict",
         "detect_emergent_particles",
         "genidentity_track",
         "natural_orbitals",
@@ -45,13 +50,9 @@ _EXPORTS = {
     ),
     "fock": (
         "FockVector",
-        "OccupationState",
         "fock_to_labeled",
-        "format_symbol",
         "labeled_to_fock",
         "occupation_to_labeled",
-        "parse_symbol",
-        "replace_indistinguishable",
     ),
     "interferometer": (
         "BeamSplitterScenario",

@@ -8,14 +8,14 @@ cap exceeded, 4 domain error, 5 I/O error.
 Only the numpy-free `counting` and `errors` modules are imported here at
 module level; every other command imports what it uses inside its own
 function, so `identicals count`, a symbol `analyze` (whose report is closed
-form, see emergence.occupation_report) and `basis` (whose rows are closed
-form, see counting.basis_rows) run on the standard library alone.  No
-command loads dataclasses: every value class is written on counting's
-frozen-value base.  Besides `counting` and `errors`, `count` and `basis`
-import no more than argparse and json; a symbol `analyze` adds `fock` and
-`emergence`; an amplitude `analyze` numpy, `states`, `exchange` and
-`emergence`; `hom` and `density` numpy, `states`, `exchange` and
-`interferometer`.
+form, see counting.occupation_report) and `basis` (whose rows are closed
+form, see counting.basis_rows) run on the standard library alone.  This is
+the package's only module that imports inside functions.  No command loads
+dataclasses: every value class is written on counting's frozen-value base.
+Besides `counting` and `errors`, `count`, `basis` and a symbol `analyze`
+import no more than argparse and json; an amplitude `analyze` adds numpy,
+`states`, `exchange` and `emergence`; `hom` and `density` numpy, `states`,
+`exchange` and `interferometer`.
 """
 
 from __future__ import annotations
@@ -140,10 +140,8 @@ def _kinds(v, where, key) -> list[counting.StatisticsKind]:
 
 def _symbol(v, where, key) -> tuple[str, list[int]]:
     """The text and mode indices of a symbol; a malformed symbol is a domain error."""
-    from . import fock
-
     text = _STRING(v, where, key)
-    return text, fock.symbol_modes(text)
+    return text, counting.symbol_modes(text)
 
 
 def _splitter(raw, where, key) -> interferometer.BeamSplitterScenario:
@@ -352,9 +350,7 @@ def _basis_report_characters(d: int, n: int, count: int, fmt: str) -> int:
 
 # ---------------------------------------------------------------- analyze
 
-def _occupation_from_config(cfg: dict) -> fock.OccupationState:
-    from . import fock
-
+def _occupation_from_config(cfg: dict) -> counting.OccupationState:
     parsed = _parse(cfg, _SYMBOL, "analyze")
     text, modes = parsed["symbol"]
     d = parsed.get("d", max([1, *modes]))
@@ -366,7 +362,7 @@ def _occupation_from_config(cfg: dict) -> fock.OccupationState:
         _symbol_report_characters(d, defining),
         f"the report of {defining} defining states over d = {d} modes",
     )
-    return fock.parse_symbol(text, d, parsed["sector"])
+    return counting.parse_symbol(text, d, parsed["sector"])
 
 
 def _symbol_report_characters(d: int, defining: int) -> int:
@@ -394,15 +390,15 @@ def _state_from_config(cfg: dict) -> LabeledState:
 
 
 def cmd_analyze(cfg: dict, fmt: str) -> str:
-    from . import emergence
-
     # the sector before the keys: a config without one is told so first
     sector = _sector(cfg.get("sector"), "analyze", "sector")
     if "symbol" in cfg:
         occ = _occupation_from_config(cfg)
-        report = emergence.occupation_report(occ)
+        report = counting.occupation_report(occ)
         states = [_basis_vector([(m, 1.0)], occ.n_modes) for m, _ in report.defining_states]
     else:
+        from . import emergence
+
         report = emergence.detect_emergent_particles(_state_from_config(cfg), sector)
         states = [_interleave(vec) for vec, _ in report.defining_states]
     payload = {

@@ -1,4 +1,4 @@
-"""Exact counting of energy-distribution configurations.
+"""Exact counting of energy-distribution configurations, and the occupation level.
 
 Everything here is exact integer combinatorics: how many ways P quanta can
 sit on N resonators, the symbol strings that realize the stars-and-bars
@@ -10,17 +10,30 @@ over the index tuples of its occupation (basis_rows), from which the CLI
 writes a basis without numpy, and the package's one rule for the parity of
 a permutation (parity).
 
-The module imports neither numpy nor dataclasses, so `identicals count` and
-`basis` run on the standard library's lightest modules.  It also holds the
+The occupation level, the label-free half of the package, is here too.  An
+OccupationState holds per-mode occupation numbers, which play the role of
+quasi-cardinals.  The symbol grammar is `f_{` (token)* `}` with token =
+`e<positive integer>` (the Unicode epsilon form is accepted on input).
+occupation_report is what emergence.detect_emergent_particles reports on an
+occupation state, in closed form: its 1-RDM is diag(n_m / N), so its
+natural orbitals are its modes, its natural spectrum is its occupations
+over N, and the state is itself the (anti)symmetrized product of its
+occupied modes, fidelity 1.  `fock` (the bridge to labeled states) and
+`emergence` (the detector) bind these names too.
+
+The module imports neither numpy nor dataclasses, so `identicals count`,
+`basis` and a symbol `analyze` run on the standard library's lightest
+modules.  Only it and `errors` are numpy-free: states, exchange, fock,
+emergence and interferometer import numpy at the top.  It also holds the
 package's one frozen-value base, _Value: every value class of the package
-(CountingProblem and SymbolString here, and those of states, fock,
-emergence and interferometer) is written on it rather than declared with
-@dataclass(frozen=True).  Importing dataclasses imports inspect, ast, dis
-and tokenize, about a tenth of what a small `count` or symbol `analyze`
-process spends, and each @dataclass generates its methods' code at import.
-The values keep a frozen dataclass's constructor, equality, hash, repr,
-pattern matching and pickling; assigning or deleting a field raises
-AttributeError.
+(CountingProblem, SymbolString, OccupationState and EmergenceReport here,
+and those of states, fock and interferometer) is written on it rather than
+declared with @dataclass(frozen=True).  Importing dataclasses imports
+inspect, ast, dis and tokenize, about a tenth of what a small `count` or
+symbol `analyze` process spends, and each @dataclass generates its
+methods' code at import.  The values keep a frozen dataclass's
+constructor, equality, hash, repr, pattern matching and pickling;
+assigning or deleting a field raises AttributeError.
 """
 
 from __future__ import annotations
@@ -29,9 +42,11 @@ import enum
 import itertools
 import math
 import operator
+import re
+import struct
 from collections.abc import Iterator
 
-from .errors import CapExceeded, check_dense_dim, check_report_size
+from .errors import VACUUM, CapExceeded, check_dense_dim, check_report_size
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
 
@@ -427,3 +442,166 @@ def entropy(count: int, k: float = 1.0) -> float:
     if not math.isfinite(s):
         raise ValueError(f"entropy S = k ln W is not finite for k = {k!r}, ln W = {ln_w!r}")
     return s
+
+
+# the occupation level: occupation states, their symbols and their closed-form report
+_SYMBOL_RE = re.compile(r"^f_\{((?:e[0-9]+)*)\}$")
+_TOKEN_RE = re.compile(r"e([0-9]+)")
+_SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
+_NEGATIVE = "occupations must be non-negative"
+_PAULI = "antisymmetric occupations cannot exceed 1"
+
+
+class OccupationState(_Value):
+    """Per-mode occupation numbers, a tuple of 64-bit integers, in a fixed exchange sector."""
+
+    __slots__ = __match_args__ = ("occupations", "sector")
+    occupations: tuple[int, ...]
+    sector: ExchangeSector
+
+    def __init__(self, occupations: tuple[int, ...], sector: ExchangeSector):
+        occupations = tuple(occupations)
+        _pack_occupations([occupations], len(occupations))
+        if any(n < 0 for n in occupations):
+            raise ValueError(_NEGATIVE)
+        if sector is ExchangeSector.ANTISYMMETRIC and any(n > 1 for n in occupations):
+            raise ValueError(_PAULI)
+        _set(self, "occupations", occupations)
+        _set(self, "sector", sector)
+
+    def _fields(self) -> tuple:
+        return self.occupations, self.sector
+
+    @property
+    def total(self) -> int:
+        return sum(self.occupations)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.occupations)
+
+
+def _pack_occupations(keys: list, width: int) -> bytes:
+    """The occupation keys packed as 64-bit integers, width per key, in one call.
+
+    Every entry must be an integer that fits in 64 bits: an int, a bool or
+    anything with __index__.  A float is refused even when it is integral,
+    since reading it as an integer would truncate 2.5 to 2 without a word.
+    ValueError names the first occupation that breaks this.
+    """
+    try:
+        return struct.pack(f"{len(keys) * width}q", *itertools.chain.from_iterable(keys))
+    except struct.error:
+        for key in keys:
+            try:
+                struct.pack(f"{len(key)}q", *key)
+            except struct.error:
+                raise ValueError(f"occupation {key} must hold 64-bit integers") from None
+        raise
+
+
+def symbol_modes(text: str) -> list[int]:
+    """The 1-based mode index of every token of a symbol, in order."""
+    normalized = text.replace("ε", "e").translate(_SUBSCRIPT_DIGITS)
+    m = _SYMBOL_RE.match(normalized)
+    if m is None:
+        raise ValueError(f"malformed symbol: {text!r}")
+    return [int(tok) for tok in _TOKEN_RE.findall(m.group(1))]
+
+
+def parse_symbol(
+    text: str, d: int, sector: ExchangeSector = ExchangeSector.SYMMETRIC
+) -> OccupationState:
+    """Parse a quasi-function symbol like f_{e1e1e2} into an occupation state."""
+    occ = [0] * d
+    for i in symbol_modes(text):
+        if not 1 <= i <= d:
+            raise ValueError(f"mode index {i} out of range 1..{d}")
+        occ[i - 1] += 1
+    return OccupationState(tuple(occ), sector)
+
+
+def format_symbol(occ: OccupationState) -> str:
+    """Canonical symbol text: modes ascending, each repeated by its occupation."""
+    body = "".join(f"e{i + 1}" * n for i, n in enumerate(occ.occupations))
+    return f"f_{{{body}}}"
+
+
+def replace_indistinguishable(occ: OccupationState, mode: int) -> OccupationState:
+    """Remove one unit from a mode (1-based), then put one of the same kind back.
+
+    The result is identical to the input: replacing an excitation by an
+    indistinguishable one changes nothing at the occupation level.
+    """
+    if not 1 <= mode <= occ.n_modes:
+        raise ValueError(f"mode {mode} out of range 1..{occ.n_modes}")
+    if occ.occupations[mode - 1] < 1:
+        raise ValueError(f"mode {mode} is empty; nothing to remove")
+    lowered = list(occ.occupations)
+    lowered[mode - 1] -= 1
+    raised = list(lowered)
+    raised[mode - 1] += 1
+    return OccupationState(tuple(raised), occ.sector)
+
+
+class Verdict(enum.Enum):
+    PARTICLE_DECOMPOSITION = "PARTICLE_DECOMPOSITION"
+    CONDENSED_OBJECT = "CONDENSED_OBJECT"
+    NO_PARTICLE_DECOMPOSITION = "NO_PARTICLE_DECOMPOSITION"
+
+
+class EmergenceReport(_Value):
+    """A verdict, the defining one-particle states with their occupations, and evidence.
+
+    A defining state is a vector over the modes, or, in occupation_report,
+    the 0-based index m of the mode's unit vector e_m.  A list left out is a
+    new empty list.
+    """
+
+    __slots__ = __match_args__ = ("verdict", "defining_states", "fidelity", "natural_spectrum")
+    verdict: Verdict
+    defining_states: list[tuple[np.ndarray | int, int]]
+    fidelity: float
+    natural_spectrum: list[float]
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        defining_states: list[tuple[np.ndarray | int, int]] = list,
+        fidelity: float = 0.0,
+        natural_spectrum: list[float] = list,
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "defining_states", [] if defining_states is list else defining_states)
+        _set(self, "fidelity", fidelity)
+        _set(self, "natural_spectrum", [] if natural_spectrum is list else natural_spectrum)
+
+    def _fields(self) -> tuple:
+        return self.verdict, self.defining_states, self.fidelity, self.natural_spectrum
+
+
+def _decomposed(occupations) -> Verdict:
+    """The verdict on a state that is the product of orbitals with these occupations."""
+    if all(n_i <= 1 for n_i in occupations):
+        return Verdict.PARTICLE_DECOMPOSITION
+    return Verdict.CONDENSED_OBJECT
+
+
+def occupation_report(occ: OccupationState) -> EmergenceReport:
+    """The report of detect_emergent_particles on an occupation state, in closed form.
+
+    The defining states are the occupied modes m, ordered by (-n_m, m); the
+    natural spectrum is n_m / N in that order, then a 0 per empty mode; the
+    fidelity is exactly 1.  No labeled state is built.
+    """
+    n = occ.total
+    if n == 0:
+        raise ValueError(VACUUM)
+    occupied = sorted(
+        ((m, n_m) for m, n_m in enumerate(occ.occupations) if n_m), key=lambda t: -t[1]
+    )
+    spectrum = [n_m / n for _, n_m in occupied]
+    spectrum += [0.0] * (occ.n_modes - len(occupied))
+    return EmergenceReport(
+        _decomposed(n_m for _, n_m in occupied), occupied, 1.0, spectrum
+    )

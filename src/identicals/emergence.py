@@ -24,21 +24,20 @@ n_i its fidelity with the state is the closed form
 projection with one orbital each.  slater_rank_two_fermions reuses the
 same Cholesky steps.
 
-An occupation state needs none of this.  Its 1-RDM is diag(n_m / N), so its
-natural orbitals are its modes, its natural spectrum is its occupations
-over N, and the state is itself the (anti)symmetrized product of its
-occupied modes: fidelity 1.  occupation_report writes that report in closed
-form, on the standard library alone; numpy, `exchange` and `states` are
-imported inside the functions that use them.
+An occupation state needs none of this: counting.occupation_report writes
+its report in closed form, without numpy.  The verdicts, the report and
+that closed form live in `counting`; this module binds their names too.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
-from .counting import ExchangeSector, _set, _Value
-from .errors import VACUUM
+import numpy as np
+
+from . import exchange
+from .counting import EmergenceReport, ExchangeSector, Verdict, _decomposed, occupation_report
+from .states import TAU_ORTH, TAU_PSD, check_unitary, fix_phase, norm
 
 #: |N*lambda_i - round(N*lambda_i)| must stay below this for a decomposition
 DELTA_OCC = 0.05
@@ -51,49 +50,6 @@ SLATER_SV_THRESHOLD = 1e-9
 TAU_RANK = 1e-13
 
 
-class Verdict(enum.Enum):
-    PARTICLE_DECOMPOSITION = "PARTICLE_DECOMPOSITION"
-    CONDENSED_OBJECT = "CONDENSED_OBJECT"
-    NO_PARTICLE_DECOMPOSITION = "NO_PARTICLE_DECOMPOSITION"
-
-
-class EmergenceReport(_Value):
-    """A verdict, the defining one-particle states with their occupations, and evidence.
-
-    A defining state is a vector over the modes, or, in occupation_report,
-    the 0-based index m of the mode's unit vector e_m.  A list left out is a
-    new empty list.
-    """
-
-    __slots__ = __match_args__ = ("verdict", "defining_states", "fidelity", "natural_spectrum")
-    verdict: Verdict
-    defining_states: list[tuple[np.ndarray | int, int]]
-    fidelity: float
-    natural_spectrum: list[float]
-
-    def __init__(
-        self,
-        verdict: Verdict,
-        defining_states: list[tuple[np.ndarray | int, int]] = list,
-        fidelity: float = 0.0,
-        natural_spectrum: list[float] = list,
-    ):
-        _set(self, "verdict", verdict)
-        _set(self, "defining_states", [] if defining_states is list else defining_states)
-        _set(self, "fidelity", fidelity)
-        _set(self, "natural_spectrum", [] if natural_spectrum is list else natural_spectrum)
-
-    def _fields(self) -> tuple:
-        return self.verdict, self.defining_states, self.fidelity, self.natural_spectrum
-
-
-def _decomposed(occupations) -> Verdict:
-    """The verdict on a state that is the product of orbitals with these occupations."""
-    if all(n_i <= 1 for n_i in occupations):
-        return Verdict.PARTICLE_DECOMPOSITION
-    return Verdict.CONDENSED_OBJECT
-
-
 def _ordered(evals: np.ndarray, vecs: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs from descending eigenvalues and their eigenvectors as rows.
 
@@ -101,10 +57,6 @@ def _ordered(evals: np.ndarray, vecs: np.ndarray) -> list[tuple[float, np.ndarra
     positive); eigenvalues equal to 1e-9 are ordered by the flat index of
     that component.
     """
-    import numpy as np
-
-    from .states import fix_phase
-
     fix_phase(vecs)
     lead = np.argmax(np.abs(vecs) > 1e-9, axis=1)
     order = np.lexsort((lead, -np.round(evals / 1e-9)))
@@ -120,10 +72,6 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     calls this only for a 1-RDM of rank above N; otherwise the rank-first
     path gives the occupied orbitals alone.
     """
-    import numpy as np
-
-    from .states import TAU_PSD
-
     rdm = np.asarray(rdm, dtype=complex)
     herm_dev = np.max(np.abs(rdm - rdm.conj().T))
     if herm_dev > TAU_PSD:
@@ -153,10 +101,6 @@ def _pivoted_cholesky(psi: np.ndarray) -> tuple[list[int], np.ndarray] | None:
     sector: a dense state far from rank N is refused from (N+1) d
     amplitudes.
     """
-    import numpy as np
-
-    from .states import norm
-
     d, n = len(psi), psi.ndim
     slot = psi.reshape(d, -1)
     if n > 1 and d >= 2 * n - 1:
@@ -184,10 +128,6 @@ def detect_emergent_particles(
     state: LabeledState, sector: ExchangeSector
 ) -> EmergenceReport:
     """Classify a sector state and extract its defining one-particle states."""
-    import numpy as np
-
-    from . import exchange
-
     projected = exchange._sector_projection(state, sector)
     if projected is None:
         raise ValueError(f"state is not in the {sector.value} sector")
@@ -240,26 +180,6 @@ def detect_emergent_particles(
     return EmergenceReport(_decomposed(occupations), defining, fidelity, spectrum)
 
 
-def occupation_report(occ: OccupationState) -> EmergenceReport:
-    """The report of detect_emergent_particles on an occupation state, in closed form.
-
-    The defining states are the occupied modes m, ordered by (-n_m, m); the
-    natural spectrum is n_m / N in that order, then a 0 per empty mode; the
-    fidelity is exactly 1.  No labeled state is built.
-    """
-    n = occ.total
-    if n == 0:
-        raise ValueError(VACUUM)
-    occupied = sorted(
-        ((m, n_m) for m, n_m in enumerate(occ.occupations) if n_m), key=lambda t: -t[1]
-    )
-    spectrum = [n_m / n for _, n_m in occupied]
-    spectrum += [0.0] * (occ.n_modes - len(occupied))
-    return EmergenceReport(
-        _decomposed(n_m for _, n_m in occupied), occupied, 1.0, spectrum
-    )
-
-
 def slater_rank_two_fermions(state: LabeledState) -> int:
     """Number of antisymmetrized product terms needed for a two-fermion state.
 
@@ -286,11 +206,6 @@ def slater_rank_two_fermions(state: LabeledState) -> int:
     An antisymmetric w of odd d is singular and skips the certificate; it,
     and a Cholesky that fails, leave the count to the full SVD.
     """
-    import numpy as np
-
-    from . import exchange
-    from .states import norm
-
     if state.n_slots != 2:
         raise ValueError("Slater rank is defined here for two-slot states only")
     if not exchange.is_in_sector(state, ExchangeSector.ANTISYMMETRIC):
@@ -337,10 +252,6 @@ def genidentity_track(
     Orthogonality is preserved, so each state keeps tracing out its own
     distinguishable path.
     """
-    import numpy as np
-
-    from .states import TAU_ORTH, check_unitary
-
     vecs = [np.asarray(v, dtype=complex) for v in initial_states]
     if not vecs:
         return []

@@ -1,17 +1,18 @@
-"""The label-free formalism: occupation-number states and their symbols.
+"""The Fock bridge: occupation-number states to and from labeled sector states.
 
-Occupation vectors play the role of quasi-cardinals; the symbol grammar is
-`f_{` (token)* `}` with token = `e<positive integer>` (the Unicode epsilon
-form is accepted on input).  The maps to and from labeled sector states are
-isometries onto the symmetric/antisymmetric sector bases.  Both directions
-work on the orbit table of exchange.orbit_table.  FockVector validates a
-Fock vector's occupations as one integer matrix (one row per term), read in
-one call, never one occupation at a time.  Sector membership also comes
-from the table: labeled_to_fock spreads its Fock coefficients back over it,
-P psi = amp * c, and applies the membership rule of exchange.is_in_sector
-to that, so the bridge runs no coset projector.  The table of each
-(d, N, sector) is built once and then shared, read-only, by every call of
-either direction and by occupation_to_labeled.
+The occupation level itself (OccupationState, the symbol grammar and
+replace_indistinguishable) is numpy-free and lives in `counting`; this
+module binds those names too.  The maps to and from labeled sector states
+are isometries onto the symmetric/antisymmetric sector bases.  Both
+directions work on the orbit table of exchange.orbit_table.  FockVector
+validates a Fock vector's occupations as one integer matrix (one row per
+term), read in one call, never one occupation at a time.  Sector
+membership also comes from the table: labeled_to_fock spreads its Fock
+coefficients back over it, P psi = amp * c, and applies the membership
+rule of exchange.is_in_sector to that, so the bridge runs no coset
+projector.  The table of each (d, N, sector) is built once and then
+shared, read-only, by every call of either direction and by
+occupation_to_labeled.
 
 A FockVector is held as read-only arrays beside its fields: its mode count,
 its coefficients, and each term's occupation either as an int64 row or as
@@ -30,59 +31,30 @@ FockVector has validated, so they hold the invariants that FockVector and
 LabeledState check.  They are built by the private _trusted constructors,
 which check nothing, and each of the three functions says why its result
 is valid.  A caller's FockVector or LabeledState is always validated.
-
-Symbols and occupation states need only the standard library: numpy,
-`exchange` and `states` are imported inside the functions that use them,
-so parsing a symbol (and the CLI's symbol `analyze`) never imports numpy.
-They name the package absolutely: a relative one resolves it on every call
-(about 4% of a Fock round trip).
 """
 
 from __future__ import annotations
 
-import itertools
-import re
-import struct
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .counting import ExchangeSector, _set, _Value
+import numpy as np
+
+from . import exchange, states
+from .counting import (
+    _NEGATIVE,
+    _PAULI,
+    ExchangeSector,
+    OccupationState,
+    _pack_occupations,
+    _set,
+    _Value,
+    format_symbol,
+    parse_symbol,
+    replace_indistinguishable,
+    symbol_modes,
+)
 from .errors import VACUUM
-
-_SYMBOL_RE = re.compile(r"^f_\{((?:e[0-9]+)*)\}$")
-_TOKEN_RE = re.compile(r"e([0-9]+)")
-_SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
-_NEGATIVE = "occupations must be non-negative"
-_PAULI = "antisymmetric occupations cannot exceed 1"
-
-
-class OccupationState(_Value):
-    """Per-mode occupation numbers, a tuple of 64-bit integers, in a fixed exchange sector."""
-
-    __slots__ = __match_args__ = ("occupations", "sector")
-    occupations: tuple[int, ...]
-    sector: ExchangeSector
-
-    def __init__(self, occupations: tuple[int, ...], sector: ExchangeSector):
-        occupations = tuple(occupations)
-        _pack_occupations([occupations], len(occupations))
-        if any(n < 0 for n in occupations):
-            raise ValueError(_NEGATIVE)
-        if sector is ExchangeSector.ANTISYMMETRIC and any(n > 1 for n in occupations):
-            raise ValueError(_PAULI)
-        _set(self, "occupations", occupations)
-        _set(self, "sector", sector)
-
-    def _fields(self) -> tuple:
-        return self.occupations, self.sector
-
-    @property
-    def total(self) -> int:
-        return sum(self.occupations)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.occupations)
 
 
 class FockVector(_Value):
@@ -103,7 +75,6 @@ class FockVector(_Value):
     _flat and _values (see _trusted).  So a vector has no __slots__: it keeps
     its fields and these forms in its instance dict.
     """
-
     __match_args__ = ("terms", "sector", "total_number")
     terms: Mapping[tuple[int, ...], complex]
     sector: ExchangeSector
@@ -116,10 +87,6 @@ class FockVector(_Value):
         self.__post_init__()
 
     def __post_init__(self):
-        import numpy as np
-
-        import identicals.states as states
-
         _set(self, "terms", MappingProxyType(dict(self.terms)))
         keys = list(self.terms)
         widths = set(map(len, keys))
@@ -149,10 +116,6 @@ class FockVector(_Value):
 
     def __getattr__(self, name: str):
         # reached only for an attribute the vector does not hold: derive a form once
-        import numpy as np
-
-        import identicals.exchange as exchange
-
         if name == "terms":
             # tolist gives Python ints and complexes, so every key is a tuple of ints
             value = MappingProxyType(dict(zip(map(tuple, self._occ.tolist()), self._values.tolist())))
@@ -201,57 +164,10 @@ class FockVector(_Value):
         return fv
 
 
-def _pack_occupations(keys: list, width: int) -> bytes:
-    """The occupation keys packed as 64-bit integers, width per key, in one call.
-
-    Every entry must be an integer that fits in 64 bits: an int, a bool or
-    anything with __index__.  A float is refused even when it is integral,
-    since reading it as an integer would truncate 2.5 to 2 without a word.
-    ValueError names the first occupation that breaks this.
-    """
-    try:
-        return struct.pack(f"{len(keys) * width}q", *itertools.chain.from_iterable(keys))
-    except struct.error:
-        for key in keys:
-            try:
-                struct.pack(f"{len(key)}q", *key)
-            except struct.error:
-                raise ValueError(f"occupation {key} must hold 64-bit integers") from None
-        raise
-
-
 def _occupation_matrix(keys: list, width: int) -> np.ndarray:
     """The occupation keys as one int64 matrix, one row per key (see _pack_occupations)."""
-    import numpy as np
 
     return np.frombuffer(_pack_occupations(keys, width), np.int64).reshape(len(keys), width)
-
-
-def symbol_modes(text: str) -> list[int]:
-    """The 1-based mode index of every token of a symbol, in order."""
-    normalized = text.replace("ε", "e").translate(_SUBSCRIPT_DIGITS)
-    m = _SYMBOL_RE.match(normalized)
-    if m is None:
-        raise ValueError(f"malformed symbol: {text!r}")
-    return [int(tok) for tok in _TOKEN_RE.findall(m.group(1))]
-
-
-def parse_symbol(
-    text: str, d: int, sector: ExchangeSector = ExchangeSector.SYMMETRIC
-) -> OccupationState:
-    """Parse a quasi-function symbol like f_{e1e1e2} into an occupation state."""
-    occ = [0] * d
-    for i in symbol_modes(text):
-        if not 1 <= i <= d:
-            raise ValueError(f"mode index {i} out of range 1..{d}")
-        occ[i - 1] += 1
-    return OccupationState(tuple(occ), sector)
-
-
-def format_symbol(occ: OccupationState) -> str:
-    """Canonical symbol text: modes ascending, each repeated by its occupation."""
-    body = "".join(f"e{i + 1}" * n for i, n in enumerate(occ.occupations))
-    return f"f_{{{body}}}"
 
 
 def _check_modes(width: int, n: int, basis: OneParticleBasis) -> None:
@@ -269,8 +185,6 @@ def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
     occupation lists a row's n slots in order: slot s holds the first mode
     whose running occupation exceeds s.
     """
-    import numpy as np
-
     mode_of_entry = np.tile(np.arange(d), len(occ))
     modes = np.repeat(mode_of_entry, occ.ravel()).reshape(len(occ), n)
     return np.ravel_multi_index(tuple(modes.T), (d,) * n)
@@ -281,8 +195,6 @@ def _bin_sums(bins: np.ndarray, amp: np.ndarray, psi: np.ndarray, size: int) -> 
 
     One contiguous bincount each for the real and the imaginary part.
     """
-    import numpy as np
-
     # the bits of bincount(bins, w.real) + 1j * bincount(bins, w.imag), w = amp * psi:
     # bincount starts each bin at +0.0, so no sum is -0.0, and that assembly
     # only adds +-0 to the sums; w's parts differ from these weights only in
@@ -307,11 +219,6 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
     exists, since OccupationState has checked signs and Pauli and
     _check_modes the width and the vacuum.
     """
-    import numpy as np
-
-    import identicals.exchange as exchange
-    import identicals.states as states
-
     n, d = occ.total, basis.dim
     _check_modes(occ.n_modes, n, basis)
     cls, amp, _ = exchange._orbit_entry(d, n, occ.sector).tables
@@ -342,11 +249,6 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     TAU_NORM and rounding carries the coefficients' norm past it, they are
     divided by that norm, so every result obeys the unit-norm rule.
     """
-    import numpy as np
-
-    import identicals.exchange as exchange
-    import identicals.states as states
-
     n, d = state.n_slots, state.basis.dim
     cls, amp, first = exchange._orbit_entry(d, n, sector).tables
     psi = state.amplitudes
@@ -387,11 +289,6 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     checked the coefficients and its arrays are read-only, and their norm is
     within TAU_NORM of 1, or 1 within rounding once divided.
     """
-    import numpy as np
-
-    import identicals.exchange as exchange
-    import identicals.states as states
-
     n = fv.total_number
     _check_modes(fv._modes, n, basis)
     cls, amp, classes = exchange._orbit_entry(basis.dim, n, fv.sector).tables
@@ -403,20 +300,3 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     if states.off_unit_norm(length):
         amps = amps / length
     return states.LabeledState._trusted(n, basis, amps)
-
-
-def replace_indistinguishable(occ: OccupationState, mode: int) -> OccupationState:
-    """Remove one unit from a mode (1-based), then put one of the same kind back.
-
-    The result is identical to the input: replacing an excitation by an
-    indistinguishable one changes nothing at the occupation level.
-    """
-    if not 1 <= mode <= occ.n_modes:
-        raise ValueError(f"mode {mode} out of range 1..{occ.n_modes}")
-    if occ.occupations[mode - 1] < 1:
-        raise ValueError(f"mode {mode} is empty; nothing to remove")
-    lowered = list(occ.occupations)
-    lowered[mode - 1] -= 1
-    raised = list(lowered)
-    raised[mode - 1] += 1
-    return OccupationState(tuple(raised), occ.sector)

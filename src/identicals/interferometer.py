@@ -410,10 +410,14 @@ def joint_spatial_density(
     rho = [ |psi_S(x1) psi_N(x2)|^2 + |psi_S(x2) psi_N(x1)|^2
             - 2 Re(psi_S(x1) psi_N(x2) psi_S(x2)* psi_N(x1)*) ] * norm,
     normalized so the density integrates to 1 even for overlapping packets.
+    The integral is checked before cross_term_max divides by max rho, so a
+    grid on which rho vanishes is refused without a floating-point warning.
     """
     check_dense_dim(n_points, 2)
     if n_points < 2:
         raise ValueError("need at least two grid points per axis")
+    if not math.isfinite(x_max - x_min):
+        raise ValueError(f"grid [{x_min!r}, {x_max!r}]: x_max - x_min is not finite")
     ovl = packet_overlap(packet_s, packet_n)
     if math.sqrt(max(2.0 - 2.0 * ovl.real, 0.0)) < 1e-6:
         raise ValueError("identical packets: antisymmetrization annihilates the state")
@@ -428,14 +432,14 @@ def joint_spatial_density(
     norm = 0.5 / (1.0 - abs(ovl) ** 2)
     values = (direct - cross) * norm
 
-    grid = DensityGrid(
-        x=x,
-        values=values,
-        cross_term_max=float(np.max(np.abs(cross)) * norm / np.max(values)),
-    )
-    integral = grid.integral()
+    integral = DensityGrid(x=x, values=values, cross_term_max=math.nan).integral()
     if not abs(integral - 1.0) <= TAU_GRID:  # NaN fails too
         raise ValueError(
             f"grid too coarse or too narrow: density integrates to {integral!r}"
         )
-    return grid
+    # an integral near 1 leaves max rho > 0
+    return DensityGrid(
+        x=x,
+        values=values,
+        cross_term_max=float(np.max(np.abs(cross)) * norm / np.max(values)),
+    )

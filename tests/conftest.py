@@ -94,3 +94,33 @@ def entry_bytes(entry):
     if entry.basis is not None:
         total += basis_charge(entry.basis)
     return total
+
+
+#: density configs whose grid holds no density: (packet_s, packet_n, grid) by id
+EMPTY_DENSITY_GRIDS = {
+    "packet_off_the_grid": (
+        {"center": 0.0, "width": 1.0},
+        {"center": 1000.0, "width": 1.0},
+        {"x_min": -6.0, "x_max": 16.0, "n_points": 96},
+    ),
+    "packets_narrower_than_the_spacing": (
+        {"center": 0.1, "width": 0.001},
+        {"center": 10.1, "width": 0.001},
+        {"x_min": -6.0, "x_max": 16.0, "n_points": 12},
+    ),
+    "one_point_grid": (
+        {"center": 0.0, "width": 1.0},
+        {"center": 10.0, "width": 1.0},
+        {"x_min": 5.0, "x_max": 5.0, "n_points": 16},
+    ),
+    "grid_of_span_2e300": (
+        {"center": 0.0, "width": 1.0},
+        {"center": 10.0, "width": 1.0},
+        {"x_min": -1e300, "x_max": 1e300, "n_points": 16},
+    ),
+    "grid_of_infinite_span": (
+        {"center": 0.0, "width": 1.0},
+        {"center": 10.0, "width": 1.0},
+        {"x_min": -1e308, "x_max": 1e308, "n_points": 16},
+    ),
+}

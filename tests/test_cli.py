@@ -8,6 +8,8 @@ import pytest
 
 from identicals import cli
 
+from conftest import EMPTY_DENSITY_GRIDS
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden"
@@ -265,6 +267,23 @@ class TestExitCodes:
         assert "RuntimeWarning" not in result.stderr
         assert "GaussianPacket(center=0.0, width=1.0, phase_velocity=1e+308)" in result.stderr
         assert "grid too coarse" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", EMPTY_DENSITY_GRIDS)
+    def test_a_grid_without_density_exits_4_with_one_line(self, tmp_path, case):
+        # rho vanishes on every point: the integral check refuses the grid
+        # before cross_term_max divides by max rho, so numpy prints no warning
+        packet_s, packet_n, grid = EMPTY_DENSITY_GRIDS[case]
+        out = tmp_path / "out.csv"
+        config = write_config(
+            tmp_path,
+            {"packet_s": packet_s, "packet_n": packet_n, "grid": grid, "output": str(out)},
+        )
+        result = run_cli("density", "--config", config)
+        assert result.returncode == 4
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("domain error:")
         assert not out.exists()
 
     def test_density_grid_over_the_cap_exits_3_quickly(self, tmp_path, capsys):

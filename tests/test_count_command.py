@@ -481,8 +481,12 @@ def test_star_import_and_dir_show_the_same_public_names():
     assert public <= set(dir(identicals))
 
 
-#: the dense modules a `basis` child must not load: its rows come from counting alone
-DENSE_MODULES = ["identicals.exchange", "identicals.fock", "identicals.states"]
+#: the numpy modules of the package, which a `count`, `basis` or symbol `analyze`
+#: child must not load: their reports come from counting alone
+DENSE_MODULES = [
+    "identicals.emergence", "identicals.exchange", "identicals.fock",
+    "identicals.interferometer", "identicals.states",
+]
 #: standard modules a `count`, `basis` or symbol `analyze` child must not load: the
 #: package declares no dataclass, and dataclasses imports the rest
 HEAVY_STDLIB = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy"]
@@ -513,8 +517,7 @@ def test_runs_without_numpy(tmp_path, command, config, fmt):
         tmp_path, command, config, "--format", fmt
     )
     assert numpy_modules == []
-    if command == "basis":
-        assert dense_modules == []
+    assert dense_modules == []
     assert heavy_modules == []
 
 
@@ -540,18 +543,55 @@ def test_numpy_commands_load_no_dataclasses(tmp_path, command, config):
 
 
 def test_the_seven_modules_load_no_dataclasses_and_emergence_no_fock():
+    # emergence imports the occupation level from counting and the dense
+    # kernels from states and exchange, and nothing of fock
     code = (
         "import sys\n"
         "absent = 'dataclasses' not in sys.modules\n"
         "import identicals.emergence\n"
-        "print('identicals.fock' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('identicals')))\n"
         f"for name in {SEVEN_MODULES!r}:\n"
         "    __import__('identicals.' + name)\n"
         "print(absent and 'dataclasses' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["False", "False"]
+    loaded, dataclasses_loaded = result.stdout.splitlines()
+    assert ast.literal_eval(loaded) == [
+        "identicals", "identicals.counting", "identicals.emergence", "identicals.errors",
+        "identicals.exchange", "identicals.states",
+    ]
+    assert dataclasses_loaded == "False"
+
+
+def test_only_the_cli_imports_inside_a_function():
+    # the numpy-free modules are numpy-free as wholes: no module but the CLI
+    # defers an import to the function that needs it
+    nested = {}
+    for path in sorted(pathlib.Path(identicals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested[path.name] = [
+            node.lineno
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+    assert nested.pop("cli.py"), "the scan finds the CLI's per-command imports"
+    assert {name: lines for name, lines in nested.items() if lines} == {}
+
+
+def test_counting_imports_no_numpy():
+    code = (
+        "import sys\n"
+        "import identicals.counting\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('identicals', 'numpy')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert ast.literal_eval(result.stdout) == [
+        "identicals", "identicals.counting", "identicals.errors",
+    ]
 
 
 def child_modules(tmp_path, command, config, *args):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from identicals import (
 )
 from identicals.emergence import TAU_FID
 
-from conftest import random_sector_state
+from conftest import EMPTY_DENSITY_GRIDS, random_sector_state
 
 ANTI = ExchangeSector.ANTISYMMETRIC
 SQ2 = math.sqrt(2)
@@ -496,6 +497,19 @@ class TestDensityGuards:
         with pytest.raises(ValueError, match="packet parameters") as info:
             joint_spatial_density(packet, GaussianPacket(10.0, 1.0), -6.0, 16.0, 64)
         assert repr(packet) in str(info.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", EMPTY_DENSITY_GRIDS)
+    def test_a_grid_without_density_is_a_value_error_without_a_warning(self, case):
+        packet_s, packet_n, grid = EMPTY_DENSITY_GRIDS[case]
+        if case == "grid_of_infinite_span":
+            message = f"grid [{grid['x_min']!r}, {grid['x_max']!r}]: x_max - x_min is not finite"
+        else:
+            message = "grid too coarse or too narrow: density integrates to 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            joint_spatial_density(
+                GaussianPacket(**packet_s), GaussianPacket(**packet_n), **grid
+            )
 
     def test_non_finite_amplitudes_are_a_value_error_naming_the_packet(self):
         packet = GaussianPacket(0.0, 1.0, 1e308)

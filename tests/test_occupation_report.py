@@ -7,10 +7,12 @@ form must match byte for byte.
 
 import itertools
 import json
+import pickle
 import time
 
 import pytest
 
+import identicals
 from identicals import cli, counting, emergence, errors, exchange, fock, states
 from identicals.emergence import Verdict, occupation_report
 from identicals.fock import OccupationState, occupation_to_labeled, parse_symbol
@@ -122,13 +124,77 @@ def test_the_report_of_the_vacuum_is_the_labeled_path_error():
         occupation_to_labeled(OccupationState((0, 0), SYM), OneParticleBasis.default(2))
 
 
+#: the occupation level each dense module binds, defined in counting
+OCCUPATION_LEVEL = {
+    fock: [
+        "OccupationState", "format_symbol", "parse_symbol", "replace_indistinguishable",
+        "symbol_modes",
+    ],
+    emergence: ["EmergenceReport", "Verdict", "occupation_report"],
+}
+
+
 def test_moved_names_are_re_exported_as_the_same_objects():
     assert exchange.ExchangeSector is counting.ExchangeSector
     assert fock.ExchangeSector is counting.ExchangeSector
+    for module, names in OCCUPATION_LEVEL.items():
+        for name in names:
+            assert getattr(module, name) is getattr(counting, name), (module, name)
+            if name in identicals.__all__:
+                assert getattr(identicals, name) is getattr(counting, name), name
     for name in ("MAX_DIM", "MAX_SLOTS", "check_dense_dim"):
         assert getattr(states, name) is getattr(errors, name)
     assert exchange.MAX_DIM is errors.MAX_DIM
     assert exchange.check_dense_dim is errors.check_dense_dim
+
+
+#: pickles written before the occupation level moved into counting, when
+#: these classes were identicals.fock.OccupationState and identicals.emergence.*
+PARENT_PICKLES = {
+    "OccupationState-protocol0": (
+        OccupationState((2, 0, 1), SYM),
+        b"cidenticals.fock\nOccupationState\np0\n((I2\nI0\nI1\ntp1\ncidenticals.counting\n"
+        b"ExchangeSector\np2\n(Vsymmetric\np3\ntp4\nRp5\ntp6\nRp7\n.",
+    ),
+    "OccupationState-protocol4": (
+        OccupationState((2, 0, 1), SYM),
+        b"\x80\x04\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x0fidenticals.fock\x94\x8c\x0f"
+        b"OccupationState\x94\x93\x94K\x02K\x00K\x01\x87\x94\x8c\x13identicals.counting"
+        b"\x94\x8c\x0eExchangeSector\x94\x93\x94\x8c\tsymmetric\x94\x85\x94R\x94\x86\x94R"
+        b"\x94.",
+    ),
+    "EmergenceReport-protocol0": (
+        occupation_report(OccupationState((2, 0, 1), SYM)),
+        b"cidenticals.emergence\nEmergenceReport\np0\n(cidenticals.emergence\nVerdict\np1\n"
+        b"(VCONDENSED_OBJECT\np2\ntp3\nRp4\n(lp5\n(I0\nI2\ntp6\na(I2\nI1\ntp7\naF1.0\n"
+        b"(lp8\nF0.6666666666666666\naF0.3333333333333333\naF0.0\natp9\nRp10\n.",
+    ),
+    "EmergenceReport-protocol4": (
+        occupation_report(OccupationState((2, 0, 1), SYM)),
+        b"\x80\x04\x95\x8e\x00\x00\x00\x00\x00\x00\x00\x8c\x14identicals.emergence\x94"
+        b"\x8c\x0fEmergenceReport\x94\x93\x94(h\x00\x8c\x07Verdict\x94\x93\x94\x8c\x10"
+        b"CONDENSED_OBJECT\x94\x85\x94R\x94]\x94(K\x00K\x02\x86\x94K\x02K\x01\x86\x94eG?"
+        b"\xf0\x00\x00\x00\x00\x00\x00]\x94(G?\xe5UUUUUUG?\xd5UUUUUUG\x00\x00\x00\x00"
+        b"\x00\x00\x00\x00et\x94R\x94.",
+    ),
+    "Verdict-protocol0": (
+        Verdict.PARTICLE_DECOMPOSITION,
+        b"cidenticals.emergence\nVerdict\np0\n(VPARTICLE_DECOMPOSITION\np1\ntp2\nRp3\n.",
+    ),
+    "Verdict-protocol4": (
+        Verdict.PARTICLE_DECOMPOSITION,
+        b"\x80\x04\x95A\x00\x00\x00\x00\x00\x00\x00\x8c\x14identicals.emergence\x94\x8c"
+        b"\x07Verdict\x94\x93\x94\x8c\x16PARTICLE_DECOMPOSITION\x94\x85\x94R\x94.",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARENT_PICKLES)
+def test_pickles_naming_the_old_modules_still_load(case):
+    value, data = PARENT_PICKLES[case]
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(value)
+    assert loaded == value
 
 
 def test_a_symbol_with_4096_modes_is_analyzed_in_under_a_second(tmp_path, capsys):
