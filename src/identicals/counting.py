@@ -560,14 +560,14 @@ class EmergenceReport(_Value):
 
     __slots__ = __match_args__ = ("verdict", "defining_states", "fidelity", "natural_spectrum")
     verdict: Verdict
-    defining_states: list[tuple[np.ndarray | int, int]]
+    defining_states: list[tuple[object, int]]
     fidelity: float
     natural_spectrum: list[float]
 
     def __init__(
         self,
         verdict: Verdict,
-        defining_states: list[tuple[np.ndarray | int, int]] = list,
+        defining_states: list[tuple[object, int]] = list,
         fidelity: float = 0.0,
         natural_spectrum: list[float] = list,
     ):

@@ -70,11 +70,15 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     (first significant component real positive); degenerate eigenvalues are
     ordered by the flat index of that component.  detect_emergent_particles
     calls this only for a 1-RDM of rank above N; otherwise the rank-first
-    path gives the occupied orbitals alone.
+    path gives the occupied orbitals alone.  A non-finite entry is refused
+    before the Hermiticity check; a deviation that overflows is refused by it.
     """
     rdm = np.asarray(rdm, dtype=complex)
-    herm_dev = np.max(np.abs(rdm - rdm.conj().T))
-    if herm_dev > TAU_PSD:
+    if not np.isfinite(rdm).all():
+        raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore"):
+        herm_dev = np.max(np.abs(rdm - rdm.conj().T))
+    if not herm_dev <= TAU_PSD:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3g})")
     evals, evecs = np.linalg.eigh(rdm)
     return _ordered(evals[::-1], evecs.T[::-1])
@@ -250,15 +254,19 @@ def genidentity_track(
     """Transport pairwise orthogonal one-particle states through a unitary.
 
     Orthogonality is preserved, so each state keeps tracing out its own
-    distinguishable path.
+    distinguishable path.  A state with an entry that is not finite is
+    refused before the orthogonality check.
     """
     vecs = [np.asarray(v, dtype=complex) for v in initial_states]
     if not vecs:
         return []
     d = vecs[0].shape[0]
+    for i, v in enumerate(vecs):
+        if not np.isfinite(v).all():
+            raise ValueError(f"state {i} has an entry that is not finite")
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if abs(np.vdot(vecs[i], vecs[j])) > TAU_ORTH:
+            if not abs(np.vdot(vecs[i], vecs[j])) <= TAU_ORTH:
                 raise ValueError(f"states {i} and {j} are not orthogonal")
     u = check_unitary(u, d)
     return [u @ v for v in vecs]

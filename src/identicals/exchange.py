@@ -121,81 +121,47 @@ def symmetrized_product(
     return LabeledState(product.n_slots, basis, raw.reshape(-1))
 
 
-#: bytes of orbit tables, and of the sector bases kept with them, that
-#: orbit_table keeps for reuse; a table larger than this is built and
-#: returned but not kept, and so is a basis that would not fit beside its table
+#: bytes of orbit tables and sector bases that the cache keeps for reuse,
+#: each an entry of its own; one charged more than this is returned but not kept
 ORBIT_CACHE_BYTES = 32 * 2 ** 20
 
 
-class _OrbitEntry:
-    """One (d, N, sector) orbit table and the sector basis kept with it.
-
-    basis is None, or the one tuple of states that sector_basis stored; it
-    is not changed again once set.  nbytes counts the three arrays and the
-    charge of the basis.
-    """
-
-    __slots__ = ("key", "tables", "basis", "nbytes")
-
-    def __init__(self, key: tuple, tables: tuple[np.ndarray, ...]):
-        self.key = key
-        self.tables = tables
-        self.basis = None
-        self.nbytes = sum(a.nbytes for a in tables)
-
-
 class _TableCache:
-    """Least-recently-used orbit tables with their bases and a running byte total.
+    """A least-recently-used map of key -> (value, charge), with a running byte total.
 
-    The lock keeps the byte total exact when threads miss on the same key
-    at once (each builds the table, only the first one stored is kept) and
-    when they store a basis at once (each builds it, only the first is kept).
+    nbytes is the sum of the charges of the kept entries.  The lock keeps it
+    exact when threads miss on the same key at once: each builds the value,
+    only the first one stored is kept.
     """
 
     def __init__(self):
-        self.tables: OrderedDict[tuple, _OrbitEntry] = OrderedDict()
+        self.tables: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         self.nbytes = 0
         self.lock = threading.Lock()
 
-    def get(self, key) -> _OrbitEntry | None:
+    def get(self, key):
+        """The value kept under key, now the most recently used, or None."""
         with self.lock:
-            entry = self.tables.get(key)
-            if entry is not None:
-                self.tables.move_to_end(key)
-            return entry
+            held = self.tables.get(key)
+            if held is None:
+                return None
+            self.tables.move_to_end(key)
+            return held[0]
 
-    def put(self, entry: _OrbitEntry) -> None:
-        with self.lock:
-            if entry.nbytes > ORBIT_CACHE_BYTES or entry.key in self.tables:
-                return
-            self.tables[entry.key] = entry
-            self.nbytes += entry.nbytes
-            self._evict()
+    def put(self, key, value, charge: int) -> None:
+        """Keep value under key, charged charge bytes; the least recently used go first.
 
-    def attach(self, entry: _OrbitEntry, basis: tuple, nbytes: int) -> None:
-        """Store a basis of nbytes with a kept entry that holds none.
-
-        Nothing is stored if the entry is no longer kept, already holds a
-        basis, or with it would exceed the budget; otherwise the entry
-        becomes the most recently used and LRU entries go first.
+        Nothing is stored if the key is already kept (the first value stored
+        wins) or if charge alone exceeds ORBIT_CACHE_BYTES.
         """
         with self.lock:
-            if (
-                self.tables.get(entry.key) is not entry
-                or entry.basis is not None
-                or entry.nbytes + nbytes > ORBIT_CACHE_BYTES
-            ):
+            if charge > ORBIT_CACHE_BYTES or key in self.tables:
                 return
-            entry.basis = basis
-            entry.nbytes += nbytes
-            self.nbytes += nbytes
-            self.tables.move_to_end(entry.key)
-            self._evict()
-
-    def _evict(self) -> None:
-        while self.nbytes > ORBIT_CACHE_BYTES:
-            _, old = self.tables.popitem(last=False)
-            self.nbytes -= old.nbytes
+            self.tables[key] = value, charge
+            self.nbytes += charge
+            while self.nbytes > ORBIT_CACHE_BYTES:
+                _, (_, old) = self.tables.popitem(last=False)
+                self.nbytes -= old
 
 
 _orbit_tables = _TableCache()
@@ -217,32 +183,21 @@ def orbit_table(
     and np.unravel_index(first, (d,) * n) lists each class's modes.
 
     The dense cap (check_dense_dim) is checked before the cache is read.
-    Each (d, n, sector) table is built once and kept read-only, so every
-    caller shares the same three arrays.  The first sector_basis call on a
-    kept table adds its basis, if it fits.  Tables and bases together hold
-    at most ORBIT_CACHE_BYTES; the least recently used tables, with their
-    bases, are dropped first, and a table larger than the whole budget is
-    returned without being kept.
-    """
-    return _orbit_entry(d, n, sector).tables
-
-
-def _orbit_entry(d: int, n: int, sector: ExchangeSector) -> _OrbitEntry:
-    """orbit_table's cache entry: the three arrays and the basis kept with them.
-
-    An entry that is not kept (over the budget, or built by a thread that
-    lost the race to store it) still works: it never takes a basis.
+    Each (d, n, sector) table is built once and kept read-only under that
+    key, charged the bytes of its arrays, so every caller shares the same
+    three arrays.  The cache is one least-recently-used map of at most
+    ORBIT_CACHE_BYTES, shared with sector_basis; a table larger than the
+    whole budget is returned without being kept.
     """
     check_dense_dim(d, n)
     key = (d, n, sector)
-    entry = _orbit_tables.get(key)
-    if entry is None:
+    tables = _orbit_tables.get(key)
+    if tables is None:
         tables = _build_orbit_table(d, n, sector)
         for a in tables:
             a.setflags(write=False)
-        entry = _OrbitEntry(key, tables)
-        _orbit_tables.put(entry)
-    return entry
+        _orbit_tables.put(key, tables, sum(a.nbytes for a in tables))
+    return tables
 
 
 def _occupation_rows(first: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -316,10 +271,12 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     before any row is taken, and each vector is a read-only view of its row;
     the array is never copied.
 
-    The first call on a kept orbit table keeps its states with the table
-    (_OrbitEntry.basis), charged _basis_bytes against ORBIT_CACHE_BYTES and
-    dropped with it; a basis that would not fit beside the table is returned
-    but not kept.  Later calls return a new list of the same state objects.
+    The states are kept as a tuple in orbit_table's cache under a key of
+    their own, ("basis", d, n, sector), charged _basis_bytes.  A basis is an
+    entry like a table: it is kept when its charge alone fits
+    ORBIT_CACHE_BYTES, and it leaves at its own least-recently-used
+    position, not with its table.  A warm call reads neither the table nor
+    the array and returns a new list of the same state objects.
 
     The CLI's `basis` report uses a numpy-free twin, counting.basis_rows,
     which shares no code with this function;
@@ -338,17 +295,17 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
         )
     if count == 0:
         return []
-    entry = _orbit_entry(d, n, sector)
-    states = entry.basis
+    key = ("basis", d, n, sector)
+    states = _orbit_tables.get(key)
     if states is None:
-        cls, amp, _ = entry.tables
+        cls, amp, _ = orbit_table(d, n, sector)
         (member,) = np.nonzero(cls >= 0)
         vectors = np.zeros((count, d ** n), dtype=complex)
         vectors[cls[member], member] = amp[member]
         vectors.setflags(write=False)
         basis = OneParticleBasis.default(d)
         states = tuple(LabeledState._trusted(n, basis, v) for v in vectors)
-        _orbit_tables.attach(entry, states, _basis_bytes(states))
+        _orbit_tables.put(key, states, _basis_bytes(states))
     return list(states)
 
 

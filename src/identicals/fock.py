@@ -221,7 +221,7 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
     """
     n, d = occ.total, basis.dim
     _check_modes(occ.n_modes, n, basis)
-    cls, amp, _ = exchange._orbit_entry(d, n, occ.sector).tables
+    cls, amp, _ = exchange.orbit_table(d, n, occ.sector)
     (k,) = cls[_sorted_tuple_index(_occupation_matrix([occ.occupations], d), n, d)]
     return states.LabeledState._trusted(n, basis, np.where(cls == k, amp, 0j))
 
@@ -250,7 +250,7 @@ def labeled_to_fock(state: LabeledState, sector: ExchangeSector) -> FockVector:
     divided by that norm, so every result obeys the unit-norm rule.
     """
     n, d = state.n_slots, state.basis.dim
-    cls, amp, first = exchange._orbit_entry(d, n, sector).tables
+    cls, amp, first = exchange.orbit_table(d, n, sector)
     psi = state.amplitudes
     # class -1 (outside the sector, zero weight) goes to bin 0
     bins = cls + 1
@@ -291,7 +291,7 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     """
     n = fv.total_number
     _check_modes(fv._modes, n, basis)
-    cls, amp, classes = exchange._orbit_entry(basis.dim, n, fv.sector).tables
+    cls, amp, classes = exchange.orbit_table(basis.dim, n, fv.sector)
     # one coefficient per class, plus a last 0 that class -1 reads
     coeffs = np.zeros(classes.size + 1, dtype=complex)
     coeffs[cls[fv._flat]] = fv._values

@@ -88,11 +88,19 @@ def basis_charge(states):
     return sum(map(sys.getsizeof, held.values()))
 
 
-def entry_bytes(entry):
-    """What an orbit-table cache entry counts: its arrays, and the charge of its basis once it has one."""
-    total = sum(a.nbytes for a in entry.tables)
-    if entry.basis is not None:
-        total += basis_charge(entry.basis)
+def cache_bytes(cache):
+    """A recount of what an orbit-table cache holds, from its (value, charge) pairs.
+
+    A table counts its arrays by nbytes; a basis, a tuple of states, counts
+    the charge recorded when it was stored, since a later getsizeof of the
+    objects it holds can drift (a OneParticleBasis built since, say).
+    """
+    total = 0
+    for value, charge in cache.tables.values():
+        if isinstance(value[0], np.ndarray):
+            total += sum(a.nbytes for a in value)
+        else:
+            total += charge
     return total
 
 

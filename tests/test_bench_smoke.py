@@ -16,7 +16,7 @@ import pytest
 
 from identicals import exchange
 
-from conftest import entry_bytes
+from conftest import cache_bytes
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 SEED = 11
@@ -49,5 +49,5 @@ def test_cycles_pass_the_benchmark_checks(monkeypatch, bench, name):
             wl.check(inp, wl.run(inp))
     if name == "fock_bridge":
         held = exchange._orbit_tables
-        total = sum(map(entry_bytes, held.tables.values()))
-        assert held.nbytes == total <= exchange.ORBIT_CACHE_BYTES
+        charges = sum(charge for _, charge in held.tables.values())
+        assert held.nbytes == charges == cache_bytes(held) <= exchange.ORBIT_CACHE_BYTES

@@ -75,6 +75,18 @@ class TestNaturalOrbitals:
         with pytest.raises(ValueError):
             natural_orbitals(np.array([[0.5, 0.1], [0.3, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)], ids=str)
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_rejects_non_finite_entries_without_a_warning(self, bad, where):
+        rdm = np.diag([0.5, 0.5]).astype(complex)
+        rdm[where] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            natural_orbitals(rdm)
+
+    def test_a_deviation_that_overflows_is_not_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian .max deviation inf"):
+            natural_orbitals(np.array([[0.5, 1e308], [-1e308, 0.5]]))
+
 
 class TestDetectEmergentParticles:
     def test_south_north_pair(self):
@@ -242,3 +254,11 @@ class TestGenidentityTrack:
         v = np.array([1, 1], dtype=complex) / math.sqrt(2)
         with pytest.raises(ValueError):
             genidentity_track([np.eye(2)[0], v], np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 1)], ids=str)
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_rejects_non_finite_states_without_a_warning(self, bad, count):
+        vecs = [np.eye(2, dtype=complex)[k] for k in range(count)]
+        vecs[-1][1] = bad
+        with pytest.raises(ValueError, match=f"state {count - 1} has an entry that is not finite"):
+            genidentity_track(vecs, np.eye(2))

@@ -5,10 +5,12 @@ formatted as `analyze` formats it) is kept here as the reference the closed
 form must match byte for byte.
 """
 
+import inspect
 import itertools
 import json
 import pickle
 import time
+import typing
 
 import pytest
 
@@ -146,6 +148,19 @@ def test_moved_names_are_re_exported_as_the_same_objects():
         assert getattr(states, name) is getattr(errors, name)
     assert exchange.MAX_DIM is errors.MAX_DIM
     assert exchange.check_dense_dim is errors.check_dense_dim
+
+
+#: every public class of the package
+PUBLIC_CLASSES = [name for name in identicals.__all__ if inspect.isclass(getattr(identicals, name))]
+
+
+@pytest.mark.parametrize("name", PUBLIC_CLASSES)
+def test_the_type_hints_of_every_public_class_resolve(name):
+    # annotations are strings (from __future__ import annotations): each name
+    # must be bound in the defining module, numpy-free ones included
+    cls = getattr(identicals, name)
+    typing.get_type_hints(cls)
+    typing.get_type_hints(cls.__init__)
 
 
 #: pickles written before the occupation level moved into counting, when

@@ -1,16 +1,24 @@
-"""exchange.orbit_table's cache: shared read-only tables and bases, the caps, the byte budget."""
+"""exchange.orbit_table's cache: shared read-only tables and bases, the caps, the byte budget.
+
+One least-recently-used map holds both: a table under (d, n, sector), a
+sector basis under ("basis", d, n, sector), each as (value, charge).
+"""
 
 import gc
 import sys
 import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identicals import (
     CapExceeded,
     ExchangeSector,
+    count_microstates,
     OneParticleBasis,
     enumerate_distributions,
     fock_to_labeled,
@@ -21,11 +29,13 @@ from identicals import (
 from identicals import errors, exchange, fock
 from identicals.exchange import orbit_table
 
-from conftest import basis_charge, entry_bytes, random_sector_state
+from conftest import basis_charge, cache_bytes, random_sector_state
 
 SYM = ExchangeSector.SYMMETRIC
 ANTI = ExchangeSector.ANTISYMMETRIC
 SIZES = [(d, n, sector) for d in range(1, 7) for n in range(1, 6) for sector in (SYM, ANTI)]
+#: a small table of a size outside SIZES
+FILLER = (7, 1, SYM)
 
 
 @pytest.fixture
@@ -38,6 +48,16 @@ def cache(monkeypatch):
 
 def table_bytes(d, n, sector):
     return sum(a.nbytes for a in orbit_table(d, n, sector))
+
+
+def basis_key(d, n, sector):
+    """The key under which sector_basis keeps the states of (d, n, sector)."""
+    return ("basis", d, n, sector)
+
+
+def value_of(cache, key):
+    """The value kept under key, read without touching the LRU order."""
+    return cache.tables[key][0]
 
 
 @pytest.mark.parametrize("sector", [SYM, ANTI])
@@ -138,9 +158,9 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
     rng = np.random.default_rng(18)
     states = {key: random_sector_state(rng, *key) for key in keys}
     bases = {key: basis_bits(sector_basis(*key)) for key in keys}
-    full = [entry_bytes(entry) for entry in cache.tables.values()]
-    # less than the three largest tables with their bases: round trips evict
-    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(sorted(full)[-3:]) - 1)
+    charges = sorted(charge for _, charge in cache.tables.values())
+    # less than the three largest entries: bases and round trips evict
+    monkeypatch.setattr(exchange, "ORBIT_CACHE_BYTES", sum(charges[-3:]) - 1)
     monkeypatch.setattr(exchange, "_orbit_tables", exchange._TableCache())
     held = exchange._orbit_tables
     errors = []
@@ -173,15 +193,14 @@ def test_threads_sharing_the_cache_keep_the_byte_total_exact(monkeypatch, cache)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # each held table counts its arrays and its basis, and a basis was stored
-    held_bytes = sum(map(entry_bytes, held.tables.values()))
-    assert held.nbytes == held_bytes <= exchange.ORBIT_CACHE_BYTES
-    assert any(e.basis is not None for e in held.tables.values())
-    for key, entry in held.tables.items():
-        assert sum(a.nbytes for a in entry.tables) == sizes[key]
-        assert entry.nbytes == entry_bytes(entry)
-        if entry.basis is not None:
-            assert basis_bits(entry.basis) == bases[key]
+    # each table is charged its arrays, each basis its recorded charge, and a basis was stored
+    assert held.nbytes == cache_bytes(held) <= exchange.ORBIT_CACHE_BYTES
+    assert any(key[0] == "basis" for key in held.tables)
+    for key, (value, charge) in held.tables.items():
+        if key[0] == "basis":
+            assert basis_bits(value) == bases[key[1:]]
+        else:
+            assert sum(a.nbytes for a in value) == sizes[key] == charge
 
 
 # ---------------------------------------------------------------- the kept sector basis
@@ -204,7 +223,7 @@ def test_a_warm_call_returns_the_same_states_in_a_new_list(cache, sector):
     warm = sector_basis(5, 3, sector)
     assert warm is not cold and warm == cold
     assert all(a is b for a, b in zip(cold, warm))
-    assert cache.tables[(5, 3, sector)].basis == tuple(cold)
+    assert value_of(cache, basis_key(5, 3, sector)) == tuple(cold)
     kept = list(warm)
     warm.reverse()
     warm.append(warm[0])
@@ -222,19 +241,21 @@ def test_bases_are_bit_identical_cold_warm_evicted_and_uncached(monkeypatch, cac
         assert d < n and sector is ANTI and cache.tables == {}
         return
     warm = sector_basis(*key)
-    entry = cache.tables[key]
-    assert entry.basis is not None and all(a is b for a, b in zip(cold, warm))
-    # room for the entry as it stands: one more table evicts it, basis and all
-    held = fresh_cache(monkeypatch, entry.nbytes)
+    assert list(cache.tables) == [key, basis_key(*key)]
+    assert all(a is b for a, b in zip(cold, warm))
+    table, charge = cache.tables[key][1], cache.tables[basis_key(*key)][1]
+    # room for the table and the basis: once the table is used again, a filler evicts the basis
+    held = fresh_cache(monkeypatch, table + charge)
     sector_basis(*key)
-    orbit_table(1, 1, SYM)
-    assert list(held.tables) == [(1, 1, SYM)]
+    orbit_table(*key)
+    orbit_table(*FILLER)
+    assert list(held.tables) == [key, FILLER]
     evicted = sector_basis(*key)
     assert not any(a is b for a, b in zip(evicted, cold))
-    # the table is kept, its basis does not fit beside it
-    held = fresh_cache(monkeypatch, table_bytes(*key))
+    # the basis alone is over the budget: its table is kept, it is not
+    held = fresh_cache(monkeypatch, charge - 1)
     no_room = sector_basis(*key)
-    assert held.tables[key].basis is None and held.nbytes == table_bytes(*key)
+    assert list(held.tables) == [key] and held.nbytes == table
     # nothing is kept
     held = fresh_cache(monkeypatch, 0)
     uncached = sector_basis(*key)
@@ -263,63 +284,59 @@ def test_the_array_behind_a_basis_is_read_only(monkeypatch, cache, warm, budget)
     assert basis_bits(sector_basis(3, 2, SYM)) == basis_bits(vectors)
 
 
-def test_charged_bytes_are_exact_within_the_budget_and_lru_drops_a_basis(monkeypatch, cache):
+def test_charged_bytes_are_exact_and_a_basis_leaves_at_its_own_lru_position(monkeypatch, cache):
     keys = [(4, 3, SYM), (4, 3, ANTI), (5, 3, SYM)]
     for key in keys:
         sector_basis(*key)
-    full = {key: entry_bytes(cache.tables[key]) for key in keys}
-    for key, entry in list(cache.tables.items()):
-        assert entry.nbytes == full[key] == table_bytes(*key) + basis_charge(entry.basis)
-    assert cache.nbytes == sum(full.values())
-    # room for the first two entries with their bases, not for all three
-    budget = full[keys[0]] + full[keys[1]] + full[keys[2]] - 1
+    tables = {key: table_bytes(*key) for key in keys}
+    bases = {key: cache.tables[basis_key(*key)][1] for key in keys}
+    for key in keys:
+        assert cache.tables[key][1] == tables[key]
+        assert bases[key] == basis_charge(value_of(cache, basis_key(*key)))
+    assert cache.nbytes == sum(tables.values()) + sum(bases.values()) == cache_bytes(cache)
+    # room for the third key's table and basis beside the first key's basis, and no more
+    budget = tables[keys[2]] + bases[keys[2]] + bases[keys[0]]
     held = fresh_cache(monkeypatch, budget)
     first = sector_basis(*keys[0])
     sector_basis(*keys[1])
-    sector_basis(*keys[0])  # keys[1] is now the least recently used
-    assert held.nbytes == full[keys[0]] + full[keys[1]] <= budget
+    sector_basis(*keys[0])  # a warm call makes its basis the most recently used, not its table
+    assert list(held.tables) == [keys[0], keys[1], basis_key(*keys[1]), basis_key(*keys[0])]
     sector_basis(*keys[2])
-    assert list(held.tables) == [keys[0], keys[2]]
-    assert held.nbytes == full[keys[0]] + full[keys[2]] <= budget
+    # the two tables and the second basis went first: the first basis outlives its table
+    assert list(held.tables) == [basis_key(*keys[0]), keys[2], basis_key(*keys[2])]
+    assert held.nbytes == budget == cache_bytes(held)
     assert all(a is b for a, b in zip(sector_basis(*keys[0]), first))
-    # the basis left with its entry: the next call builds a new one and keeps it
+    # a basis that left is built again and kept
     for key in keys + keys[::-1]:
         vectors = sector_basis(*key)
-        entry = held.tables[key]
-        assert entry.basis == tuple(vectors)
-        assert held.nbytes == sum(map(entry_bytes, held.tables.values())) <= budget
+        assert value_of(held, basis_key(*key)) == tuple(vectors)
+        assert held.nbytes == cache_bytes(held) <= budget
 
 
 @pytest.mark.parametrize("sector", [SYM, ANTI])
-def test_a_basis_that_does_not_fit_is_returned_but_not_kept(monkeypatch, cache, sector):
+def test_a_basis_over_the_budget_is_returned_but_not_kept(monkeypatch, cache, sector):
     key = (5, 3, sector)
     charge = basis_charge(tuple(sector_basis(*key)))
-    held = fresh_cache(monkeypatch, table_bytes(*key) + charge - 1)
+    table = table_bytes(*key)
+    held = fresh_cache(monkeypatch, charge - 1)
     vectors = sector_basis(*key)
-    assert len(vectors) == len(exchange.orbit_table(*key)[2])
-    assert held.tables[key].basis is None and held.nbytes == table_bytes(*key)
+    assert len(vectors) == count_microstates(sector.statistics, 3, 5)
+    assert list(held.tables) == [key] and held.nbytes == table
     assert not any(a is b for a, b in zip(sector_basis(*key), vectors))
-    # one byte more and it is kept
-    held = fresh_cache(monkeypatch, table_bytes(*key) + charge)
+    # one byte more and it is kept: its table, the least recently used, makes room
+    held = fresh_cache(monkeypatch, charge)
     vectors = sector_basis(*key)
-    assert held.tables[key].basis == tuple(vectors)
-    assert held.nbytes == table_bytes(*key) + charge == exchange.ORBIT_CACHE_BYTES
+    assert list(held.tables) == [basis_key(*key)]
+    assert value_of(held, basis_key(*key)) == tuple(vectors)
+    assert held.nbytes == charge == exchange.ORBIT_CACHE_BYTES
 
 
-def test_an_entry_no_longer_kept_takes_no_basis(monkeypatch, cache):
-    # never kept: the budget is smaller than the table
-    held = fresh_cache(monkeypatch, 0)
-    entry = exchange._orbit_entry(4, 3, SYM)
-    vectors = tuple(sector_basis(4, 3, SYM))
-    held.attach(entry, vectors, 0)
-    assert entry.basis is None and held.tables == {} and held.nbytes == 0
-    # kept, then evicted by a later table before its basis is stored
-    held = fresh_cache(monkeypatch, table_bytes(4, 3, SYM) + table_bytes(6, 3, SYM) - 1)
-    entry = exchange._orbit_entry(4, 3, SYM)
-    orbit_table(6, 3, SYM)
-    assert list(held.tables) == [(6, 3, SYM)]
-    held.attach(entry, vectors, 0)
-    assert entry.basis is None and held.nbytes == table_bytes(6, 3, SYM)
+def test_the_first_value_stored_under_a_key_is_kept(cache):
+    first, second = np.zeros(2), np.ones(3)
+    cache.put(("key",), (first,), first.nbytes)
+    cache.put(("key",), (second,), second.nbytes)
+    assert cache.get(("key",))[0] is first
+    assert cache.nbytes == first.nbytes == cache_bytes(cache)
 
 
 # ---------------------------------------------------------------- the bridge beside the cache
@@ -330,8 +347,7 @@ def test_an_entry_no_longer_kept_takes_no_basis(monkeypatch, cache):
 )
 def test_the_bridge_charges_the_cache_its_table_alone(cache, d, n, sector):
     state = random_sector_state(np.random.default_rng(10 * d + n), d, n, sector)
-    entry = exchange._orbit_entry(d, n, sector)
-    arrays = table_bytes(d, n, sector)
+    arrays = orbit_table(d, n, sector)
     fv = labeled_to_fock(state, sector)
     fock_to_labeled(fv, state.basis)
     occupation_to_labeled(fock.OccupationState(next(iter(fv.terms)), sector), state.basis)
@@ -340,9 +356,10 @@ def test_the_bridge_charges_the_cache_its_table_alone(cache, d, n, sector):
     assert fock_to_labeled(twin, state.basis).amplitudes.tobytes() == fock_to_labeled(
         fv, state.basis
     ).amplitudes.tobytes()
-    assert list(cache.tables) == [(d, n, sector)] and cache.tables[(d, n, sector)] is entry
-    assert entry.basis is None
-    assert entry.nbytes == entry_bytes(entry) == arrays == cache.nbytes
+    assert list(cache.tables) == [(d, n, sector)]
+    value, charge = cache.tables[(d, n, sector)]
+    assert value is arrays
+    assert charge == sum(a.nbytes for a in arrays) == cache_bytes(cache) == cache.nbytes
 
 
 def test_a_round_trip_keeps_every_table_that_fits(monkeypatch, cache):
@@ -359,15 +376,14 @@ def test_a_round_trip_keeps_every_table_that_fits(monkeypatch, cache):
     assert len(fv.terms) == 120
     # the round trip only makes its own table the most recently used
     assert list(held.tables) == [other, small, big]
-    assert held.nbytes == sum(map(entry_bytes, held.tables.values())) == budget
+    assert held.nbytes == cache_bytes(held) == budget
 
 
 def test_the_bridge_leaves_a_kept_basis_and_its_charge_alone(cache):
     vectors = sector_basis(4, 3, SYM)
-    entry = cache.tables[(4, 3, SYM)]
-    kept = entry.basis
-    charged = table_bytes(4, 3, SYM) + basis_charge(kept)
-    assert len(kept) == 20 and cache.nbytes == charged
+    stored = cache.tables[basis_key(4, 3, SYM)]
+    charged = table_bytes(4, 3, SYM) + basis_charge(stored[0])
+    assert len(stored[0]) == 20 and cache.nbytes == charged
     basis = OneParticleBasis.default(4)
     # each occupation's basis vector is the kept one, bit for bit, in the enumeration order
     for occ, vector in zip(enumerate_distributions(SYM.statistics, 3, 4), vectors, strict=True):
@@ -377,17 +393,17 @@ def test_the_bridge_leaves_a_kept_basis_and_its_charge_alone(cache):
     fv = labeled_to_fock(state, SYM)
     fock_to_labeled(fv, basis)
     assert len(fv.terms) == 20
-    # the charge stays the one recorded when the basis was stored
-    assert cache.tables[(4, 3, SYM)] is entry and entry.basis is kept
-    assert cache.nbytes == entry.nbytes == charged
+    # the basis and the charge stay the ones recorded when the basis was stored
+    assert cache.tables[basis_key(4, 3, SYM)] is stored
+    assert cache.nbytes == charged
 
 
 def test_a_recount_of_a_kept_basis_ignores_later_bases(cache):
     # states and bases keep their fields in __slots__: no instance dict whose size can move
     sector_basis(4, 3, SYM)
-    entry = cache.tables[(4, 3, SYM)]
+    states, charge = cache.tables[basis_key(4, 3, SYM)]
     OneParticleBasis.default(4)
-    assert entry.nbytes == entry_bytes(entry)
+    assert charge == basis_charge(states)
 
 
 def test_a_bridge_vector_outlives_the_table_it_was_read_from(monkeypatch, cache):
@@ -433,7 +449,7 @@ def test_cap_and_empty_sector_outcomes_are_the_same_cold_and_warm(monkeypatch, c
 
 def test_a_kept_basis_still_checks_both_caps_first(monkeypatch, cache):
     vectors = sector_basis(3, 3, SYM)
-    assert cache.tables[(3, 3, SYM)].basis == tuple(vectors)
+    assert value_of(cache, basis_key(3, 3, SYM)) == tuple(vectors)
     # 10 vectors of 27 amplitudes: one amplitude over the count * d^N cap
     monkeypatch.setattr(exchange, "MAX_DIM", 10 * 27 - 1)
     with pytest.raises(CapExceeded, match="10 basis vectors of d\\^N = 3\\^3"):
@@ -454,8 +470,7 @@ def test_the_basis_charge_is_what_a_kept_basis_holds(cache, d, n, sector):
     sector_basis(d, n, sector)
     cache.tables.clear()
     cache.nbytes = 0
-    entry = exchange._orbit_entry(d, n, sector)
-    tables = entry.nbytes
+    tables = table_bytes(d, n, sector)
     gc.collect()
     tracemalloc.start()
     try:
@@ -465,7 +480,62 @@ def test_the_basis_charge_is_what_a_kept_basis_holds(cache, d, n, sector):
         allocated = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    charge = basis_charge(entry.basis)
-    assert entry.nbytes == tables + charge == entry_bytes(entry)
-    assert charge == exchange._basis_bytes(entry.basis)
+    states, charge = cache.tables[basis_key(d, n, sector)]
+    assert charge == basis_charge(states) == exchange._basis_bytes(states)
+    assert cache.nbytes == tables + charge == cache_bytes(cache)
     assert abs(allocated - charge) <= 1024 + charge // 100
+
+
+# ---------------------------------------------------------------- against a reference model
+
+
+def table_charge(d, n, sector):
+    """The bytes of an orbit table: an int64 class and a float64 amplitude per index, an int64 per class."""
+    return 16 * d**n + 8 * count_microstates(sector.statistics, n, d)
+
+
+CALLS = st.tuples(
+    st.sampled_from(["table", "basis", "bridge"]),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from([SYM, ANTI]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(budget=st.integers(0, 2**18), calls=st.lists(CALLS, max_size=25))
+def test_the_cache_follows_a_reference_lru_model(budget, calls):
+    model = OrderedDict()
+
+    def use(key, charge):
+        if key in model:
+            model.move_to_end(key)
+        elif charge <= budget:
+            model[key] = charge
+            while sum(model.values()) > budget:
+                model.popitem(last=False)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exchange, "ORBIT_CACHE_BYTES", budget)
+        m.setattr(exchange, "_orbit_tables", exchange._TableCache())
+        held = exchange._orbit_tables
+        for op, d, n, sector in calls:
+            key = (d, n, sector)
+            if op == "table":
+                orbit_table(*key)
+                use(key, table_charge(*key))
+            elif op == "basis":
+                vectors = sector_basis(*key)
+                if vectors and basis_key(*key) not in model:
+                    # a cold basis reads its table first
+                    use(key, table_charge(*key))
+                if vectors:
+                    use(basis_key(*key), basis_charge(tuple(vectors)))
+            else:
+                state = random_sector_state(np.random.default_rng(10 * d + n), *key)
+                if state is not None:
+                    fock_to_labeled(labeled_to_fock(state, sector), state.basis)
+                    use(key, table_charge(*key))
+            assert list(held.tables) == list(model)
+            assert [charge for _, charge in held.tables.values()] == list(model.values())
+            assert held.nbytes == sum(model.values()) == cache_bytes(held) <= budget
