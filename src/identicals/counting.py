@@ -83,11 +83,23 @@ class _Value:
     value of its own class with equal fields, hashes as its field tuple, and
     prints as Class(field=value, ...).  Assignment and deletion raise
     AttributeError; pickle, copy and __replace__ (copy.replace from Python
-    3.13) rebuild a value through its constructor.  A subclass's __init__
-    checks its arguments and sets each field with _set.
+    3.13) rebuild a value through its constructor.  A subclass names its
+    fields once, in __match_args__: the getter of its field tuple is built
+    from those names when the class is made, so no subclass writes
+    _fields.  Its __init__ checks its arguments and sets each field with
+    _set.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__
+        get = operator.attrgetter(*names)
+        # attrgetter of one name gives the value itself, not a 1-tuple
+        cls._get_fields = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+    def _fields(self) -> tuple:
+        return self._get_fields(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -129,9 +141,6 @@ class CountingProblem(_Value):
         _set(self, "n_resonators", n_resonators)
         _set(self, "n_quanta", n_quanta)
 
-    def _fields(self) -> tuple[int, int]:
-        return self.n_resonators, self.n_quanta
-
 
 class Mark(enum.IntEnum):
     SEPARATOR = 0
@@ -150,9 +159,6 @@ class SymbolString(_Value):
 
     def __init__(self, marks: tuple[Mark, ...]):
         _set(self, "marks", marks)
-
-    def _fields(self) -> tuple[tuple[Mark, ...]]:
-        return (self.marks,)
 
     def energies(self) -> tuple[int, ...]:
         """Per-resonator quantum counts, left to right."""
@@ -469,9 +475,6 @@ class OccupationState(_Value):
         _set(self, "occupations", occupations)
         _set(self, "sector", sector)
 
-    def _fields(self) -> tuple:
-        return self.occupations, self.sector
-
     @property
     def total(self) -> int:
         return sum(self.occupations)
@@ -575,9 +578,6 @@ class EmergenceReport(_Value):
         _set(self, "defining_states", [] if defining_states is list else defining_states)
         _set(self, "fidelity", fidelity)
         _set(self, "natural_spectrum", [] if natural_spectrum is list else natural_spectrum)
-
-    def _fields(self) -> tuple:
-        return self.verdict, self.defining_states, self.fidelity, self.natural_spectrum
 
 
 def _decomposed(occupations) -> Verdict:

@@ -72,8 +72,11 @@ def natural_orbitals(rdm: np.ndarray) -> list[tuple[float, np.ndarray]]:
     calls this only for a 1-RDM of rank above N; otherwise the rank-first
     path gives the occupied orbitals alone.  A non-finite entry is refused
     before the Hermiticity check; a deviation that overflows is refused by it.
+    A matrix that is not square is refused before either.
     """
     rdm = np.asarray(rdm, dtype=complex)
+    if rdm.ndim != 2 or rdm.shape[0] != rdm.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {rdm.shape}")
     if not np.isfinite(rdm).all():
         raise ValueError("matrix entries must be finite")
     with np.errstate(over="ignore"):
@@ -254,13 +257,17 @@ def genidentity_track(
     """Transport pairwise orthogonal one-particle states through a unitary.
 
     Orthogonality is preserved, so each state keeps tracing out its own
-    distinguishable path.  A state with an entry that is not finite is
-    refused before the orthogonality check.
+    distinguishable path.  The states must be vectors of one length d, and
+    u a d x d unitary.  A state of another shape, or with an entry that is
+    not finite, is refused before the orthogonality check.
     """
     vecs = [np.asarray(v, dtype=complex) for v in initial_states]
     if not vecs:
         return []
-    d = vecs[0].shape[0]
+    shapes = [v.shape for v in vecs]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
+        raise ValueError(f"states must be vectors of one length, got shapes {shapes}")
+    (d,) = shapes[0]
     for i, v in enumerate(vecs):
         if not np.isfinite(v).all():
             raise ValueError(f"state {i} has an entry that is not finite")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import counting
 from .counting import ExchangeSector
-from .errors import CapExceeded
+from .errors import VACUUM, CapExceeded
 from .states import (
     MAX_DIM,
     MAX_SLOTS,
@@ -182,13 +182,16 @@ def orbit_table(
     the flat index of that sorted tuple for class k, so first is ascending
     and np.unravel_index(first, (d,) * n) lists each class's modes.
 
-    The dense cap (check_dense_dim) is checked before the cache is read.
+    The vacuum (n = 0) is refused with errors.VACUUM, and then the dense cap
+    (check_dense_dim) is checked, both before the cache is read.
     Each (d, n, sector) table is built once and kept read-only under that
     key, charged the bytes of its arrays, so every caller shares the same
     three arrays.  The cache is one least-recently-used map of at most
     ORBIT_CACHE_BYTES, shared with sector_basis; a table larger than the
     whole budget is returned without being kept.
     """
+    if n == 0:
+        raise ValueError(VACUUM)
     check_dense_dim(d, n)
     key = (d, n, sector)
     tables = _orbit_tables.get(key)
@@ -262,7 +265,8 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     basis is one dense array, so its size is capped before anything is built.
     Past the slot cap neither the count nor d^N is computed: more fermions
     than modes give the empty basis, anything else the slot cap's error.
-    All three checks come before the cache is read.
+    All three checks come before the cache is read; the vacuum (n = 0)
+    passes them and is refused by orbit_table, before any array is built.
 
     The vectors are built trusted, without a second validation: row k of the
     one (count, d^N) complex array holds the orbit-table amplitudes of class

@@ -111,9 +111,6 @@ class FockVector(_Value):
         states.check_unit_norm(values, "Fock coefficients", "Fock vector norm {norm} deviates from 1")
         vars(self).update(_modes=width, _occ=occ)
 
-    def _fields(self) -> tuple:
-        return self.terms, self.sector, self.total_number
-
     def __getattr__(self, name: str):
         # reached only for an attribute the vector does not hold: derive a form once
         if name == "terms":

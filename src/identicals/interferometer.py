@@ -71,9 +71,6 @@ class BeamSplitterScenario(_Value):
         _set(self, "spins", spins)
         _set(self, "splitter", check_unitary(splitter, 2))
 
-    def _fields(self) -> tuple:
-        return self.spatial_in, self.spatial_out, self.spins, self.splitter
-
     def basis_in(self) -> OneParticleBasis:
         return self._basis(self.spatial_in)
 
@@ -113,12 +110,6 @@ class ExperimentResult(_Value):
         _set(self, "p_coincidence", p_coincidence)
         _set(self, "conditional_coincidence_spin_state", conditional_coincidence_spin_state)
         _set(self, "correlators", correlators)
-
-    def _fields(self) -> tuple:
-        return (
-            self.joint_probabilities, self.p_both_left, self.p_both_right, self.p_coincidence,
-            self.conditional_coincidence_spin_state, self.correlators,
-        )
 
 
 def build_initial_state(scenario: BeamSplitterScenario) -> LabeledState:
@@ -204,9 +195,6 @@ class GaussianPacket(_Value):
         _set(self, "width", width)
         _set(self, "phase_velocity", phase_velocity)
 
-    def _fields(self) -> tuple[float, float, float]:
-        return self.center, self.width, self.phase_velocity
-
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         """psi(x) on the points x; ValueError when any value leaves the float range."""
         norm = (2.0 * math.pi * self.width ** 2) ** -0.25
@@ -242,7 +230,7 @@ def packet_overlap(p1: GaussianPacket, p2: GaussianPacket) -> complex:
 
 
 class DensityGrid(_Value):
-    """Joint density rho(x1, x2) sampled on a square grid."""
+    """Joint density rho(x1, x2) sampled on a square grid: x of n points, values n x n."""
 
     __slots__ = __match_args__ = ("x", "values", "cross_term_max")
     x: np.ndarray
@@ -250,12 +238,14 @@ class DensityGrid(_Value):
     cross_term_max: float
 
     def __init__(self, x: np.ndarray, values: np.ndarray, cross_term_max: float):
+        if np.ndim(x) != 1 or np.shape(values) != np.shape(x) * 2:
+            raise ValueError(
+                f"a grid needs x of n points and n x n values, "
+                f"got x of shape {np.shape(x)} and values of shape {np.shape(values)}"
+            )
         _set(self, "x", x)
         _set(self, "values", values)
         _set(self, "cross_term_max", cross_term_max)
-
-    def _fields(self) -> tuple:
-        return self.x, self.values, self.cross_term_max
 
     @property
     def n_points(self) -> int:

@@ -99,9 +99,6 @@ class OneParticleBasis(_Value):
         _set(self, "labels", labels)
         _set(self, "energies", energies)
 
-    def _fields(self) -> tuple:
-        return self.labels, self.energies
-
     @property
     def dim(self) -> int:
         return len(self.labels)
@@ -121,9 +118,6 @@ class Permutation(_Value):
         if sorted(mapping) != list(range(len(mapping))):
             raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
         _set(self, "mapping", mapping)
-
-    def _fields(self) -> tuple[tuple[int, ...]]:
-        return (self.mapping,)
 
     @property
     def size(self) -> int:
@@ -178,9 +172,6 @@ class LabeledState(_Value):
         check_unit_norm(amps, "amplitudes", "state norm {norm} deviates from 1")
         amps.setflags(write=False)
         _set(self, "amplitudes", amps)
-
-    def _fields(self) -> tuple:
-        return self.n_slots, self.basis, self.amplitudes
 
     def __repr__(self):
         return f"{type(self).__qualname__}(n_slots={self.n_slots!r}, basis={self.basis!r})"

@@ -32,7 +32,7 @@ from identicals import (
     parse_symbol,
     planck_count,
 )
-from identicals.counting import Mark, parity
+from identicals.counting import Mark, _Value, parity
 from identicals.emergence import occupation_report
 
 BE = StatisticsKind.BOSE_EINSTEIN
@@ -465,6 +465,18 @@ def test_values_keep_their_defaults():
     assert fields_of(first)[1:] == ([], 0.0, [])
     assert first.defining_states is not second.defining_states
     assert first.natural_spectrum is not second.natural_spectrum
+
+
+def test_every_value_class_names_its_fields_once():
+    # the field tuple comes from __match_args__ alone: no subclass writes its own _fields
+    classes, todo = set(), [_Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes.update(subclasses)
+        todo.extend(subclasses)
+    assert {cls.__name__ for cls in classes} == set(MATCH_ARGS)
+    assert [cls.__name__ for cls in classes if "_fields" in vars(cls)] == []
+    assert "_fields" in vars(_Value)
 
 
 @pytest.mark.parametrize("value,twin,other,fields", VALUES, ids=VALUE_IDS)

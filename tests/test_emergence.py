@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,11 @@ class TestNaturalOrbitals:
         rdm[where] = bad
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             natural_orbitals(rdm)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3,), (2, 2, 2)], ids=str)
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match=f"^expected a square matrix, got shape {re.escape(str(shape))}$"):
+            natural_orbitals(np.ones(shape))
 
     def test_a_deviation_that_overflows_is_not_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian .max deviation inf"):
@@ -254,6 +260,17 @@ class TestGenidentityTrack:
         v = np.array([1, 1], dtype=complex) / math.sqrt(2)
         with pytest.raises(ValueError):
             genidentity_track([np.eye(2)[0], v], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "vecs",
+        [[np.eye(2)[0], np.eye(3)[1]], [np.eye(3)[0], np.eye(2)[1]], [np.eye(2)], [np.array(1.0)]],
+        ids=["longer_second", "shorter_second", "matrix", "scalar"],
+    )
+    def test_rejects_states_that_are_not_vectors_of_one_length(self, vecs):
+        shapes = [np.shape(v) for v in vecs]
+        message = f"states must be vectors of one length, got shapes {shapes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            genidentity_track(vecs, np.eye(2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 1)], ids=str)
     @pytest.mark.parametrize("count", [1, 2])

@@ -21,8 +21,8 @@ from identicals import (
     symmetrized_product,
     tensor_product,
 )
-
-from identicals.errors import CapExceeded
+from identicals import exchange
+from identicals.errors import VACUUM, CapExceeded
 
 from conftest import random_orthonormal_set, random_sector_state
 
@@ -179,6 +179,16 @@ class TestSectorBasis:
         assert sector_basis(2, n, ANTI) == []
         assert enumerate_distributions(StatisticsKind.FERMI_DIRAC, n, 2) == []
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("build", [sector_basis, exchange.orbit_table], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("sector", [SYM, ANTI], ids=lambda s: s.value)
+    def test_the_vacuum_is_refused_before_any_array_is_built(self, build, sector, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("an orbit table was built for the vacuum")
+
+        monkeypatch.setattr(exchange, "_build_orbit_table", no_table)
+        with pytest.raises(ValueError, match=f"^{VACUUM}$"):
+            build(3, 0, sector)
 
     def test_members_live_in_their_sector(self):
         for s in sector_basis(3, 2, SYM):

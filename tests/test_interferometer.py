@@ -511,6 +511,19 @@ class TestDensityGuards:
                 GaussianPacket(**packet_s), GaussianPacket(**packet_n), **grid
             )
 
+    @pytest.mark.parametrize(
+        "x_shape, values_shape",
+        [((2,), (3, 3)), ((4,), (3, 3)), ((3,), (3, 4)), ((3,), (9,)), ((2, 2), (2, 2)), ((), ())],
+        ids=str,
+    )
+    def test_a_grid_of_inconsistent_shapes_is_a_value_error_naming_both(self, x_shape, values_shape):
+        message = (
+            f"a grid needs x of n points and n x n values, "
+            f"got x of shape {x_shape} and values of shape {values_shape}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DensityGrid(x=np.zeros(x_shape), values=np.ones(values_shape), cross_term_max=0.0)
+
     def test_non_finite_amplitudes_are_a_value_error_naming_the_packet(self):
         packet = GaussianPacket(0.0, 1.0, 1e308)
         with pytest.raises(ValueError, match="not finite") as info:
