@@ -33,11 +33,9 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        v = v if v != 0 else 0.0
-        return f"{v:.12g}"
-    return str(v)
+def _fmt(v: float) -> str:
+    v = v if v != 0 else 0.0
+    return f"{v:.12g}"
 
 
 def _round_floats(obj):
@@ -279,20 +277,17 @@ def cmd_count(cfg: dict, fmt: str) -> str:
 def cmd_basis(cfg: dict, fmt: str) -> str:
     parsed = _parse(cfg, _BASIS, "basis")
     d, n, sector = parsed["d"], parsed["n"], parsed["sector"]
-    # more fermions than modes is the empty sector, a constant report; any
-    # other sector meets the slot and d^N caps, then the report cap, before
-    # basis_rows builds anything
-    if not (sector is counting.ExchangeSector.ANTISYMMETRIC and n > d):
-        check_dense_dim(d, n)
-        count = counting.count_microstates(sector.statistics, n, d)
+    # sector_size applies the slot and d^N caps; a sector with states then
+    # meets the report cap before basis_rows builds anything, and the empty
+    # sector (more fermions than modes) is a constant report
+    count, dim = counting.sector_size(sector, n, d)
+    if count:
         check_report_size(
             _basis_report_characters(d, n, count, fmt),
             f"the basis report of {count} states over d^N = {d}^{n} amplitudes",
         )
     rows = counting.basis_rows(sector, n, d)
     occs = counting.enumerate_distributions(sector.statistics, n, d)
-    # the empty sector's n is unbounded: no d ** n for it
-    dim = d ** n if rows else 0
     if fmt == "json":
         states = [
             {"occupation": list(occ), "amplitudes": _basis_vector(row, dim)}

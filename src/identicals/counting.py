@@ -8,7 +8,8 @@ named here too, with the statistics of each, so that occupation-level code
 needs no linear algebra; so is the closed form of each sector basis vector
 over the index tuples of its occupation (basis_rows), from which the CLI
 writes a basis without numpy, and the package's one rule for the parity of
-a permutation (parity).
+a permutation (parity) and for which sectors have a basis of what size
+(sector_size).
 
 The occupation level, the label-free half of the package, is here too.  An
 OccupationState holds per-mode occupation numbers, which play the role of
@@ -380,6 +381,25 @@ def parity(mapping: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def sector_size(sector: ExchangeSector, n: int, d: int) -> tuple[int, int]:
+    """(count, d^n): how many sector basis vectors n slots over d modes have, and their length.
+
+    The package's one rule for which sectors have a basis.  In this order:
+    n must be non-negative and d at least one (_check_sizes); the vacuum
+    (n = 0) is refused with errors.VACUUM; more fermions than modes is the
+    empty sector, (0, 0), before d^n is computed, so its n is unbounded;
+    then n and d^n must pass errors.check_dense_dim before the count is
+    computed, so a huge n is refused without an integer of its size.
+    """
+    _check_sizes(n, d)
+    if n == 0:
+        raise ValueError(VACUUM)
+    if sector is ExchangeSector.ANTISYMMETRIC and n > d:
+        return 0, 0
+    dim = check_dense_dim(d, n)
+    return count_microstates(sector.statistics, n, d), dim
+
+
 def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, float]]]:
     """The nonzero (flat index, amplitude) pairs of each sector basis vector, without numpy.
 
@@ -395,13 +415,11 @@ def basis_rows(sector: ExchangeSector, n: int, d: int) -> list[list[tuple[int, f
     and looked up by its sorted tuple.  An antisymmetric row lists the
     permutations of its ascending tuple, which come in lexicographic order,
     that is in ascending flat index, and which are its only members; no tuple
-    with a repeated mode is visited.  Empty for more fermions than modes,
-    before any size is computed; otherwise n and d^n must pass
-    errors.check_dense_dim.
+    with a repeated mode is visited.  The sizes are those of sector_size,
+    which refuses what it refuses; an empty sector gives no rows.
     """
-    if sector is ExchangeSector.ANTISYMMETRIC and n > d:
+    if not sector_size(sector, n, d)[0]:
         return []
-    check_dense_dim(d, n)
     if sector is ExchangeSector.ANTISYMMETRIC:
         amp = 1.0 / math.sqrt(math.factorial(n))
         # permutations of any n distinct items come in the order of those of

@@ -98,25 +98,9 @@ def _pivoted_cholesky(psi: np.ndarray) -> tuple[list[int], np.ndarray] | None:
     diagonal (the first on ties).  It stops as soon as the residual trace is
     at most TAU_RANK, and returns None if N steps do not get there.  An
     exactly diagonal gamma has scaled unit vectors for columns of L.
-
-    The residual trace after N steps is at least the sum of gamma's
-    eigenvalues past the N-th, so it is None at once when the (N+1)-th
-    exceeds TAU_RANK.  For any N + 1 columns C of slot, gamma >= C C^dagger,
-    so that eigenvalue is at least the smallest one of the Gram matrix
-    C^dagger C, itself at least det / trace^N of it.  The columns are the
-    adjacent psi[:, 0, 1, ..., N-3, x] for x = N-2..2N-2, nonzero in either
-    sector: a dense state far from rank N is refused from (N+1) d
-    amplitudes.
     """
     d, n = len(psi), psi.ndim
     slot = psi.reshape(d, -1)
-    if n > 1 and d >= 2 * n - 1:
-        # the flat column index of (0, 1, ..., N-2); the next N columns raise its last index
-        start = sum(t * d ** (n - 2 - t) for t in range(n - 1))
-        probe = slot[:, start : start + n + 1]
-        gram = probe.conj().T @ probe
-        if np.linalg.det(gram).real > TAU_RANK * np.trace(gram).real ** n:
-            return None
     residual = norm(slot, rows=True)
     chol = np.zeros((d, n), dtype=complex)
     pivots: list[int] = []

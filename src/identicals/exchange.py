@@ -30,7 +30,7 @@ from .counting import ExchangeSector
 from .errors import VACUUM, CapExceeded
 from .states import (
     MAX_DIM,
-    MAX_SLOTS,
+    MAX_SLOTS,  # re-exported with MAX_DIM; check_dense_dim reads errors.MAX_SLOTS
     TAU_NORM,
     LabeledState,
     OneParticleBasis,
@@ -182,14 +182,18 @@ def orbit_table(
     the flat index of that sorted tuple for class k, so first is ascending
     and np.unravel_index(first, (d,) * n) lists each class's modes.
 
-    The vacuum (n = 0) is refused with errors.VACUUM, and then the dense cap
-    (check_dense_dim) is checked, both before the cache is read.
+    Before the cache is read, the sizes are refused as counting.sector_size
+    refuses them, in its order, but no count is computed: a negative n or
+    no mode (counting._check_sizes), the vacuum (n = 0, errors.VACUUM), then
+    the slot and dense caps (check_dense_dim).  More fermions than modes
+    pass, and give a table with no class.
     Each (d, n, sector) table is built once and kept read-only under that
     key, charged the bytes of its arrays, so every caller shares the same
     three arrays.  The cache is one least-recently-used map of at most
     ORBIT_CACHE_BYTES, shared with sector_basis; a table larger than the
     whole budget is returned without being kept.
     """
+    counting._check_sizes(n, d)
     if n == 0:
         raise ValueError(VACUUM)
     check_dense_dim(d, n)
@@ -261,12 +265,10 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     """Orthonormal sector basis, one vector per occupation vector, in a new list.
 
     Ordered by the occupation enumeration of the counting module; empty when
-    the sector holds no states (e.g. more fermions than modes).  The whole
-    basis is one dense array, so its size is capped before anything is built.
-    Past the slot cap neither the count nor d^N is computed: more fermions
-    than modes give the empty basis, anything else the slot cap's error.
-    All three checks come before the cache is read; the vacuum (n = 0)
-    passes them and is refused by orbit_table, before any array is built.
+    the sector holds no states (more fermions than modes).  The sizes, and
+    what is refused, are counting.sector_size's.  The whole basis is one
+    dense array, so its count * d^N amplitudes are capped too, the one
+    check of its own.  Both come before the cache is read.
 
     The vectors are built trusted, without a second validation: row k of the
     one (count, d^N) complex array holds the orbit-table amplitudes of class
@@ -287,12 +289,8 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     tests/test_structured_kernels.py::test_basis_rows_match_sector_basis_bit_for_bit
     holds the two to the same amplitude bits.
     """
-    if n > MAX_SLOTS:
-        if sector is ExchangeSector.ANTISYMMETRIC and n > d:
-            return []
-        check_dense_dim(d, n)
-    count = counting.count_microstates(sector.statistics, n, d)
-    if count * d ** n > MAX_DIM:
+    count, dim = counting.sector_size(sector, n, d)
+    if count * dim > MAX_DIM:
         raise CapExceeded(
             f"{count} basis vectors of d^N = {d}^{n} amplitudes exceed the "
             f"dense-storage cap {MAX_DIM}"
@@ -304,7 +302,7 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     if states is None:
         cls, amp, _ = orbit_table(d, n, sector)
         (member,) = np.nonzero(cls >= 0)
-        vectors = np.zeros((count, d ** n), dtype=complex)
+        vectors = np.zeros((count, dim), dtype=complex)
         vectors[cls[member], member] = amp[member]
         vectors.setflags(write=False)
         basis = OneParticleBasis.default(d)

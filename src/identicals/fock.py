@@ -54,7 +54,7 @@ from .counting import (
     replace_indistinguishable,
     symbol_modes,
 )
-from .errors import VACUUM
+from .errors import VACUUM  # the bridge's vacuum message, raised by exchange.orbit_table
 
 
 class FockVector(_Value):
@@ -167,12 +167,10 @@ def _occupation_matrix(keys: list, width: int) -> np.ndarray:
     return np.frombuffer(_pack_occupations(keys, width), np.int64).reshape(len(keys), width)
 
 
-def _check_modes(width: int, n: int, basis: OneParticleBasis) -> None:
-    """An occupation must have one entry per basis mode, and hold at least one particle."""
+def _check_modes(width: int, basis: OneParticleBasis) -> None:
+    """An occupation must have one entry per basis mode; orbit_table then refuses the vacuum."""
     if width != basis.dim:
         raise ValueError(f"occupation has {width} modes, basis has {basis.dim}")
-    if n == 0:
-        raise ValueError(VACUUM)
 
 
 def _sorted_tuple_index(occ: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -213,11 +211,11 @@ def occupation_to_labeled(occ: OccupationState, basis: OneParticleBasis) -> Labe
     It is built trusted, without a second validation: it is one row of the
     orbit table, a new complex array of d^N amplitudes holding the basis
     amplitudes of one class, so its norm is 1 within rounding.  The class
-    exists, since OccupationState has checked signs and Pauli and
-    _check_modes the width and the vacuum.
+    exists, since OccupationState has checked signs and Pauli, _check_modes
+    the width and orbit_table the vacuum.
     """
     n, d = occ.total, basis.dim
-    _check_modes(occ.n_modes, n, basis)
+    _check_modes(occ.n_modes, basis)
     cls, amp, _ = exchange.orbit_table(d, n, occ.sector)
     (k,) = cls[_sorted_tuple_index(_occupation_matrix([occ.occupations], d), n, d)]
     return states.LabeledState._trusted(n, basis, np.where(cls == k, amp, 0j))
@@ -287,7 +285,7 @@ def fock_to_labeled(fv: FockVector, basis: OneParticleBasis) -> LabeledState:
     within TAU_NORM of 1, or 1 within rounding once divided.
     """
     n = fv.total_number
-    _check_modes(fv._modes, n, basis)
+    _check_modes(fv._modes, basis)
     cls, amp, classes = exchange.orbit_table(basis.dim, n, fv.sector)
     # one coefficient per class, plus a last 0 that class -1 reads
     coeffs = np.zeros(classes.size + 1, dtype=complex)

@@ -639,3 +639,28 @@ def test_exchange_sector_is_exported_without_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "True"]
+
+
+# ------------------------------------------------ the microstate report in JSON
+
+def test_the_json_microstate_rows_are_the_csv_rows(tmp_path, capsys):
+    cfg = {"n": 3, "d": 2, "kinds": ["fermi_dirac", "boltzmann", "bose_einstein"], "k": 1.5}
+    code, csv_out, err, _ = run_count(tmp_path, capsys, cfg, "csv")
+    assert (code, err) == (0, "")
+    code, json_out, err, _ = run_count(tmp_path, capsys, cfg, "json")
+    assert (code, err) == (0, "")
+    header, *lines = csv_out.splitlines()
+    assert header == "kind,count,entropy"
+    rows = json.loads(json_out)["counts"]
+    assert [row["kind"] for row in rows] == cfg["kinds"]
+    assert [row["count"] for row in rows] == [0, 8, 4]
+    for row, line in zip(rows, lines, strict=True):
+        kind, count, entropy = line.split(",")
+        assert row["kind"] == kind
+        assert type(row["count"]) is int and str(row["count"]) == count
+        if entropy == "undefined":
+            assert row["entropy"] is None
+        else:
+            assert row["entropy"] == float(entropy)
+            assert entropy == f"{1.5 * math.log(row['count']):.12g}"
+    assert lines[0] == "fermi_dirac,0,undefined"
