@@ -19,8 +19,9 @@ occupation_report is what emergence.detect_emergent_particles reports on an
 occupation state, in closed form: its 1-RDM is diag(n_m / N), so its
 natural orbitals are its modes, its natural spectrum is its occupations
 over N, and the state is itself the (anti)symmetrized product of its
-occupied modes, fidelity 1.  `fock` (the bridge to labeled states) and
-`emergence` (the detector) bind these names too.
+occupied modes, fidelity 1.  Every name of this level, in `fock` (the
+bridge to labeled states) and `emergence` (the detector) too, is imported
+from here.
 
 The module imports neither numpy nor dataclasses, so `identicals count`,
 `basis` and a symbol `analyze` run on the standard library's lightest
@@ -195,6 +196,17 @@ class ExchangeSector(enum.Enum):
         if self is ExchangeSector.SYMMETRIC:
             return StatisticsKind.BOSE_EINSTEIN
         return StatisticsKind.FERMI_DIRAC
+
+
+def check_sector(sector) -> None:
+    """ValueError naming the value unless sector is an ExchangeSector.
+
+    Every sector branch of the package tests identity with one member, so
+    any other value, its string "antisymmetric" included, would take the
+    other branch.
+    """
+    if not isinstance(sector, ExchangeSector):
+        raise ValueError(f"sector must be an ExchangeSector, got {sector!r}")
 
 
 def planck_count(problem: CountingProblem) -> int:
@@ -385,12 +397,14 @@ def sector_size(sector: ExchangeSector, n: int, d: int) -> tuple[int, int]:
     """(count, d^n): how many sector basis vectors n slots over d modes have, and their length.
 
     The package's one rule for which sectors have a basis.  In this order:
-    n must be non-negative and d at least one (_check_sizes); the vacuum
-    (n = 0) is refused with errors.VACUUM; more fermions than modes is the
-    empty sector, (0, 0), before d^n is computed, so its n is unbounded;
-    then n and d^n must pass errors.check_dense_dim before the count is
-    computed, so a huge n is refused without an integer of its size.
+    the sector must be an ExchangeSector (check_sector); n must be
+    non-negative and d at least one (_check_sizes); the vacuum (n = 0) is
+    refused with errors.VACUUM; more fermions than modes is the empty
+    sector, (0, 0), before d^n is computed, so its n is unbounded; then n
+    and d^n must pass errors.check_dense_dim before the count is computed,
+    so a huge n is refused without an integer of its size.
     """
+    check_sector(sector)
     _check_sizes(n, d)
     if n == 0:
         raise ValueError(VACUUM)
@@ -484,6 +498,7 @@ class OccupationState(_Value):
     sector: ExchangeSector
 
     def __init__(self, occupations: tuple[int, ...], sector: ExchangeSector):
+        check_sector(sector)
         occupations = tuple(occupations)
         _pack_occupations([occupations], len(occupations))
         if any(n < 0 for n in occupations):

@@ -26,7 +26,7 @@ same Cholesky steps.
 
 An occupation state needs none of this: counting.occupation_report writes
 its report in closed form, without numpy.  The verdicts, the report and
-that closed form live in `counting`; this module binds their names too.
+that closed form live in `counting`, and are imported from there.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import exchange
-from .counting import EmergenceReport, ExchangeSector, Verdict, _decomposed, occupation_report
+from .counting import EmergenceReport, ExchangeSector, Verdict, _decomposed
 from .states import TAU_ORTH, TAU_PSD, check_unitary, fix_phase, norm
 
 #: |N*lambda_i - round(N*lambda_i)| must stay below this for a decomposition

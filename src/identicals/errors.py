@@ -1,9 +1,11 @@
 """Shared exception types, messages, the dense-tensor caps and the report cap.
 
-The caps live here, beside CapExceeded, so that numpy-free code (the CLI's
-symbol checks, `counting`) applies the same limits as the dense modules that
-re-export them (`states`, `exchange`).  So does a message that more than one
-module raises, so that none imports another for its text.
+The caps live here, beside CapExceeded, and every module reads them here at
+call time: numpy-free code (the CLI's symbol checks, `counting`) and the
+dense modules (`states`, `exchange`, `interferometer`) apply one set of
+limits, and a test that patches a cap here moves every check.  A message
+that more than one module raises lives here too, so that none imports
+another for its text.
 """
 
 #: dense storage only; anything bigger is out of desk scale

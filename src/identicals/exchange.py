@@ -25,19 +25,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from . import counting
+from . import counting, errors
 from .counting import ExchangeSector
-from .errors import VACUUM, CapExceeded
-from .states import (
-    MAX_DIM,
-    MAX_SLOTS,  # re-exported with MAX_DIM; check_dense_dim reads errors.MAX_SLOTS
-    TAU_NORM,
-    LabeledState,
-    OneParticleBasis,
-    check_dense_dim,
-    norm,
-    tensor_product,
-)
+from .errors import VACUUM, CapExceeded, check_dense_dim
+from .states import TAU_NORM, LabeledState, OneParticleBasis, norm, tensor_product
 
 TAU_SECTOR = 1e-9
 
@@ -77,8 +68,10 @@ def _project_raw(arr: np.ndarray, sector: ExchangeSector) -> np.ndarray:
     Uses the coset factorisation S_k = (1/k)(1 +- sum_{j<k} (j k)) S_{k-1},
     with (j k) a swap of two slot axes, and at most two work buffers.  Each
     round writes its first sum straight into a buffer, and the first round
-    reads the input itself, so N = 2 needs one buffer.
+    reads the input itself, so N = 2 needs one buffer.  A sector that is not
+    an ExchangeSector is refused first (counting.check_sector).
     """
+    counting.check_sector(sector)
     op = np.subtract if sector is ExchangeSector.ANTISYMMETRIC else np.add
     src = np.asarray(arr, dtype=np.result_type(arr, float))
     if src.ndim < 2:
@@ -182,17 +175,19 @@ def orbit_table(
     the flat index of that sorted tuple for class k, so first is ascending
     and np.unravel_index(first, (d,) * n) lists each class's modes.
 
-    Before the cache is read, the sizes are refused as counting.sector_size
-    refuses them, in its order, but no count is computed: a negative n or
-    no mode (counting._check_sizes), the vacuum (n = 0, errors.VACUUM), then
-    the slot and dense caps (check_dense_dim).  More fermions than modes
-    pass, and give a table with no class.
+    Before the cache is read, the arguments are refused as
+    counting.sector_size refuses them, in its order, but no count is
+    computed: a sector that is not an ExchangeSector (counting.check_sector),
+    a negative n or no mode (counting._check_sizes), the vacuum (n = 0,
+    errors.VACUUM), then the slot and dense caps (check_dense_dim).  More
+    fermions than modes pass, and give a table with no class.
     Each (d, n, sector) table is built once and kept read-only under that
     key, charged the bytes of its arrays, so every caller shares the same
     three arrays.  The cache is one least-recently-used map of at most
     ORBIT_CACHE_BYTES, shared with sector_basis; a table larger than the
     whole budget is returned without being kept.
     """
+    counting.check_sector(sector)
     counting._check_sizes(n, d)
     if n == 0:
         raise ValueError(VACUUM)
@@ -227,7 +222,11 @@ def _build_orbit_table(
     ordered = np.sort(idx, axis=0)
     key = np.ravel_multi_index(ordered, shape)
     repeats = ordered[1:] == ordered[:-1]
-    if sector is ExchangeSector.SYMMETRIC:
+    if sector is ExchangeSector.ANTISYMMETRIC:
+        inversions = sum(idx[i] > idx[j] for i, j in itertools.combinations(range(n), 2))
+        sign = np.where(inversions % 2, -1.0, 1.0)
+        amp = sign * ~repeats.any(axis=0) / math.sqrt(math.factorial(n))
+    else:
         # prod n_m! is the product over slots of the sorted tuple's run length so far
         run = np.ones(key.size)
         weight = np.ones(key.size)
@@ -235,10 +234,6 @@ def _build_orbit_table(
             run = np.where(same, run + 1, 1)
             weight *= run
         amp = np.sqrt(weight / math.factorial(n))
-    else:
-        inversions = sum(idx[i] > idx[j] for i, j in itertools.combinations(range(n), 2))
-        sign = np.where(inversions % 2, -1.0, 1.0)
-        amp = sign * ~repeats.any(axis=0) / math.sqrt(math.factorial(n))
     first = np.flatnonzero((key == np.arange(key.size)) & (amp != 0))
     position = np.full(key.size, -1)
     position[first] = np.arange(first.size)
@@ -267,8 +262,9 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     Ordered by the occupation enumeration of the counting module; empty when
     the sector holds no states (more fermions than modes).  The sizes, and
     what is refused, are counting.sector_size's.  The whole basis is one
-    dense array, so its count * d^N amplitudes are capped too, the one
-    check of its own.  Both come before the cache is read.
+    dense array, so its count * d^N amplitudes are capped too, by
+    errors.MAX_DIM as it stands at the call, the one check of its own.  Both
+    come before the cache is read.
 
     The vectors are built trusted, without a second validation: row k of the
     one (count, d^N) complex array holds the orbit-table amplitudes of class
@@ -290,10 +286,10 @@ def sector_basis(d: int, n: int, sector: ExchangeSector) -> list[LabeledState]:
     holds the two to the same amplitude bits.
     """
     count, dim = counting.sector_size(sector, n, d)
-    if count * dim > MAX_DIM:
+    if count * dim > errors.MAX_DIM:
         raise CapExceeded(
             f"{count} basis vectors of d^N = {d}^{n} amplitudes exceed the "
-            f"dense-storage cap {MAX_DIM}"
+            f"dense-storage cap {errors.MAX_DIM}"
         )
     if count == 0:
         return []

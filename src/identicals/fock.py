@@ -1,9 +1,9 @@
 """The Fock bridge: occupation-number states to and from labeled sector states.
 
 The occupation level itself (OccupationState, the symbol grammar and
-replace_indistinguishable) is numpy-free and lives in `counting`; this
-module binds those names too.  The maps to and from labeled sector states
-are isometries onto the symmetric/antisymmetric sector bases.  Both
+replace_indistinguishable) is numpy-free and lives in `counting`, and is
+imported from there.  The maps to and from labeled sector states are
+isometries onto the symmetric/antisymmetric sector bases.  Both
 directions work on the orbit table of exchange.orbit_table.  FockVector
 validates a Fock vector's occupations as one integer matrix (one row per
 term), read in one call, never one occupation at a time.  Sector
@@ -49,19 +49,17 @@ from .counting import (
     _pack_occupations,
     _set,
     _Value,
-    format_symbol,
-    parse_symbol,
-    replace_indistinguishable,
-    symbol_modes,
+    check_sector,
 )
-from .errors import VACUUM  # the bridge's vacuum message, raised by exchange.orbit_table
 
 
 class FockVector(_Value):
     """Superposition of occupation states with a common sector and total number.
 
-    All occupations have the same number of modes and hold integers (see
-    _occupation_matrix); the first occupation that does not raises first.
+    A sector that is not an ExchangeSector is refused first
+    (counting.check_sector).  All occupations have the same number of modes
+    and hold integers (see _occupation_matrix); the first occupation that
+    does not raises first.
     Then a term that breaks the total number or the sector's occupation rule
     raises the error of the first such term, checked in that order.  terms
     is kept as a read-only view of a copy of the mapping given.
@@ -87,6 +85,7 @@ class FockVector(_Value):
         self.__post_init__()
 
     def __post_init__(self):
+        check_sector(self.sector)
         _set(self, "terms", MappingProxyType(dict(self.terms)))
         keys = list(self.terms)
         widths = set(map(len, keys))

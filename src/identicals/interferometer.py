@@ -26,13 +26,12 @@ import math
 import numpy as np
 
 from . import exchange
-from .counting import _set, _Value
-from .exchange import ExchangeSector
+from .counting import ExchangeSector, _set, _Value
+from .errors import check_dense_dim
 from .states import (
     LabeledState,
     OneParticleBasis,
     apply_one_particle_unitary,
-    check_dense_dim,
     check_unitary,
     fix_phase,
     norm,
@@ -137,11 +136,19 @@ def measure_ports_and_spins(
     """Born probabilities for unordered joint (port, spin) detection outcomes.
 
     Works on either side of the splitter; port names come from the state's
-    own basis labels.
+    own basis labels.  Only outcomes in two distinct modes are counted, so a
+    state whose weight on doubly occupied modes, the sum of |a[m, m]|^2, is
+    above 1e-12 is refused.
     """
     if state.n_slots != 2 or state.basis.dim != 4:
         raise ValueError("expected a two-slot state over four space×spin modes")
     a = state.amplitudes.reshape(4, 4)
+    doubled = norm(a.diagonal()) ** 2
+    if doubled > 1e-12:
+        raise ValueError(
+            f"state has weight {doubled:.3g} on doubly occupied modes, "
+            "which the measurement does not count"
+        )
     ports = [label.split("×")[0] for label in state.basis.labels[::2]]
     modes = [(ports[m // 2], scenario.spins[m % 2]) for m in range(4)]
 
@@ -181,7 +188,7 @@ def measure_ports_and_spins(
 
 
 class GaussianPacket(_Value):
-    """Normalized one-dimensional Gaussian wave packet."""
+    """Normalized one-dimensional Gaussian wave packet: finite fields, a positive width."""
 
     __slots__ = __match_args__ = ("center", "width", "phase_velocity")
     center: float
@@ -189,6 +196,10 @@ class GaussianPacket(_Value):
     phase_velocity: float
 
     def __init__(self, center: float, width: float, phase_velocity: float = 0.0):
+        for name, value in zip(self.__match_args__, (center, width, phase_velocity)):
+            # false for NaN and +-inf; an int too large for a float compares exactly
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if width <= 0:
             raise ValueError("width must be positive")
         _set(self, "center", center)

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import counting
 from .counting import _set, _Value
-# the dense caps, re-exported for the modules and callers that read them here
-from .errors import MAX_DIM, MAX_SLOTS, check_dense_dim
+from .errors import check_dense_dim
 
 TAU_NORM = 1e-10
 TAU_UNITARY = 1e-10
@@ -133,6 +132,9 @@ class Permutation(_Value):
 
     @classmethod
     def swap(cls, n: int, i: int, j: int) -> "Permutation":
+        """The transposition of slots i and j of n; both must lie in 0..n-1."""
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"swap of slots {i} and {j} out of range 0..{n - 1}")
         m = list(range(n))
         m[i], m[j] = m[j], m[i]
         return cls(tuple(m))

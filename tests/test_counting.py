@@ -32,8 +32,7 @@ from identicals import (
     parse_symbol,
     planck_count,
 )
-from identicals.counting import Mark, _Value, parity
-from identicals.emergence import occupation_report
+from identicals.counting import Mark, _Value, occupation_report, parity
 
 BE = StatisticsKind.BOSE_EINSTEIN
 FD = StatisticsKind.FERMI_DIRAC

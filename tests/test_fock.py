@@ -27,7 +27,7 @@ from identicals import (
     sector_basis,
 )
 from identicals import exchange, fock
-from identicals.fock import VACUUM
+from identicals.errors import VACUUM
 
 from conftest import perturbed, random_sector_state
 

@@ -19,8 +19,9 @@ import pytest
 
 from identicals import states
 from identicals.counting import ExchangeSector
-from identicals.emergence import detect_emergent_particles, occupation_report
-from identicals.fock import FockVector, OccupationState
+from identicals.counting import OccupationState, occupation_report
+from identicals.emergence import detect_emergent_particles
+from identicals.fock import FockVector
 from identicals.states import _NORM_BLOCK as B
 from identicals.states import TAU_NORM, LabeledState, OneParticleBasis, norm, tensor_product
 

@@ -16,8 +16,8 @@ import pytest
 
 import identicals
 from identicals import cli, counting, emergence, errors, exchange, fock, states
-from identicals.emergence import Verdict, occupation_report
-from identicals.fock import OccupationState, occupation_to_labeled, parse_symbol
+from identicals.counting import OccupationState, Verdict, occupation_report, parse_symbol
+from identicals.fock import occupation_to_labeled
 from identicals.states import OneParticleBasis
 
 SYM = counting.ExchangeSector.SYMMETRIC
@@ -120,34 +120,34 @@ def test_the_report_orders_modes_by_occupation_then_index():
 
 
 def test_the_report_of_the_vacuum_is_the_labeled_path_error():
-    with pytest.raises(ValueError, match=f"^{fock.VACUUM}$"):
+    with pytest.raises(ValueError, match=f"^{errors.VACUUM}$"):
         occupation_report(OccupationState((0, 0), SYM))
-    with pytest.raises(ValueError, match=f"^{fock.VACUUM}$"):
+    with pytest.raises(ValueError, match=f"^{errors.VACUUM}$"):
         occupation_to_labeled(OccupationState((0, 0), SYM), OneParticleBasis.default(2))
 
 
-#: the occupation level each dense module binds, defined in counting
-OCCUPATION_LEVEL = {
-    fock: [
-        "OccupationState", "format_symbol", "parse_symbol", "replace_indistinguishable",
-        "symbol_modes",
-    ],
-    emergence: ["EmergenceReport", "Verdict", "occupation_report"],
+#: the occupation level, defined in counting
+OCCUPATION_LEVEL = [
+    "EmergenceReport", "OccupationState", "Verdict", "format_symbol", "occupation_report",
+    "parse_symbol", "replace_indistinguishable", "symbol_modes",
+]
+
+#: names that a module other than their own once bound only to be imported there
+UNBOUND = {
+    states: ["MAX_DIM", "MAX_SLOTS"],
+    exchange: ["MAX_DIM", "MAX_SLOTS"],
+    fock: ["VACUUM", "format_symbol", "parse_symbol", "replace_indistinguishable", "symbol_modes"],
+    emergence: ["occupation_report"],
 }
 
 
-def test_moved_names_are_re_exported_as_the_same_objects():
-    assert exchange.ExchangeSector is counting.ExchangeSector
-    assert fock.ExchangeSector is counting.ExchangeSector
-    for module, names in OCCUPATION_LEVEL.items():
+def test_moved_names_are_exported_from_counting_and_bound_nowhere_else():
+    for name in OCCUPATION_LEVEL:
+        if name in identicals.__all__:
+            assert getattr(identicals, name) is getattr(counting, name), name
+    for module, names in UNBOUND.items():
         for name in names:
-            assert getattr(module, name) is getattr(counting, name), (module, name)
-            if name in identicals.__all__:
-                assert getattr(identicals, name) is getattr(counting, name), name
-    for name in ("MAX_DIM", "MAX_SLOTS", "check_dense_dim"):
-        assert getattr(states, name) is getattr(errors, name)
-    assert exchange.MAX_DIM is errors.MAX_DIM
-    assert exchange.check_dense_dim is errors.check_dense_dim
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 #: every public class of the package

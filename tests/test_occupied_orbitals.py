@@ -27,8 +27,9 @@ from identicals import (
     slater_rank_two_fermions,
     symmetrized_product,
 )
-from identicals.emergence import SLATER_SV_THRESHOLD, TAU_RANK, Verdict
-from identicals.fock import occupation_to_labeled, parse_symbol
+from identicals.counting import Verdict, occupation_report, parse_symbol
+from identicals.emergence import SLATER_SV_THRESHOLD, TAU_RANK
+from identicals.fock import occupation_to_labeled
 from identicals.states import OneParticleBasis
 
 from conftest import random_sector_state, random_unitary
@@ -127,7 +128,7 @@ def test_degenerate_symbols_have_exact_unit_vector_orbitals(text, d, sector):
     occ = parse_symbol(text, d, sector)
     state = occupation_to_labeled(occ, OneParticleBasis.default(d))
     report = emergence.detect_emergent_particles(state, sector)
-    want = emergence.occupation_report(occ)
+    want = occupation_report(occ)
     assert report.verdict is want.verdict
     assert [n_i for _, n_i in report.defining_states] == [n_m for _, n_m in want.defining_states]
     for (vec, _), (m, _) in zip(report.defining_states, want.defining_states):

@@ -19,6 +19,7 @@ from identicals import (
     CapExceeded,
     ExchangeSector,
     count_microstates,
+    OccupationState,
     OneParticleBasis,
     enumerate_distributions,
     fock_to_labeled,
@@ -97,7 +98,7 @@ def test_a_cached_table_still_checks_the_dense_cap_first(monkeypatch, cache):
     with pytest.raises(CapExceeded):
         orbit_table(3, 2, SYM)
     with pytest.raises(CapExceeded):
-        occupation_to_labeled(fock.OccupationState((1, 1, 0), SYM), OneParticleBasis.default(3))
+        occupation_to_labeled(OccupationState((1, 1, 0), SYM), OneParticleBasis.default(3))
 
 
 def test_every_fock_caller_builds_each_table_once(monkeypatch, cache):
@@ -112,7 +113,7 @@ def test_every_fock_caller_builds_each_table_once(monkeypatch, cache):
     state = random_sector_state(np.random.default_rng(3), 4, 3, SYM)
     for _ in range(2):
         back = fock_to_labeled(labeled_to_fock(state, SYM), state.basis)
-        occupation_to_labeled(fock.OccupationState((1, 2, 0, 0), SYM), state.basis)
+        occupation_to_labeled(OccupationState((1, 2, 0, 0), SYM), state.basis)
         sector_basis(4, 3, SYM)
     assert built == [(4, 3, SYM)]
     assert abs(np.vdot(state.amplitudes, back.amplitudes)) >= 1 - 1e-12
@@ -350,7 +351,7 @@ def test_the_bridge_charges_the_cache_its_table_alone(cache, d, n, sector):
     arrays = orbit_table(d, n, sector)
     fv = labeled_to_fock(state, sector)
     fock_to_labeled(fv, state.basis)
-    occupation_to_labeled(fock.OccupationState(next(iter(fv.terms)), sector), state.basis)
+    occupation_to_labeled(OccupationState(next(iter(fv.terms)), sector), state.basis)
     # a caller's vector derives its flat indices off the vector, not the cache
     twin = fock.FockVector(dict(fv.terms), sector, n)
     assert fock_to_labeled(twin, state.basis).amplitudes.tobytes() == fock_to_labeled(
@@ -387,7 +388,7 @@ def test_the_bridge_leaves_a_kept_basis_and_its_charge_alone(cache):
     basis = OneParticleBasis.default(4)
     # each occupation's basis vector is the kept one, bit for bit, in the enumeration order
     for occ, vector in zip(enumerate_distributions(SYM.statistics, 3, 4), vectors, strict=True):
-        single = occupation_to_labeled(fock.OccupationState(occ, SYM), basis)
+        single = occupation_to_labeled(OccupationState(occ, SYM), basis)
         assert single.amplitudes.tobytes() == vector.amplitudes.tobytes()
     state = random_sector_state(np.random.default_rng(4), 4, 3, SYM)
     fv = labeled_to_fock(state, SYM)
@@ -429,8 +430,8 @@ def outcome(call):
 def test_cap_and_empty_sector_outcomes_are_the_same_cold_and_warm(monkeypatch, cache):
     calls = {
         "fermions_past_modes": lambda: sector_basis(3, 5, ANTI),
-        "fermions_past_the_slot_cap": lambda: sector_basis(3, exchange.MAX_SLOTS + 1, ANTI),
-        "slot_cap": lambda: sector_basis(2, exchange.MAX_SLOTS + 1, SYM),
+        "fermions_past_the_slot_cap": lambda: sector_basis(3, errors.MAX_SLOTS + 1, ANTI),
+        "slot_cap": lambda: sector_basis(2, errors.MAX_SLOTS + 1, SYM),
         "dense_cap": lambda: sector_basis(2, 23, SYM),
         # an empty sector is empty however large d^N is
         "fermions_past_modes_past_d_power_n": lambda: sector_basis(2, 25, ANTI),
@@ -451,13 +452,12 @@ def test_a_kept_basis_still_checks_both_caps_first(monkeypatch, cache):
     vectors = sector_basis(3, 3, SYM)
     assert value_of(cache, basis_key(3, 3, SYM)) == tuple(vectors)
     # 10 vectors of 27 amplitudes: one amplitude over the count * d^N cap
-    monkeypatch.setattr(exchange, "MAX_DIM", 10 * 27 - 1)
+    monkeypatch.setattr(errors, "MAX_DIM", 10 * 27 - 1)
     with pytest.raises(CapExceeded, match="10 basis vectors of d\\^N = 3\\^3"):
         sector_basis(3, 3, SYM)
-    monkeypatch.setattr(exchange, "MAX_DIM", 10 * 27)
+    monkeypatch.setattr(errors, "MAX_DIM", 10 * 27)
     assert sector_basis(3, 3, SYM) == vectors
     # past a lowered slot cap: the slot cap's error, or the empty basis for fermions past the modes
-    monkeypatch.setattr(exchange, "MAX_SLOTS", 2)
     monkeypatch.setattr(errors, "MAX_SLOTS", 2)
     with pytest.raises(CapExceeded, match="N = 3 slots exceed the dense-tensor cap of 2"):
         sector_basis(3, 3, SYM)

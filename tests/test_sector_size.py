@@ -97,7 +97,6 @@ def test_basis_rows_refuses_what_sector_basis_refuses(sector, n, d):
 
 @pytest.mark.parametrize("slot_cap", [errors.MAX_SLOTS, 2], ids=lambda c: f"slot_cap={c}")
 def test_the_three_callers_agree(monkeypatch, cache, slot_cap):
-    monkeypatch.setattr(exchange, "MAX_SLOTS", slot_cap)
     monkeypatch.setattr(errors, "MAX_SLOTS", slot_cap)
     for sector in SECTORS:
         for n in range(1, 5):

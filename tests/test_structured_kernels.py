@@ -30,7 +30,7 @@ from identicals import (
     occupation_to_labeled,
     sector_basis,
 )
-from identicals import cli, counting, errors, exchange, states
+from identicals import cli, counting, errors
 from identicals.exchange import _project_raw, orbit_table
 
 from conftest import random_sector_state
@@ -172,8 +172,10 @@ def test_orbit_table_checks_the_dense_cap_first(monkeypatch):
 
 
 def test_sector_basis_caps_the_whole_basis(monkeypatch):
-    # each of the 4 vectors has 8 <= 16 amplitudes; the basis has 32
-    monkeypatch.setattr(exchange, "MAX_DIM", 16)
+    # one patched cap moves both dense checks: each of the 4 vectors has
+    # 8 <= 16 amplitudes, so d^N passes, but the basis has 32
+    monkeypatch.setattr(errors, "MAX_DIM", 16)
+    assert errors.check_dense_dim(2, 3) == 8
     assert len(sector_basis(2, 2, SYM)) == 3
     with pytest.raises(CapExceeded):
         sector_basis(2, 3, SYM)
@@ -224,10 +226,10 @@ def test_cli_more_slots_than_numpy_axes_exits_3(tmp_path, capsys, command, cfg, 
 
 
 def test_the_slot_cap_is_the_last_n_numpy_can_hold():
-    assert states.check_dense_dim(1, states.MAX_SLOTS) == 1
-    assert len(sector_basis(1, states.MAX_SLOTS, SYM)) == 1
+    assert errors.check_dense_dim(1, errors.MAX_SLOTS) == 1
+    assert len(sector_basis(1, errors.MAX_SLOTS, SYM)) == 1
     with pytest.raises(CapExceeded):
-        states.check_dense_dim(1, states.MAX_SLOTS + 1)
+        errors.check_dense_dim(1, errors.MAX_SLOTS + 1)
 
 
 def test_cli_symbol_infers_d_from_its_largest_mode(tmp_path, capsys):
